@@ -29,7 +29,7 @@
 //! rather than hanging or erroring.
 //!
 //! With `--connections N` the bench switches to **connection scaling**
-//! over real TCP against the epoll reactor front-end: it opens N
+//! over real TCP against the serve port: it opens N
 //! concurrent connections, fires one pipelined query down every one of
 //! them at once, and collects every reply — measuring how one replica
 //! behaves holding thousands of sockets. Results merge into the same
@@ -257,8 +257,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Connection-scaling mode: N concurrent TCP connections into the reactor
-/// front-end, one pipelined query each — all writes first, then all reads
+/// Connection-scaling mode: N concurrent TCP connections into the serve
+/// port, one pipelined query each — all writes first, then all reads
 /// — so the server really holds N sockets with up to N requests in flight
 /// at the moment the burst lands.
 fn run_connection_scaling(
@@ -285,15 +285,7 @@ fn run_connection_scaling(
         ..ServeConfig::default()
     };
     let mut server = Server::start(registry, serve_config);
-    let addr = match server.bind_reactor("127.0.0.1:0") {
-        Ok(a) => a,
-        Err(e) => {
-            // No epoll on this platform: the blocking front-end still
-            // speaks the same protocol, one thread per socket.
-            eprintln!("reactor front-end unavailable ({e}); falling back to thread-per-connection");
-            server.bind("127.0.0.1:0").expect("bind server")
-        }
-    };
+    let addr = server.bind("127.0.0.1:0").expect("bind server");
 
     let keys: Vec<DesignKey> = (0..designs)
         .map(|d| DesignKey {

@@ -1,15 +1,20 @@
 //! The daemon proper: a multi-tenant front-end wrapped around the serve
 //! core, plus the admin port that drives hot reload and promotion.
 //!
-//! Two listeners, two protocols:
+//! Two ports, two protocols, one listener implementation — both are
+//! [`rl_ccd_wire::front`] (the same front-end the serve port binds) with
+//! a different frame handler:
 //!
 //! * the **tenant port** speaks `rl-ccd-serve v1` — every query must
 //!   carry [`Credentials`](rl_ccd_serve::Credentials); the
 //!   [`TenantBook`] authenticates and
 //!   throttles it, canary routing may rewrite the champion slot to the
-//!   challenger, and only then does the request enter the serving queue;
+//!   challenger, and only then does the request enter the serving queue
+//!   with the connection's `Reply` as its completion;
 //! * the **admin port** speaks `rl-ccd-admin v1` — checkpoint loads,
-//!   gate runs, promote/rollback, tenant CRUD, drain.
+//!   gate runs, promote/rollback, tenant CRUD, drain. Every command runs
+//!   on a thread of its own, so `status` answers while a `gate` or a
+//!   `retrain` is still running on another connection.
 //!
 //! Promotion is zero-downtime by construction: `load` verifies and warms
 //! the challenger off the request path, `promote` is one atomic registry
@@ -17,19 +22,20 @@
 
 use crate::admin::{AdminReply, AdminRequest, DaemonStatus};
 use crate::clock::Clock;
-use crate::promotion::{escape_json, Promoter, CHALLENGER, CHAMPION};
+use crate::promotion::{Promoter, CHALLENGER, CHAMPION};
 use crate::tenant::{constant_time_eq, Admission, TenantBook, TenantConfig, TenantSummary};
 use rl_ccd::gate::GateSpec;
-use rl_ccd_serve::protocol::{read_frame, write_frame};
+use rl_ccd_obs::escape_json;
 use rl_ccd_serve::{
     DrainReport, ModelRegistry, ModelVersion, RejectKind, Request, Response, ServeConfig,
     ServeHandle, Server,
 };
+use rl_ccd_wire::front::{self, Front, FrontOptions, Reply, Threads};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -99,6 +105,9 @@ struct DaemonShared {
     drain_requested: AtomicBool,
     recorder: Option<rl_ccd_obs::Recorder>,
     write_timeout: Duration,
+    sock_send_buffer: Option<usize>,
+    /// Admin commands still running.
+    admin_jobs: Threads,
 }
 
 impl std::fmt::Debug for DaemonShared {
@@ -108,13 +117,6 @@ impl std::fmt::Debug for DaemonShared {
             .field("draining", &self.draining.load(Ordering::SeqCst))
             .finish()
     }
-}
-
-#[derive(Debug)]
-struct Front {
-    addr: SocketAddr,
-    accept_thread: JoinHandle<()>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// A running multi-tenant daemon.
@@ -140,7 +142,8 @@ impl Daemon {
     /// cannot be opened — a daemon asked to log experience must not come
     /// up silently lossy.
     pub fn start(registry: ModelRegistry, config: DaemonConfig, clock: Arc<dyn Clock>) -> Self {
-        let write_timeout = config.serve.write_timeout;
+        let (write_timeout, sock_send_buffer) =
+            (config.serve.write_timeout, config.serve.sock_send_buffer);
         let mut serve_config = config.serve.clone();
         let experience = config
             .experience_path
@@ -160,6 +163,8 @@ impl Daemon {
             drain_requested: AtomicBool::new(false),
             recorder: rl_ccd_obs::current(),
             write_timeout,
+            sock_send_buffer,
+            admin_jobs: Threads::default(),
         });
         let usage_flusher = match (&config.usage_path, config.usage_flush_ms) {
             (Some(path), interval_ms) if interval_ms > 0 => Some(spawn_usage_flusher(
@@ -213,10 +218,8 @@ impl Daemon {
     /// # Errors
     /// Propagates bind failures.
     pub fn bind_query(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let front = bind_front(addr, self.shared.clone(), "daemon-query", query_conn)?;
-        let local = front.addr;
-        self.query_front = Some(front);
-        Ok(local)
+        let front = self.bind_port(addr, "daemon-query", tenant_frame)?;
+        Ok(self.query_front.insert(front).local_addr())
     }
 
     /// Binds the admin control port. Returns the bound address.
@@ -224,36 +227,52 @@ impl Daemon {
     /// # Errors
     /// Propagates bind failures.
     pub fn bind_admin(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let front = bind_front(addr, self.shared.clone(), "daemon-admin", admin_conn)?;
-        let local = front.addr;
-        self.admin_front = Some(front);
-        Ok(local)
+        let front = self.bind_port(addr, "daemon-admin", admin_frame)?;
+        Ok(self.admin_front.insert(front).local_addr())
+    }
+
+    /// One port on the shared front-end, with the serving core's
+    /// connection limits and `handler` run on every frame.
+    fn bind_port(
+        &self,
+        addr: &str,
+        name: &'static str,
+        handler: fn(&Arc<DaemonShared>, &[u8], Reply),
+    ) -> std::io::Result<Front> {
+        let options = FrontOptions {
+            name,
+            max_frame_len: rl_ccd_wire::MAX_FRAME_LEN,
+            write_timeout: self.shared.write_timeout,
+            sock_send_buffer: self.shared.sock_send_buffer,
+        };
+        let shared = self.shared.clone();
+        front::bind(addr, options, Arc::default(), move |payload, reply| {
+            let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
+            handler(&shared, &payload, reply);
+        })
     }
 
     /// The bound tenant-port address, if [`Daemon::bind_query`] ran.
     pub fn query_addr(&self) -> Option<SocketAddr> {
-        self.query_front.as_ref().map(|f| f.addr)
+        self.query_front.as_ref().map(Front::local_addr)
     }
 
     /// The bound admin-port address, if [`Daemon::bind_admin`] ran.
     pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin_front.as_ref().map(|f| f.addr)
+        self.admin_front.as_ref().map(Front::local_addr)
     }
 
-    /// Graceful shutdown: stop accepting, join every connection, flush
+    /// Graceful shutdown: stop accepting, answer everything in flight, flush
     /// per-tenant usage to the configured JSONL file, drain the serving
     /// core and the experience sink, and report the final accounting.
     pub fn shutdown(self) -> DaemonReport {
         self.shared.draining.store(true, Ordering::SeqCst);
+        // The serving core and the admin jobs are still running, so both
+        // ports can deliver every answer they owe before they close.
         for front in [self.query_front, self.admin_front].into_iter().flatten() {
-            // Unblock the accept loop with one throwaway connection.
-            let _ = TcpStream::connect(front.addr);
-            let _ = front.accept_thread.join();
-            let conns = std::mem::take(&mut *front.conns.lock().expect("conn list lock"));
-            for conn in conns {
-                let _ = conn.join();
-            }
+            front.shutdown();
         }
+        self.shared.admin_jobs.join_all();
         if let Some(flusher) = self.usage_flusher {
             let _ = flusher.join();
         }
@@ -326,96 +345,20 @@ fn spawn_usage_flusher(
         .expect("spawn usage flusher")
 }
 
-/// Spawns an accept loop whose connections run `conn_fn`.
-fn bind_front(
-    addr: &str,
-    shared: Arc<DaemonShared>,
-    name: &'static str,
-    conn_fn: fn(&DaemonShared, TcpStream),
-) -> std::io::Result<Front> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let conns_in_accept = conns.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name(format!("{name}-accept"))
-        .spawn(move || {
-            let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-            for stream in listener.incoming() {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break; // the shutdown wake-up connection lands here
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = shared.clone();
-                let conn = std::thread::Builder::new()
-                    .name(format!("{name}-conn"))
-                    .spawn(move || conn_fn(&shared, stream))
-                    .expect("spawn daemon connection");
-                conns_in_accept.lock().expect("conn list lock").push(conn);
-            }
-        })
-        .expect("spawn daemon accept loop");
-    Ok(Front {
-        addr: local,
-        accept_thread,
-        conns,
-    })
-}
-
-/// Prepares one connection's socket: short read timeout so idle
-/// connections re-check the drain flag, bounded write stall.
-fn framed_pair(stream: TcpStream, write_timeout: Duration) -> Option<(TcpStream, TcpStream)> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let reader = stream.try_clone().ok()?;
-    Some((reader, stream))
-}
-
-/// One tenant connection: authenticated, throttled, canaried queries.
-fn query_conn(shared: &DaemonShared, stream: TcpStream) {
-    let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    let Some((mut reader, mut writer)) = framed_pair(stream, shared.write_timeout) else {
-        return;
-    };
-    loop {
-        match read_frame(&mut reader) {
-            Ok(payload) => {
-                let response = answer_query_frame(shared, &payload);
-                if write_frame(&mut writer, &response.encode()).is_err() {
-                    return;
-                }
-                let _ = writer.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return, // EOF or fatal stream error
-        }
-    }
-}
-
-/// Decodes, admits, canaries, and executes one tenant-port frame.
-fn answer_query_frame(shared: &DaemonShared, payload: &[u8]) -> Response {
-    let request = match Request::decode(payload) {
-        Ok(request) => request,
-        Err(msg) => return Response::reject(RejectKind::BadRequest, msg),
-    };
-    match request {
-        Request::Health => Response::Health(shared.handle.health()),
-        Request::Shutdown => Response::reject(
+/// The tenant port's frame handler: decode, admit, canary, then queue
+/// the query with the `Reply` as its completion. Everything short of a
+/// granted query is answered on the spot.
+fn tenant_frame(shared: &Arc<DaemonShared>, payload: &[u8], reply: Reply) {
+    let response = match Request::decode(payload) {
+        Err(msg) => Response::reject(RejectKind::BadRequest, msg),
+        Ok(Request::Health) => Response::Health(shared.handle.health()),
+        Ok(Request::Shutdown) => Response::reject(
             RejectKind::Denied,
             "admin operations are not available on the tenant port",
         ),
-        Request::Query(mut q) => {
-            let Some(creds) = q.auth.take() else {
-                return Response::reject(RejectKind::Denied, "credentials required");
-            };
-            match shared.tenants.admit(&creds) {
+        Ok(Request::Query(mut q)) => match q.auth.take() {
+            None => Response::reject(RejectKind::Denied, "credentials required"),
+            Some(creds) => match shared.tenants.admit(&creds) {
                 Admission::Denied(msg) => {
                     tenant_counter("daemon.tenant.denied", &creds.tenant);
                     Response::reject(RejectKind::Denied, msg)
@@ -434,52 +377,28 @@ fn answer_query_frame(shared: &DaemonShared, payload: &[u8]) -> Response {
                         q.model = CHALLENGER.to_string();
                     }
                     let started = Instant::now();
-                    let response = shared.handle.query(q);
-                    tenant_counter("daemon.tenant.accepted", &creds.tenant);
-                    rl_ccd_obs::with_recorder(|r| {
-                        r.metrics()
-                            .labeled_histogram("daemon.tenant.latency_ms", &creds.tenant)
-                            .observe(started.elapsed().as_secs_f64() * 1e3);
+                    // Runs on the serve worker that has the answer (it
+                    // carries the same recorder), or right here on a shed.
+                    return shared.handle.submit(q, move |response| {
+                        tenant_counter("daemon.tenant.accepted", &creds.tenant);
+                        rl_ccd_obs::with_recorder(|r| {
+                            r.metrics()
+                                .labeled_histogram("daemon.tenant.latency_ms", &creds.tenant)
+                                .observe(started.elapsed().as_secs_f64() * 1e3);
+                        });
+                        reply.send(response.encode());
                     });
-                    response
                 }
-            }
-        }
-    }
+            },
+        },
+    };
+    reply.send(response.encode());
 }
 
 fn tenant_counter(name: &'static str, tenant: &str) {
     rl_ccd_obs::with_recorder(|r| {
         r.metrics().labeled_counter(name, tenant).add(1);
     });
-}
-
-/// One admin connection: framed `rl-ccd-admin v1` commands.
-fn admin_conn(shared: &DaemonShared, stream: TcpStream) {
-    let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    let Some((mut reader, mut writer)) = framed_pair(stream, shared.write_timeout) else {
-        return;
-    };
-    loop {
-        match read_frame(&mut reader) {
-            Ok(payload) => {
-                let reply = answer_admin_frame(shared, &payload);
-                if write_frame(&mut writer, &reply.encode()).is_err() {
-                    return;
-                }
-                let _ = writer.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 fn slot_identity(registry: &ModelRegistry, slot: &str) -> Option<ModelVersion> {
@@ -490,20 +409,33 @@ fn slot_identity(registry: &ModelRegistry, slot: &str) -> Option<ModelVersion> {
     })
 }
 
-/// Decodes, authenticates, and executes one admin-port frame.
-fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
+/// The admin port's frame handler: decode and authenticate on the spot,
+/// then run the command on a thread of its own — a gate or a retrain
+/// takes seconds to minutes, and the thread that called this handler is
+/// the one every other admin connection is waiting on.
+fn admin_frame(shared: &Arc<DaemonShared>, payload: &[u8], reply: Reply) {
+    let refuse = |reply: Reply, msg: String| reply.send(AdminReply::Err { msg }.encode());
     let (request, token) = match AdminRequest::decode(payload) {
         Ok(decoded) => decoded,
-        Err(msg) => return AdminReply::Err { msg },
+        Err(msg) => return refuse(reply, msg),
     };
     if let Some(expected) = &shared.admin_token {
         let provided = token.unwrap_or_default();
         if !constant_time_eq(provided.as_bytes(), expected.as_bytes()) {
-            return AdminReply::Err {
-                msg: "unauthorized".into(),
-            };
+            return refuse(reply, "unauthorized".into());
         }
     }
+    let job = shared.clone();
+    // If the thread cannot be spawned the closure (and the `Reply` in it)
+    // is dropped, which closes the connection.
+    let _ = shared.admin_jobs.spawn("daemon-admin-job".into(), move || {
+        let _obs = job.recorder.as_ref().map(rl_ccd_obs::attach);
+        reply.send(run_admin_command(&job, request).encode());
+    });
+}
+
+/// Executes one authenticated admin command.
+fn run_admin_command(shared: &DaemonShared, request: AdminRequest) -> AdminReply {
     let registry = shared.handle.registry();
     match request {
         AdminRequest::Status => {
@@ -528,8 +460,8 @@ fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
             } else {
                 shared.rho
             };
-            // Verify + assemble on this thread, off the request path;
-            // install is the atomic pointer swap.
+            // Verify + assemble on this job's thread, off the request
+            // path; install is the atomic pointer swap.
             match ModelRegistry::prepare(&slot, &dir, rho) {
                 Ok(entry) => {
                     let identity = ModelVersion {
@@ -614,7 +546,7 @@ fn answer_admin_frame(shared: &DaemonShared, payload: &[u8]) -> AdminReply {
                 steps,
                 ..rl_ccd_exp::RetrainConfig::default()
             };
-            // Retraining happens on this admin thread, off the request
+            // Retraining happens on this job's thread, off the request
             // path; tenants keep being served by the installed models.
             match rl_ccd_exp::retrain(&base, &log, &out, &cfg) {
                 Ok(report) => match ModelRegistry::prepare(CHALLENGER, &out, shared.rho) {
@@ -720,6 +652,12 @@ mod tests {
             matches!(&r, Response::Err { kind: RejectKind::Denied, msg } if msg.contains("credentials")),
             "{r:?}"
         );
+        // Admin operations are not served here, whoever asks.
+        let r = client.shutdown().unwrap();
+        assert!(
+            matches!(&r, Response::Err { kind: RejectKind::Denied, msg } if msg.contains("tenant port")),
+            "{r:?}"
+        );
         // Bad token.
         let r = client.query(query(creds("acme", "wrong"))).unwrap();
         assert!(matches!(
@@ -741,6 +679,70 @@ mod tests {
         let acme = &report.tenants[0];
         assert_eq!(acme.usage.accepted, 1);
         assert_eq!(acme.usage.denied, 1);
+    }
+
+    #[test]
+    fn tenant_port_answers_with_a_thousand_idle_connections_parked() {
+        let clock = ManualClock::at(0);
+        let daemon = started_daemon(&clock);
+        let addr = daemon.query_addr().unwrap();
+        let idle: Vec<std::net::TcpStream> = (0..1000)
+            .map(|i| {
+                std::net::TcpStream::connect(addr)
+                    .unwrap_or_else(|e| panic!("idle tenant connection {i}: {e}"))
+            })
+            .collect();
+        let mut client = ServeClient::connect(addr).expect("connect");
+        let r = client.query(query(creds("acme", "s3cret"))).unwrap();
+        assert!(matches!(r, Response::Ok(_)), "{r:?}");
+        drop(idle);
+        assert_eq!(daemon.shutdown().drain.dropped(), 0);
+    }
+
+    #[test]
+    fn admin_status_answers_while_a_gate_runs_on_another_connection() {
+        use rl_ccd_netlist::{DesignSpec, TechNode};
+        use rl_ccd_wire::{read_frame, write_frame};
+        // A gate heavy enough (six 1 500-cell designs, scored twice) to
+        // outlast a status roundtrip by orders of magnitude.
+        let gate = GateSpec {
+            designs: (0..6)
+                .map(|i| DesignSpec::new(format!("slow{i}"), 1500, TechNode::N7, 40 + i))
+                .collect(),
+            ..GateSpec::quick(0xCCD)
+        };
+        let config = DaemonConfig {
+            gate,
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::start(registry(), config, Arc::new(ManualClock::at(0)));
+        daemon.bind_admin("127.0.0.1:0").expect("bind admin");
+        let (_, params) = RlCcd::init(RlConfig::fast());
+        daemon
+            .registry()
+            .insert_params(CHALLENGER, params, 0.3)
+            .expect("stage challenger");
+        let addr = daemon.admin_addr().unwrap();
+        // Connection one asks for a gate run and does not wait for it.
+        let mut gate = std::net::TcpStream::connect(addr).expect("connect");
+        write_frame(&mut gate, &AdminRequest::Gate.encode(None)).expect("send gate");
+        // Connection two gets its status while the gate is still running:
+        // were the gate run on the thread that serves the port, this call
+        // would return only after the gate's answer had been written.
+        let admin = AdminClient::new(addr, None);
+        let status = admin.call(&AdminRequest::Status).unwrap();
+        assert!(matches!(status, AdminReply::Status(_)), "{status:?}");
+        gate.set_nonblocking(true).expect("nonblocking");
+        let mut probe = [0u8; 1];
+        let early = gate.peek(&mut probe);
+        assert!(
+            matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "gate answered before status did: {early:?}"
+        );
+        gate.set_nonblocking(false).expect("blocking");
+        let verdict = AdminReply::decode(&read_frame(&mut gate).expect("gate reply")).unwrap();
+        assert!(matches!(verdict, AdminReply::Ok { .. }), "{verdict:?}");
+        assert_eq!(daemon.shutdown().drain.dropped(), 0);
     }
 
     #[test]

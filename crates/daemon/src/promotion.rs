@@ -12,8 +12,8 @@
 
 use crate::clock::Clock;
 use rl_ccd::gate::{run_eval_gate, GateSpec, GateVerdict};
+use rl_ccd_obs::escape_json;
 use rl_ccd_serve::{ModelRegistry, ModelVersion, ServeModel};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,24 +60,6 @@ impl AuditRecord {
             escape_json(&self.detail)
         )
     }
-}
-
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[derive(Debug, Default)]

@@ -44,11 +44,11 @@
 //! Worker connections are [`FramedTcp`] — the unified
 //! [`rl_ccd_wire::Transport`] stack shared with `serve::client` and the
 //! worker's accept path — so chaos wrapping and reconnect frame-numbering
-//! live in one place. Scatter-gather runs on the [`Poller`] reactor where
-//! available: one thread multiplexes every in-flight worker's readiness
-//! plus its deadline and retry-backoff timers (a [`TimerWheel`]), while
-//! frame operations stay blocking for bit-exact chaos behavior. Platforms
-//! without epoll fall back to the thread-per-dispatch scatter.
+//! live in one place. Scatter-gather is one scoped thread per dispatch,
+//! each running the blocking retry loop (`exchange`) to completion: a
+//! fleet is a handful of workers, and a round's cost is reading and
+//! decoding each worker's megabyte-scale reply, which per-worker threads
+//! do in parallel where a single multiplexing thread would serialise it.
 
 use crate::protocol::{
     decode_response, encode_request, InitRequest, Inject, Request, Response, RunRequest,
@@ -60,15 +60,11 @@ use rl_ccd::{
 };
 use rl_ccd_netlist::{write_netlist, EndpointId};
 use rl_ccd_obs as obs;
-use rl_ccd_wire::reactor::Interest;
-use rl_ccd_wire::{
-    Endpoint, FramedTcp, NetFault, NetFaultPlan, Poller, RetryPolicy, TimerId, TimerWheel,
-    Transport,
-};
+use rl_ccd_wire::{Endpoint, FramedTcp, NetFault, NetFaultPlan, RetryPolicy, Transport};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One worker process as the coordinator sees it.
 #[derive(Debug)]
@@ -522,26 +518,10 @@ impl Drop for DistExecutor {
     }
 }
 
-/// Scatters one dispatch round and gathers its outcomes. On Linux the
-/// round runs on the reactor: one thread multiplexes every worker's
-/// readiness and timers, so a stalled worker costs nothing while the
-/// others proceed. Where epoll is unavailable (or fails to come up) the
-/// round falls back to one thread per dispatch running the blocking
-/// [`exchange`] loop — the two paths are bit-identical in outcome because
-/// the frame operations themselves stay blocking in both.
+/// Scatters one dispatch round and gathers its outcomes: one scoped
+/// thread per dispatch, each running the blocking retry loop to
+/// completion, so a stalled worker costs the others nothing.
 fn scatter(round: Vec<Dispatch>, deadline: Duration, retry: &RetryPolicy) -> Vec<Exchange> {
-    if round.is_empty() {
-        return Vec::new();
-    }
-    match Poller::new() {
-        Ok(poller) => scatter_reactor(&poller, round, deadline, retry),
-        Err(_) => scatter_threads(round, deadline, retry),
-    }
-}
-
-/// Pre-reactor scatter: one thread per dispatch, each running the
-/// blocking retry loop to completion.
-fn scatter_threads(round: Vec<Dispatch>, deadline: Duration, retry: &RetryPolicy) -> Vec<Exchange> {
     std::thread::scope(|s| {
         let handles: Vec<_> = round
             .into_iter()
@@ -561,266 +541,6 @@ fn scatter_threads(round: Vec<Dispatch>, deadline: Duration, retry: &RetryPolicy
             .map(|h| h.join().expect("dispatch thread"))
             .collect()
     })
-}
-
-/// Per-dispatch state machine for the reactor scatter. The flight is
-/// always in exactly one of three states: *awaiting* a reply
-/// (`registered`, deadline timer pending), *backing off* before a retry
-/// (`why` set, backoff timer pending), or finished (`done`).
-struct Flight {
-    /// `None` once moved into the outcome or dropped for quarantine.
-    conn: Option<FramedTcp>,
-    payload: Arc<Vec<u8>>,
-    attempt: u32,
-    /// Pending wheel timer: the response deadline while `registered`,
-    /// otherwise the retry backoff.
-    timer: Option<TimerId>,
-    /// Readability interest currently registered with the poller.
-    registered: bool,
-    /// The failure that scheduled the pending backoff.
-    why: Option<String>,
-    out: Exchange,
-    done: bool,
-}
-
-/// Reactor scatter: sends every dispatch, then multiplexes readiness and
-/// timers until every flight lands. Frame operations stay blocking —
-/// identical chaos behavior to the threaded path — the reactor only
-/// decides *when* to issue them, and serves retry backoffs from the
-/// timer wheel instead of parking a sleeping thread per worker.
-fn scatter_reactor(
-    poller: &Poller,
-    round: Vec<Dispatch>,
-    deadline: Duration,
-    retry: &RetryPolicy,
-) -> Vec<Exchange> {
-    let mut wheel = TimerWheel::with_ms_ticks();
-    let mut flights: Vec<Flight> = round
-        .into_iter()
-        .map(|mut d| {
-            for fault in d.wire.drain(..) {
-                d.conn.inject_once(fault);
-            }
-            Flight {
-                conn: Some(d.conn),
-                payload: d.payload,
-                attempt: 0,
-                timer: None,
-                registered: false,
-                why: None,
-                out: Exchange {
-                    widx: d.widx,
-                    chunk: d.chunk,
-                    conn: None,
-                    result: Err("unreachable".into()),
-                    retries: 0,
-                    reconnects: 0,
-                },
-                done: false,
-            }
-        })
-        .collect();
-    for (i, f) in flights.iter_mut().enumerate() {
-        send_flight(poller, &mut wheel, f, i, deadline, retry);
-    }
-    let mut events = Vec::new();
-    let mut fired = Vec::new();
-    while flights.iter().any(|f| !f.done) {
-        let timeout = wheel.next_timeout(Instant::now());
-        if poller.poll(&mut events, timeout).is_err() {
-            // The reactor broke mid-round; land every remaining flight on
-            // the blocking path rather than losing the round. Terminates
-            // because every read honors the socket deadline and attempts
-            // are bounded.
-            for (i, f) in flights.iter_mut().enumerate() {
-                finish_blocking(poller, &mut wheel, f, i, deadline, retry);
-            }
-            break;
-        }
-        for ev in &events {
-            let i = ev.token as usize;
-            let Some(f) = flights.get_mut(i) else {
-                continue;
-            };
-            if f.done || !f.registered || !(ev.readable || ev.hangup) {
-                continue;
-            }
-            finish_read(poller, &mut wheel, f, i, retry, None);
-        }
-        fired.clear();
-        wheel.poll_expired(Instant::now(), &mut fired);
-        for &key in &fired {
-            let i = key as usize;
-            let Some(f) = flights.get_mut(i) else {
-                continue;
-            };
-            if f.done {
-                continue;
-            }
-            f.timer = None;
-            if f.registered {
-                // Deadline passed with no readiness. Force the read with a
-                // sliver of a timeout so the failure carries the same
-                // timed-out receive error the blocking path reports.
-                finish_read(
-                    poller,
-                    &mut wheel,
-                    f,
-                    i,
-                    retry,
-                    Some(Duration::from_millis(1)),
-                );
-            } else if f.why.is_some() {
-                reconnect_flight(poller, &mut wheel, f, i, deadline, retry);
-            }
-        }
-    }
-    flights.into_iter().map(|f| f.out).collect()
-}
-
-/// One attempt's blocking send; on success the flight parks awaiting
-/// readability with its response deadline on the wheel.
-fn send_flight(
-    poller: &Poller,
-    wheel: &mut TimerWheel,
-    f: &mut Flight,
-    i: usize,
-    deadline: Duration,
-    retry: &RetryPolicy,
-) {
-    f.attempt += 1;
-    let mut why = None;
-    {
-        let conn = f.conn.as_mut().expect("flight holds a connection");
-        let stream = conn.stream();
-        if let Err(e) = stream.set_read_timeout(Some(deadline)) {
-            why = Some(format!("set read deadline: {e}"));
-        } else if let Err(e) = stream.set_write_timeout(Some(deadline)) {
-            why = Some(format!("set write deadline: {e}"));
-        } else {
-            let payload = Arc::clone(&f.payload);
-            if let Err(e) = conn.write_frame_limited(&payload, DIST_MAX_FRAME_LEN) {
-                why = Some(format!("send: {e}"));
-            }
-        }
-    }
-    if let Some(why) = why {
-        fail_flight(wheel, f, i, why, retry);
-        return;
-    }
-    let conn = f.conn.as_ref().expect("flight holds a connection");
-    match poller.register(conn.stream(), i as u64, Interest::READABLE) {
-        Ok(()) => {
-            f.registered = true;
-            f.timer = Some(wheel.schedule_after(deadline, i as u64));
-        }
-        // Can't multiplex this socket; complete the read right here — it
-        // honors the read deadline set above.
-        Err(_) => finish_read(poller, wheel, f, i, retry, None),
-    }
-}
-
-/// Completes an awaiting flight: cancel the deadline, drop the
-/// registration, and run the blocking read + decode. `nudge` overrides
-/// the read timeout for the deadline-expiry path.
-fn finish_read(
-    poller: &Poller,
-    wheel: &mut TimerWheel,
-    f: &mut Flight,
-    i: usize,
-    retry: &RetryPolicy,
-    nudge: Option<Duration>,
-) {
-    if let Some(id) = f.timer.take() {
-        wheel.cancel(id);
-    }
-    let conn = f.conn.as_mut().expect("flight holds a connection");
-    if f.registered {
-        let _ = poller.deregister(conn.stream());
-        f.registered = false;
-    }
-    if let Some(t) = nudge {
-        let _ = conn.stream().set_read_timeout(Some(t));
-    }
-    let res = conn
-        .read_frame_limited(DIST_MAX_FRAME_LEN)
-        .map_err(|e| format!("receive: {e}"))
-        .and_then(|reply| decode_response(&reply).map_err(|e| format!("decode: {e}")));
-    match res {
-        Ok(resp) => {
-            f.out.conn = f.conn.take();
-            f.out.result = Ok(resp);
-            f.done = true;
-        }
-        Err(why) => fail_flight(wheel, f, i, why, retry),
-    }
-}
-
-/// Books one failed attempt: exhausted → the flight lands in error and
-/// the connection is dropped (the caller quarantines); otherwise the
-/// retry backoff goes on the wheel and the reconnect waits for it.
-fn fail_flight(wheel: &mut TimerWheel, f: &mut Flight, i: usize, why: String, retry: &RetryPolicy) {
-    if f.attempt >= retry.max_attempts {
-        f.out.result = Err(why);
-        f.conn = None;
-        f.done = true;
-        return;
-    }
-    f.why = Some(why);
-    f.timer = Some(wheel.schedule_after(retry.backoff(f.out.widx as u64, f.attempt), i as u64));
-}
-
-/// The backoff fired: re-dial the endpoint (frame numbering and chaos
-/// wiring resume, so plan coordinates stay stable) and re-issue the
-/// identical payload — exactly the blocking [`exchange`] loop's recovery.
-fn reconnect_flight(
-    poller: &Poller,
-    wheel: &mut TimerWheel,
-    f: &mut Flight,
-    i: usize,
-    deadline: Duration,
-    retry: &RetryPolicy,
-) {
-    let why = f.why.take().unwrap_or_default();
-    let conn = f.conn.as_mut().expect("flight holds a connection");
-    match conn.reconnect(None) {
-        Ok(()) => {
-            f.out.reconnects += 1;
-            f.out.retries += 1;
-            send_flight(poller, wheel, f, i, deadline, retry);
-        }
-        Err(e) => {
-            f.out.result = Err(format!("{why}; reconnect: {e}"));
-            f.conn = None;
-            f.done = true;
-        }
-    }
-}
-
-/// Drives one flight to completion without the reactor, for the
-/// poll-failure path: awaiting reads block under the socket deadline,
-/// pending backoffs become thread sleeps.
-fn finish_blocking(
-    poller: &Poller,
-    wheel: &mut TimerWheel,
-    f: &mut Flight,
-    i: usize,
-    deadline: Duration,
-    retry: &RetryPolicy,
-) {
-    while !f.done {
-        if f.registered {
-            finish_read(poller, wheel, f, i, retry, None);
-        } else if f.why.is_some() {
-            if let Some(id) = f.timer.take() {
-                wheel.cancel(id);
-            }
-            std::thread::sleep(retry.backoff(f.out.widx as u64, f.attempt));
-            reconnect_flight(poller, wheel, f, i, deadline, retry);
-        } else {
-            send_flight(poller, wheel, f, i, deadline, retry);
-        }
-    }
 }
 
 /// One request with retry-and-reconnect: roundtrip, and on a transport

@@ -13,6 +13,7 @@
 //! because JSON numbers lose precision past 2⁵³.
 
 use rl_ccd::fnv1a64;
+use rl_ccd_obs::escape_json;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
@@ -65,22 +66,6 @@ pub struct ExpRecord {
     pub base_tns_ps: f64,
     /// Realized WNS minus default-flow WNS, in ps.
     pub wns_delta_ps: f64,
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl ExpRecord {

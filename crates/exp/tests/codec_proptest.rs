@@ -53,6 +53,37 @@ fn random_record(rng: &mut StdRng) -> ExpRecord {
     }
 }
 
+/// The content id hashes the canonical bytes, and those run through the
+/// workspace's shared JSON escaper: a record whose strings need every
+/// kind of escape must keep the id (and the line) it had when `exp`
+/// carried its own copy, or every log written before would fail `parse`.
+#[test]
+fn escaped_strings_keep_their_pinned_content_id() {
+    let record = ExpRecord {
+        design: "q\"uote\\back\nline\ttab\u{1}ctl:360:7nm:5".into(),
+        feat_fp: 0x0123_4567_89ab_cdef,
+        model: "m\r\u{1f}é".into(),
+        policy_version: 7,
+        policy_fp: 0xfeed_face_cafe_beef,
+        rho: 0.3,
+        fanout_cap: 24,
+        seed: 42,
+        selection: vec![3, 1, 4],
+        log_probs: vec![-0.5, -1.25, -2.0],
+        reward_tns_ps: -12.5,
+        base_tns_ps: -20.0,
+        wns_delta_ps: 0.75,
+    };
+    assert_eq!(record.content_id(), 0xa162_252a_e318_bf7e);
+    let line = record.to_jsonl();
+    assert!(
+        line.contains(r#""design":"q\"uote\\back\nline\ttab\u0001ctl:360:7nm:5""#)
+            && line.contains(r#""model":"m\r\u001fé""#),
+        "{line}"
+    );
+    assert_eq!(ExpRecord::parse(&line).expect("own encoding"), record);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -53,6 +53,7 @@ pub use metrics::{
 pub use schema::{
     validate_jsonl, Json, SchemaError, TraceSummary, TRACE_SCHEMA_NAME, TRACE_SCHEMA_VERSION,
 };
+pub use sink::escape_json;
 pub use span::{FieldValue, SpanGuard, SpanRecord};
 
 use std::cell::RefCell;

@@ -10,8 +10,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
 
-/// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+/// Escapes `s` as the body of a JSON string literal. The workspace's one
+/// escaper: experience-record content ids hash its output, so its bytes
+/// are part of that on-disk format.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

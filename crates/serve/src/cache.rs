@@ -8,11 +8,12 @@
 //! without copying) under least-recently-used eviction; a repeat query on
 //! a known design skips extraction entirely.
 //!
-//! [`SelectionCache`] goes one step further for greedy queries, which are
-//! pure functions of (model weights, design): it memoizes the finished
+//! [`SelectionCache`] goes one step further for queries that are pure
+//! functions of their request — greedy ones of (model weights, design),
+//! sampled ones of (model weights, design, seed): it memoizes the finished
 //! selection keyed by the model *fingerprint* (checksum of the verified
-//! checkpoint bytes) plus the design key, so reloading a re-trained
-//! checkpoint can never serve a stale selection.
+//! checkpoint bytes) plus the design key (plus the seed), so reloading a
+//! re-trained checkpoint can never serve a stale selection.
 
 use crate::protocol::DesignKey;
 use rl_ccd::CcdEnv;
@@ -140,18 +141,25 @@ impl EnvCache {
 
 /// Cache key for a memoized selection: model fingerprint + design.
 type SelectionKey = (u64, DesignKey);
+/// A memoized selection, shared with every reply that hits it.
+type Selection = Arc<Vec<EndpointId>>;
 
-/// Memoized greedy selections keyed by (model fingerprint, design).
+/// Memoized selections: greedy ones keyed by (model fingerprint, design),
+/// sampled ones by that plus the seed. Two LRUs of the same capacity, so
+/// a stream of one-off seeds can never evict a greedy answer.
 #[derive(Debug)]
 pub struct SelectionCache {
-    inner: Mutex<LruCache<SelectionKey, Arc<Vec<EndpointId>>>>,
+    inner: Mutex<LruCache<SelectionKey, Selection>>,
+    sampled: Mutex<LruCache<(SelectionKey, u64), Selection>>,
 }
 
 impl SelectionCache {
-    /// A cache of at most `capacity` selections.
+    /// A cache of at most `capacity` greedy and `capacity` sampled
+    /// selections.
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(LruCache::new(capacity)),
+            sampled: Mutex::new(LruCache::new(capacity)),
         }
     }
 
@@ -176,6 +184,41 @@ impl SelectionCache {
             .lock()
             .expect("selection cache lock")
             .insert((fingerprint, key.clone()), selection);
+    }
+
+    /// Looks up the memoized selection sampled with `seed` for
+    /// `fingerprint` × `key`.
+    pub fn get_sampled(
+        &self,
+        fingerprint: u64,
+        key: &DesignKey,
+        seed: u64,
+    ) -> Option<Arc<Vec<EndpointId>>> {
+        let hit = self
+            .sampled
+            .lock()
+            .expect("selection cache lock")
+            .get(&((fingerprint, key.clone()), seed))
+            .cloned();
+        match &hit {
+            Some(_) => rl_ccd_obs::counter!("serve.cache.sampled.hit", 1),
+            None => rl_ccd_obs::counter!("serve.cache.sampled.miss", 1),
+        }
+        hit
+    }
+
+    /// Memoizes a freshly sampled selection under its seed.
+    pub fn insert_sampled(
+        &self,
+        fingerprint: u64,
+        key: &DesignKey,
+        seed: u64,
+        selection: Arc<Vec<EndpointId>>,
+    ) {
+        self.sampled
+            .lock()
+            .expect("selection cache lock")
+            .insert(((fingerprint, key.clone()), seed), selection);
     }
 }
 
@@ -261,5 +304,26 @@ mod tests {
             None,
             "different weights must not share selections"
         );
+    }
+
+    #[test]
+    fn sampled_selections_key_on_the_seed_and_never_evict_greedy_ones() {
+        let cache = SelectionCache::new(2);
+        let key = DesignKey {
+            name: "s".into(),
+            cells: 100,
+            tech: "7nm".into(),
+            seed: 1,
+        };
+        let greedy = Arc::new(vec![EndpointId::new(0)]);
+        cache.insert(0xabc, &key, greedy.clone());
+        for seed in 0..8u64 {
+            let sel = Arc::new(vec![EndpointId::new(seed as usize)]);
+            cache.insert_sampled(0xabc, &key, seed, sel);
+        }
+        assert_eq!(cache.get_sampled(0xabc, &key, 7).unwrap()[0].index(), 7);
+        assert_eq!(cache.get_sampled(0xabc, &key, 0), None, "LRU of 2");
+        assert_eq!(cache.get_sampled(0xdef, &key, 7), None);
+        assert_eq!(cache.get(0xabc, &key), Some(greedy));
     }
 }

@@ -159,23 +159,6 @@ impl ServeClient {
         Self::builder().addr(addr).connect()
     }
 
-    /// Enables retry-with-backoff (and reconnect) for queries.
-    #[deprecated(note = "use ServeClient::builder().retry(..) instead")]
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Attaches a chaos plan, addressing this client's connection as
-    /// `conn`. Reconnects resume the old connection's frame numbering.
-    #[deprecated(note = "use ServeClient::builder().chaos(..) instead")]
-    #[must_use]
-    pub fn with_chaos(mut self, plan: Arc<NetFaultPlan>, conn: u64) -> Self {
-        self.transport.rewire_chaos(plan, conn);
-        self
-    }
-
     /// Caps how long a single socket operation may block when the request
     /// carries no deadline budget. `None` removes the cap (the socket can
     /// block indefinitely again — test use only).

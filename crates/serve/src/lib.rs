@@ -46,7 +46,6 @@ pub mod cache;
 pub mod client;
 pub mod experience;
 pub mod protocol;
-mod reactor;
 pub mod registry;
 mod scheduler;
 pub mod server;

@@ -8,6 +8,15 @@
 //! queued (pure backlog batching), larger windows trade a bounded delay
 //! for bigger batches.
 //!
+//! Under sustained traffic the windows tile: a batch opened less than one
+//! window after the previous one closed ends one window after *that
+//! close*, not after its own pickup. No job waits longer for it, batches
+//! leave on a fixed cadence of one per window, and a closed-loop client's
+//! cycle is the window itself — not the window plus however long its
+//! reply and next request take to cross the threads in between, which
+//! varies with the machine's wake-up latencies. A queue idle for longer
+//! than a window gives its first job a full window.
+//!
 //! Backpressure is typed, not silent: a full queue rejects with
 //! [`RejectKind::Busy`] at submit time, a draining queue with
 //! [`RejectKind::ShuttingDown`], and a request whose deadline passes
@@ -16,67 +25,31 @@
 //! completed, never dropped).
 
 use crate::protocol::{QueryRequest, RejectKind, Response};
-use rl_ccd_wire::Waker;
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Completed responses bound for reactor-driven connections, plus the
-/// waker that interrupts the reactor's poll to deliver them. Batch
-/// workers push here and never block: the reactor owns the sockets.
-#[derive(Debug)]
-pub(crate) struct CompletionQueue {
-    done: Mutex<Vec<(u64, Response)>>,
-    waker: Waker,
-}
-
-impl CompletionQueue {
-    pub(crate) fn new(waker: Waker) -> Self {
-        Self {
-            done: Mutex::new(Vec::new()),
-            waker,
-        }
-    }
-
-    /// Queues a finished response for the connection registered under
-    /// `token` and wakes the reactor.
-    pub(crate) fn push(&self, token: u64, response: Response) {
-        self.done
-            .lock()
-            .expect("completion queue lock")
-            .push((token, response));
-        self.waker.wake();
-    }
-
-    /// Takes everything queued (called by the reactor after a wake).
-    pub(crate) fn take(&self) -> Vec<(u64, Response)> {
-        std::mem::take(&mut *self.done.lock().expect("completion queue lock"))
-    }
-}
-
-/// Where a finished job's response goes: a blocking caller's channel
-/// (in-process handle, thread-per-connection loop), or the reactor's
-/// completion queue with the token of the connection that asked.
-#[derive(Clone, Debug)]
-pub(crate) enum ReplySink {
-    Channel(mpsc::Sender<Response>),
-    Completion {
-        token: u64,
-        queue: Arc<CompletionQueue>,
-    },
-}
+/// Where a finished job's response goes: a one-shot callback run on the
+/// thread that has the answer (a batch worker, or the submitter itself on
+/// a rejection). The in-process handle sends into a channel; the TCP
+/// front-end completes a `Reply`.
+pub(crate) struct ReplySink(Box<dyn FnOnce(Response) + Send>);
 
 impl ReplySink {
+    pub(crate) fn new(f: impl FnOnce(Response) + Send + 'static) -> Self {
+        ReplySink(Box::new(f))
+    }
+
     /// Delivers the response. A receiver that hung up is not an error the
     /// worker can act on, so delivery is best-effort by design.
-    pub(crate) fn send(&self, response: Response) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplySink::Completion { token, queue } => queue.push(*token, response),
-        }
+    pub(crate) fn send(self, response: Response) {
+        (self.0)(response);
+    }
+}
+
+impl std::fmt::Debug for ReplySink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplySink")
     }
 }
 
@@ -93,6 +66,9 @@ pub(crate) struct Job {
 struct QueueState {
     queue: VecDeque<Job>,
     draining: bool,
+    /// When the last batch closed (its window's scheduled end when it
+    /// timed out, so the cadence does not drift with wake-up latency).
+    last_close: Option<Instant>,
 }
 
 /// The shared submission queue.
@@ -115,14 +91,15 @@ impl Scheduler {
         }
     }
 
-    /// Enqueues a job, or rejects it with the typed backpressure reason.
-    pub(crate) fn submit(&self, job: Job) -> Result<(), RejectKind> {
+    /// Enqueues a job, or hands its reply sink back with the typed
+    /// backpressure reason so the caller can answer it.
+    pub(crate) fn submit(&self, job: Job) -> Result<(), (RejectKind, ReplySink)> {
         let mut st = self.state.lock().expect("scheduler lock");
         if st.draining {
-            return Err(RejectKind::ShuttingDown);
+            return Err((RejectKind::ShuttingDown, job.reply));
         }
         if st.queue.len() >= self.capacity {
-            return Err(RejectKind::Busy);
+            return Err((RejectKind::Busy, job.reply));
         }
         st.queue.push_back(job);
         rl_ccd_obs::gauge!("serve.queue.depth", st.queue.len() as f64);
@@ -141,7 +118,13 @@ impl Scheduler {
         loop {
             if let Some(first) = st.queue.pop_front() {
                 let mut batch = vec![first];
-                let close_at = Instant::now() + window;
+                let now = Instant::now();
+                // Tile with the previous window when this batch opens
+                // inside what would have been the next one.
+                let close_at = match st.last_close {
+                    Some(last) if now < last + window => last + window,
+                    _ => now + window,
+                };
                 while batch.len() < max_batch {
                     if let Some(job) = st.queue.pop_front() {
                         batch.push(job);
@@ -164,6 +147,8 @@ impl Scheduler {
                     }
                 }
                 rl_ccd_obs::gauge!("serve.queue.depth", st.queue.len() as f64);
+                let closed = close_at.min(Instant::now());
+                st.last_close = Some(st.last_close.map_or(closed, |last| last.max(closed)));
                 return Some(batch);
             }
             if st.draining {
@@ -190,6 +175,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::protocol::{DesignKey, Mode};
+    use std::sync::{mpsc, Arc};
 
     fn job() -> (Job, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
@@ -207,7 +193,9 @@ mod tests {
                     deadline_ms: None,
                     auth: None,
                 },
-                reply: ReplySink::Channel(tx),
+                reply: ReplySink::new(move |r| {
+                    let _ = tx.send(r);
+                }),
                 enqueued: Instant::now(),
                 deadline: None,
             },
@@ -221,10 +209,10 @@ mod tests {
         let (j1, _r1) = job();
         let (j2, _r2) = job();
         assert!(s.submit(j1).is_ok());
-        assert_eq!(s.submit(j2).unwrap_err(), RejectKind::Busy);
+        assert_eq!(s.submit(j2).unwrap_err().0, RejectKind::Busy);
         s.drain();
         let (j3, _r3) = job();
-        assert_eq!(s.submit(j3).unwrap_err(), RejectKind::ShuttingDown);
+        assert_eq!(s.submit(j3).unwrap_err().0, RejectKind::ShuttingDown);
     }
 
     #[test]
@@ -258,6 +246,38 @@ mod tests {
         let batch = s.next_batch(8, Duration::from_millis(400)).unwrap();
         producer.join().unwrap();
         assert_eq!(batch.len(), 2, "late arrival inside the window joined");
+    }
+
+    #[test]
+    fn windows_tile_under_sustained_traffic_and_restart_when_idle() {
+        let window = Duration::from_millis(200);
+        let s = Scheduler::new(16);
+        let submit = || {
+            let (j, r) = job();
+            std::mem::forget(r);
+            s.submit(j).unwrap();
+        };
+        submit();
+        s.next_batch(8, window).unwrap();
+        let first_close = Instant::now();
+        // Half a window later: the batch ends with the tiled window, about
+        // half a window after its pickup, not a whole one.
+        std::thread::sleep(window / 2);
+        submit();
+        s.next_batch(8, window).unwrap();
+        let second_close = Instant::now();
+        let gap = second_close - first_close;
+        assert!(gap >= window * 9 / 10, "closed early: {gap:?}");
+        assert!(
+            gap < window * 14 / 10,
+            "window restarted at pickup: {gap:?}"
+        );
+        // More than a window of silence: a full window from pickup again.
+        std::thread::sleep(window * 3 / 2);
+        let picked = Instant::now();
+        submit();
+        s.next_batch(8, window).unwrap();
+        assert!(picked.elapsed() >= window * 9 / 10);
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! The server: worker pool, batch execution, TCP front-end, graceful drain.
+//! The server: worker pool, batch execution, TCP port, graceful drain.
 //!
-//! Life of a request: a client (in-process [`ServeHandle`] or TCP
-//! connection) submits a [`QueryRequest`] with a reply channel; the
+//! Life of a request: a client (in-process [`ServeHandle`] or a TCP
+//! connection held by the shared [`rl_ccd_wire::front`]) submits a
+//! [`QueryRequest`] with a one-shot reply callback; the
 //! scheduler queues it (or rejects with typed backpressure); a worker
 //! collects a dynamic batch, groups it by (model, design) so each group
 //! resolves its environment **once** through the LRU cache, computes each
 //! selection on the inference-only no-grad fast path, and sends every
-//! reply. Greedy results are memoized per (model fingerprint, design).
+//! reply. Greedy results are memoized per (model fingerprint, design),
+//! sampled ones per (model fingerprint, design, seed).
 //!
 //! Shutdown is a drain, never a drop: [`Server::shutdown`] flips the queue
 //! to draining (new submissions get `shutting_down`), wakes everything,
@@ -23,9 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_ccd::InferSession;
 use rl_ccd_netlist::EndpointId;
+use rl_ccd_wire::front::{self, Front, FrontCounters, FrontOptions, Reply};
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,7 +46,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// LRU capacity of the design-environment cache.
     pub env_cache: usize,
-    /// LRU capacity of the memoized greedy-selection cache.
+    /// LRU capacity of the memoized-selection cache: this many greedy
+    /// answers and this many seeded samples.
     pub selection_cache: usize,
     /// Message-passing fanout cap for environment construction.
     pub fanout_cap: usize,
@@ -52,7 +55,7 @@ pub struct ServeConfig {
     /// evicted as a slow client (its response buffer is the bound on
     /// per-connection memory: one frame, never an unbounded backlog).
     pub write_timeout: Duration,
-    /// Kernel send-buffer cap (`SO_SNDBUF`) applied to each reactor
+    /// Kernel send-buffer cap (`SO_SNDBUF`) applied to each accepted
     /// connection; `None` keeps the kernel's autotuned default. Bounding
     /// it keeps per-connection kernel memory predictable with thousands
     /// of sockets, and makes a client that stops reading hit the
@@ -100,13 +103,7 @@ pub(crate) struct Stats {
     rejected_shutdown: AtomicU64,
     deadline_expired: AtomicU64,
     shed: AtomicU64,
-    evicted: AtomicU64,
     health_probes: AtomicU64,
-    /// Reactor front-end: poll returns (wakeups of the event loop).
-    pub(crate) reactor_polls: AtomicU64,
-    /// Reactor front-end: readiness events processed. Idle connections
-    /// contribute nothing here — the O(active) scaling claim in numbers.
-    pub(crate) reactor_events: AtomicU64,
     batches: Mutex<BTreeMap<usize, u64>>,
 }
 
@@ -133,10 +130,10 @@ pub struct ServeStats {
     pub evicted: u64,
     /// Health probes answered.
     pub health_probes: u64,
-    /// Reactor front-end poll returns (0 when serving via [`Server::bind`]).
+    /// Front-end event-loop poll returns (0 on the non-epoll fallback).
     pub reactor_polls: u64,
-    /// Reactor front-end readiness events processed. Stays proportional
-    /// to *active* connections: idle sockets never produce an event.
+    /// Front-end readiness events processed. Stays proportional to
+    /// *active* connections: idle sockets never produce an event.
     pub reactor_events: u64,
     /// batch size → number of batches dispatched at that size.
     pub batches: BTreeMap<usize, u64>,
@@ -182,13 +179,15 @@ pub(crate) struct Shared {
     scheduler: Scheduler,
     envs: EnvCache,
     selections: SelectionCache,
-    pub(crate) stats: Stats,
-    pub(crate) draining: AtomicBool,
-    pub(crate) recorder: Option<rl_ccd_obs::Recorder>,
+    stats: Stats,
+    /// The TCP port's counters (all zero until [`Server::bind`]).
+    front: Arc<FrontCounters>,
+    draining: AtomicBool,
+    recorder: Option<rl_ccd_obs::Recorder>,
     queue_capacity: usize,
     shed_retry_after_ms: u64,
-    pub(crate) write_timeout: Duration,
-    pub(crate) sock_send_buffer: Option<usize>,
+    write_timeout: Duration,
+    sock_send_buffer: Option<usize>,
     fanout_cap: usize,
     experience: Option<Arc<dyn ExperienceHook>>,
 }
@@ -207,36 +206,7 @@ impl std::fmt::Debug for Shared {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    listener: Option<FrontEnd>,
-}
-
-/// Which TCP front-end is serving: the thread-per-connection accept loop
-/// ([`Server::bind`]) or the single-threaded readiness reactor
-/// ([`Server::bind_reactor`]).
-#[derive(Debug)]
-enum FrontEnd {
-    Blocking(ListenerState),
-    Reactor {
-        addr: SocketAddr,
-        thread: JoinHandle<()>,
-        waker: rl_ccd_wire::Waker,
-    },
-}
-
-impl FrontEnd {
-    fn addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Blocking(l) => l.addr,
-            FrontEnd::Reactor { addr, .. } => *addr,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ListenerState {
-    addr: SocketAddr,
-    accept_thread: JoinHandle<()>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    front: Option<Front>,
 }
 
 /// Cheap in-process client — the same queue and typed rejections as TCP,
@@ -258,6 +228,7 @@ impl Server {
             envs: EnvCache::new(config.env_cache, config.fanout_cap),
             selections: SelectionCache::new(config.selection_cache),
             stats: Stats::default(),
+            front: Arc::default(),
             draining: AtomicBool::new(false),
             recorder: rl_ccd_obs::current(),
             queue_capacity: config.queue_capacity,
@@ -281,7 +252,7 @@ impl Server {
         Self {
             shared,
             workers,
-            listener: None,
+            front: None,
         }
     }
 
@@ -304,82 +275,47 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Binds the TCP front-end (e.g. `"127.0.0.1:0"` for an ephemeral
-    /// port) and starts accepting framed connections. Returns the bound
-    /// address.
+    /// Binds the TCP port (e.g. `"127.0.0.1:0"` for an ephemeral port) on
+    /// the workspace's shared front-end and starts accepting framed
+    /// connections. Returns the bound address. Same protocol, typed
+    /// backpressure and slow-client eviction (a response unsent for
+    /// [`ServeConfig::write_timeout`] evicts) on every platform; batch
+    /// execution stays on the worker pool.
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind and event-loop setup failures.
     pub fn bind(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let options = FrontOptions {
+            name: "serve",
+            max_frame_len: crate::protocol::MAX_FRAME_LEN,
+            write_timeout: self.shared.write_timeout,
+            sock_send_buffer: self.shared.sock_send_buffer,
+        };
         let shared = self.shared.clone();
-        let conns_in_accept = conns.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || {
-                let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-                for stream in listener.incoming() {
-                    if shared.draining.load(Ordering::SeqCst) {
-                        break; // the drain's wake-up connection lands here
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = shared.clone();
-                    let conn = std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || connection_loop(&shared, stream))
-                        .expect("spawn serve connection");
-                    conns_in_accept.lock().expect("conn list lock").push(conn);
-                }
-            })
-            .expect("spawn serve accept loop");
-        self.listener = Some(FrontEnd::Blocking(ListenerState {
-            addr: local,
-            accept_thread,
-            conns,
-        }));
+        let front = front::bind(
+            addr,
+            options,
+            self.shared.front.clone(),
+            move |payload, reply| serve_frame(&shared, &payload, reply),
+        )?;
+        let local = front.local_addr();
+        self.front = Some(front);
         Ok(local)
     }
 
-    /// Binds the TCP front-end on the readiness reactor: one thread
-    /// multiplexes every connection with epoll instead of spawning a
-    /// thread per socket, which is what lets one replica hold thousands
-    /// of concurrent connections. Same protocol, same typed backpressure,
-    /// same slow-client eviction (a write stalled past
-    /// [`ServeConfig::write_timeout`] evicts); batch execution stays on
-    /// the worker pool, bridged by the completion queue.
+    /// Alias of [`Server::bind`]. Exists only because
+    /// `benchmark/src/serve.rs`, which this workspace may not edit, still
+    /// calls it; the next benchmark PR removes the call and this with it.
     ///
     /// # Errors
-    /// Propagates bind/epoll setup failures (`Unsupported` off Linux —
-    /// use [`Server::bind`] there).
+    /// See [`Server::bind`].
     pub fn bind_reactor(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        // A connection burst beyond std's hardcoded backlog of 128 would
-        // see connection resets; re-arm to a depth matching the front-end.
-        let _ = rl_ccd_wire::reactor::set_backlog(&listener, 4096);
-        let waker = rl_ccd_wire::Waker::new()?;
-        let shared = self.shared.clone();
-        let reactor_waker = waker.clone();
-        // Fail setup errors here, on the caller, not inside the thread.
-        crate::reactor::check_supported()?;
-        let thread = std::thread::Builder::new()
-            .name("serve-reactor".into())
-            .spawn(move || crate::reactor::run(&shared, listener, reactor_waker))
-            .expect("spawn serve reactor");
-        self.listener = Some(FrontEnd::Reactor {
-            addr: local,
-            thread,
-            waker,
-        });
-        Ok(local)
+        self.bind(addr)
     }
 
-    /// The bound TCP address, when [`Server::bind`] or
-    /// [`Server::bind_reactor`] was called.
+    /// The bound TCP address, when [`Server::bind`] was called.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().map(FrontEnd::addr)
+        self.front.as_ref().map(Front::local_addr)
     }
 
     /// Whether a client has sent the admin `shutdown` request (the CLI
@@ -393,24 +329,14 @@ impl Server {
     pub fn shutdown(self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.scheduler.drain();
-        match self.listener {
-            Some(FrontEnd::Blocking(listener)) => {
-                // Unblock the accept loop with one throwaway connection.
-                let _ = TcpStream::connect(listener.addr);
-                let _ = listener.accept_thread.join();
-                let conns = std::mem::take(&mut *listener.conns.lock().expect("conn list lock"));
-                for conn in conns {
-                    let _ = conn.join();
-                }
+        if let Some(front) = self.front {
+            // The workers are still running and finish the backlog, so
+            // the front-end can flush every response it owes.
+            front.shutdown();
+            let evicted = self.shared.front.evicted();
+            if evicted > 0 {
+                rl_ccd_obs::counter!("serve.evicted", evicted);
             }
-            Some(FrontEnd::Reactor { thread, waker, .. }) => {
-                // Interrupt the poll; the reactor notices draining, stops
-                // accepting, flushes every owed response (workers are
-                // still running and will finish the backlog), then exits.
-                waker.wake();
-                let _ = thread.join();
-            }
-            None => {}
         }
         for worker in self.workers {
             let _ = worker.join();
@@ -429,12 +355,19 @@ impl ServeHandle {
     /// full queue as [`Response::Overloaded`] — never a panic or a hang.
     pub fn query(&self, request: QueryRequest) -> Response {
         let (tx, rx) = mpsc::channel();
-        match self.shared.submit(request, ReplySink::Channel(tx)) {
-            Err(kind) => self.shared.reject_response(kind),
-            Ok(()) => rx.recv().unwrap_or_else(|_| {
-                Response::reject(RejectKind::Internal, "worker dropped the reply channel")
-            }),
-        }
+        self.submit(request, move |response| {
+            let _ = tx.send(response);
+        });
+        rx.recv().unwrap_or_else(|_| {
+            Response::reject(RejectKind::Internal, "worker dropped the reply channel")
+        })
+    }
+
+    /// Submits a query without blocking: `reply` runs exactly once with
+    /// the response — on a worker thread when the query was queued, on
+    /// this thread when it was rejected at the door.
+    pub fn submit(&self, request: QueryRequest, reply: impl FnOnce(Response) + Send + 'static) {
+        self.shared.submit(request, ReplySink::new(reply));
     }
 
     /// Answers a health probe from the live server state (never queued).
@@ -454,16 +387,11 @@ impl ServeHandle {
     }
 }
 
-fn rejection_message(kind: RejectKind) -> &'static str {
-    match kind {
-        RejectKind::Busy => "request queue is full, retry later",
-        RejectKind::ShuttingDown => "server is draining",
-        _ => "rejected",
-    }
-}
-
 impl Shared {
-    pub(crate) fn submit(&self, request: QueryRequest, reply: ReplySink) -> Result<(), RejectKind> {
+    /// Queues the request, or answers it on the spot with the typed
+    /// rejection (a full queue becomes the load-shedding answer with its
+    /// backoff hint).
+    fn submit(&self, request: QueryRequest, reply: ReplySink) {
         let now = Instant::now();
         let deadline = request
             .deadline_ms
@@ -474,45 +402,27 @@ impl Shared {
             enqueued: now,
             deadline,
         };
-        match self.scheduler.submit(job) {
-            Ok(()) => {
-                self.stats.accepted.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            Err(kind) => {
-                let counter = match kind {
-                    RejectKind::Busy => &self.stats.rejected_busy,
-                    _ => &self.stats.rejected_shutdown,
-                };
-                counter.fetch_add(1, Ordering::SeqCst);
-                rl_ccd_obs::counter!("serve.rejected", 1);
-                Err(kind)
-            }
-        }
-    }
-
-    /// The response for a rejected submission: a full queue becomes the
-    /// typed load-shedding answer with its backoff hint, everything else
-    /// a [`Response::Err`].
-    pub(crate) fn reject_response(&self, kind: RejectKind) -> Response {
-        if kind == RejectKind::Busy {
+        let Err((kind, reply)) = self.scheduler.submit(job) else {
+            self.stats.accepted.fetch_add(1, Ordering::SeqCst);
+            return;
+        };
+        rl_ccd_obs::counter!("serve.rejected", 1);
+        let response = if kind == RejectKind::Busy {
+            self.stats.rejected_busy.fetch_add(1, Ordering::SeqCst);
             self.stats.shed.fetch_add(1, Ordering::SeqCst);
             rl_ccd_obs::counter!("serve.shed", 1);
-            return Response::Overloaded {
+            Response::Overloaded {
                 retry_after_ms: self.shed_retry_after_ms,
-            };
-        }
-        Response::reject(kind, rejection_message(kind))
-    }
-
-    /// Records a slow-client eviction (shared by both front-ends).
-    pub(crate) fn note_evicted(&self) {
-        self.stats.evicted.fetch_add(1, Ordering::SeqCst);
-        rl_ccd_obs::counter!("serve.evicted", 1);
+            }
+        } else {
+            self.stats.rejected_shutdown.fetch_add(1, Ordering::SeqCst);
+            Response::reject(kind, "server is draining")
+        };
+        reply.send(response);
     }
 
     /// A point-in-time health reply.
-    pub(crate) fn health_reply(&self) -> HealthReply {
+    fn health_reply(&self) -> HealthReply {
         self.stats.health_probes.fetch_add(1, Ordering::SeqCst);
         rl_ccd_obs::counter!("serve.health_probes", 1);
         HealthReply {
@@ -532,10 +442,10 @@ impl Shared {
             rejected_shutdown: self.stats.rejected_shutdown.load(Ordering::SeqCst),
             deadline_expired: self.stats.deadline_expired.load(Ordering::SeqCst),
             shed: self.stats.shed.load(Ordering::SeqCst),
-            evicted: self.stats.evicted.load(Ordering::SeqCst),
+            evicted: self.front.evicted(),
             health_probes: self.stats.health_probes.load(Ordering::SeqCst),
-            reactor_polls: self.stats.reactor_polls.load(Ordering::SeqCst),
-            reactor_events: self.stats.reactor_events.load(Ordering::SeqCst),
+            reactor_polls: self.front.polls(),
+            reactor_events: self.front.events(),
             batches: self
                 .stats
                 .batches
@@ -576,7 +486,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
             rl_ccd_obs::counter!("serve.deadline_expired", 1);
             finish(
                 shared,
-                &job,
+                job,
                 Response::reject(RejectKind::Deadline, "deadline passed in queue"),
             );
             continue;
@@ -591,11 +501,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
         let Some(model) = shared.registry.get(&model_name) else {
             for job in jobs {
                 let msg = format!("no model {model_name:?} in the registry");
-                finish(
-                    shared,
-                    &job,
-                    Response::reject(RejectKind::UnknownModel, msg),
-                );
+                finish(shared, job, Response::reject(RejectKind::UnknownModel, msg));
             }
             continue;
         };
@@ -606,7 +512,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 for job in jobs {
                     finish(
                         shared,
-                        &job,
+                        job,
                         Response::reject(RejectKind::BadRequest, msg.clone()),
                     );
                 }
@@ -647,16 +553,20 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                     )
                 }
                 Mode::Sample(seed) => {
+                    let key = &job.request.design;
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let session = session
-                        .get_or_insert_with(|| InferSession::new(&model.model, &model.params));
-                    let selection = if let Some(hook) = &shared.experience {
-                        // The logged path is bit-identical to the plain
-                        // one; the hook call is the one enqueue the
-                        // request path pays for closed-loop learning.
-                        let (sel, log_probs) = session.sample_logged(&env, &mut rng);
+                    let bind = || InferSession::new(&model.model, &model.params);
+                    if let Some(hook) = &shared.experience {
+                        // Every logged query is computed: its event needs
+                        // the log-probs, which the memo does not keep. The
+                        // logged path is bit-identical to the plain one;
+                        // the hook call is the one enqueue the request
+                        // path pays for closed-loop learning.
+                        let (sel, log_probs) = session
+                            .get_or_insert_with(bind)
+                            .sample_logged(&env, &mut rng);
                         hook.on_sample(ExperienceEvent {
-                            design: job.request.design.clone(),
+                            design: key.clone(),
                             model: model.name.clone(),
                             version: model.version,
                             fingerprint: model.fingerprint,
@@ -666,11 +576,24 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                             selection: sel.clone(),
                             log_probs,
                         });
-                        sel
+                        (Arc::new(sel), false)
+                    } else if let Some(hit) =
+                        shared.selections.get_sampled(model.fingerprint, key, seed)
+                    {
+                        // A seed named twice (a retry, a re-asked stage)
+                        // is the same pure function as a greedy query.
+                        (hit, true)
                     } else {
-                        session.sample(&env, &mut rng)
-                    };
-                    (Arc::new(selection), false)
+                        let fresh =
+                            Arc::new(session.get_or_insert_with(bind).sample(&env, &mut rng));
+                        shared.selections.insert_sampled(
+                            model.fingerprint,
+                            key,
+                            seed,
+                            fresh.clone(),
+                        );
+                        (fresh, false)
+                    }
                 }
             };
             let reply = QueryReply {
@@ -681,14 +604,14 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 cached,
                 selection: selection.iter().map(|e| e.index()).collect(),
             };
-            finish(shared, &job, Response::Ok(reply));
+            finish(shared, job, Response::Ok(reply));
         }
     }
 }
 
 /// Delivers a reply and records completion + latency. A client that hung
 /// up is still a completed request — the server held up its side.
-fn finish(shared: &Shared, job: &Job, response: Response) {
+fn finish(shared: &Shared, job: Job, response: Response) {
     let latency_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
     rl_ccd_obs::observe!("serve.request.latency_ms", latency_ms);
     rl_ccd_obs::counter!("serve.completed", 1);
@@ -696,78 +619,36 @@ fn finish(shared: &Shared, job: &Job, response: Response) {
     job.reply.send(response);
 }
 
-/// One TCP connection: framed requests in, framed responses out, until
-/// EOF, a fatal stream error, a slow-client eviction, or the server
-/// drains. Per-connection memory is bounded by construction: one request
-/// frame in flight (capped by the frame limit) and one encoded response
-/// (written before the next request is read).
-fn connection_loop(shared: &Shared, stream: TcpStream) {
+/// The serve port's frame handler: decode, answer probes and rejections
+/// on the spot, hand queries to the scheduler with the `Reply` as their
+/// completion.
+fn serve_frame(shared: &Shared, payload: &[u8], reply: Reply) {
     let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    // Short read timeout so an idle connection re-checks the drain flag;
-    // write timeout so a client that stops draining its socket is
-    // evicted instead of pinning a connection thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let Ok(mut reader) = stream.try_clone() else {
-        return; // no usable socket pair; nothing was accepted yet
-    };
-    let mut writer = stream;
-    loop {
-        match crate::protocol::read_frame(&mut reader) {
-            Ok(payload) => {
-                let response = match Request::decode(&payload) {
-                    Err(msg) => Response::reject(RejectKind::BadRequest, msg),
-                    Ok(Request::Shutdown) => {
-                        // Acknowledge, then let the controlling process
-                        // call Server::shutdown; the connection ends here.
-                        let ack = Response::Ok(QueryReply {
-                            model: String::new(),
-                            version: 0,
-                            steps: 0,
-                            batch: 0,
-                            cached: false,
-                            selection: vec![],
-                        });
-                        let _ = crate::protocol::write_frame(&mut writer, &ack.encode());
-                        shared.draining.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(Request::Health) => Response::Health(shared.health_reply()),
-                    Ok(Request::Query(q)) => {
-                        let (tx, rx) = mpsc::channel();
-                        match shared.submit(q, ReplySink::Channel(tx)) {
-                            Err(kind) => shared.reject_response(kind),
-                            Ok(()) => rx.recv().unwrap_or_else(|_| {
-                                Response::reject(
-                                    RejectKind::Internal,
-                                    "worker dropped the reply channel",
-                                )
-                            }),
-                        }
-                    }
-                };
-                if let Err(e) = crate::protocol::write_frame(&mut writer, &response.encode()) {
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
-                        shared.note_evicted();
-                    }
-                    return;
-                }
-                let _ = writer.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return, // EOF or fatal stream error
+    let response = match Request::decode(payload) {
+        Err(msg) => Response::reject(RejectKind::BadRequest, msg),
+        Ok(Request::Health) => Response::Health(shared.health_reply()),
+        Ok(Request::Shutdown) => {
+            // Acknowledge and hang up; the controlling process sees the
+            // flag and calls Server::shutdown.
+            shared.draining.store(true, Ordering::SeqCst);
+            let ack = Response::Ok(QueryReply {
+                model: String::new(),
+                version: 0,
+                steps: 0,
+                batch: 0,
+                cached: false,
+                selection: vec![],
+            });
+            return reply.send_and_close(ack.encode());
         }
-    }
+        Ok(Request::Query(q)) => {
+            return shared.submit(
+                q,
+                ReplySink::new(move |response| reply.send(response.encode())),
+            );
+        }
+    };
+    reply.send(response.encode());
 }
 
 #[cfg(test)]
@@ -1002,6 +883,47 @@ mod tests {
         };
         assert_eq!(plain_reply.selection, reply.selection);
         assert_eq!(plain.shutdown().dropped(), 0);
+    }
+
+    #[test]
+    fn a_repeated_seed_is_answered_from_the_memo_unless_it_is_logged() {
+        #[derive(Debug, Default)]
+        struct Count(AtomicU64);
+        impl ExperienceHook for Count {
+            fn on_sample(&self, _: ExperienceEvent) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let ask = |handle: &ServeHandle, seed| {
+            let r = handle.query(query("default", design("memo", 6), Mode::Sample(seed)));
+            let Response::Ok(reply) = r else {
+                panic!("sample failed: {r:?}")
+            };
+            reply
+        };
+        let plain = Server::start(registry(), ServeConfig::default());
+        let first = ask(&plain.handle(), 9);
+        let again = ask(&plain.handle(), 9);
+        let other = ask(&plain.handle(), 10);
+        assert!(!first.cached && again.cached && !other.cached);
+        assert_eq!(first.selection, again.selection);
+        assert_eq!(plain.shutdown().dropped(), 0);
+
+        // With a hook every sampled query is computed and logged, and the
+        // answer is the one the memo would have given.
+        let hook = Arc::new(Count::default());
+        let config = ServeConfig {
+            experience: Some(hook.clone() as Arc<dyn ExperienceHook>),
+            ..ServeConfig::default()
+        };
+        let logged = Server::start(registry(), config);
+        let a = ask(&logged.handle(), 9);
+        let b = ask(&logged.handle(), 9);
+        assert!(!a.cached && !b.cached);
+        assert_eq!(a.selection, first.selection);
+        assert_eq!(b.selection, first.selection);
+        assert_eq!(logged.shutdown().dropped(), 0);
+        assert_eq!(hook.0.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! End-to-end resilience tests for the TCP client against a live server:
-//! silent peers time out instead of hanging, connection resets are
-//! retried transparently, overload sheds with a typed backoff hint, and
-//! health probes answer even while the scheduler is saturated.
+//! End-to-end tests for the TCP client against a live server's port:
+//! queries, probes and the shutdown request are answered and accounted
+//! for, silent peers time out instead of hanging, connection resets are
+//! retried transparently, and overload sheds with a typed backoff hint.
+//! (What the port does with sockets — pipelining, torn frames, slow
+//! clients, idle connections, drain — is `rl-ccd-wire`'s
+//! `tests/front.rs`.)
 
 use rl_ccd::{RlCcd, RlConfig};
 use rl_ccd_serve::protocol::{DesignKey, Mode, QueryRequest};
@@ -113,38 +116,41 @@ fn overload_shed_is_typed_and_carries_the_configured_hint() {
 }
 
 #[test]
-fn deprecated_constructors_are_parity_wrappers_over_the_builder() {
-    // The legacy connect + with_retry + with_chaos chain must behave
-    // exactly like the builder: same chaos firings, same retry and
-    // reconnect counts, same selection.
+fn tcp_port_serves_queries_and_health_and_drains_clean() {
     let (server, addr) = bound_server(ServeConfig::default());
-    let plan_built = Arc::new(NetFaultPlan::none().with_reset(7, 0));
-    let plan_legacy = Arc::new(NetFaultPlan::none().with_reset(7, 0));
-    let mut built = ServeClient::builder()
-        .addr(addr)
-        .retry(RetryPolicy::seeded(1).with_attempts(3))
-        .chaos(Arc::clone(&plan_built), 7)
-        .connect()
-        .expect("builder connect");
-    #[allow(deprecated)]
-    let mut legacy = ServeClient::connect(addr)
-        .expect("connect")
-        .with_retry(RetryPolicy::seeded(1).with_attempts(3))
-        .with_chaos(Arc::clone(&plan_legacy), 7);
-
-    let a = built.query(query(Some(30_000))).expect("built query");
-    let b = legacy.query(query(Some(30_000))).expect("legacy query");
-    let (Response::Ok(a), Response::Ok(b)) = (a, b) else {
-        panic!("both clients must succeed after the planned reset");
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let first = client.query(query(None)).expect("query");
+    let Response::Ok(g) = first else {
+        panic!("greedy failed: {first:?}")
     };
-    assert_eq!(a.selection, b.selection, "identical selections");
-    assert_eq!(a.steps, b.steps);
-    assert_eq!(built.retries(), legacy.retries(), "same retry count");
-    assert_eq!(built.reconnects(), legacy.reconnects(), "same reconnects");
-    assert_eq!(plan_built.fired(), 1);
-    assert_eq!(plan_legacy.fired(), 1);
+    assert_eq!(g.steps, g.selection.len());
+    assert!(!g.selection.is_empty());
+    let again = client.query(query(None)).expect("query");
+    let Response::Ok(a) = again else {
+        panic!("repeat failed: {again:?}")
+    };
+    assert!(a.cached, "repeat greedy must hit the selection cache");
+    assert_eq!(a.selection, g.selection);
+    assert!(client.health().expect("health").ready);
     let report = server.shutdown();
-    assert_eq!(report.dropped(), 0);
+    assert_eq!(report.dropped(), 0, "clean drain");
+    assert_eq!(report.stats.completed, 2);
+    if cfg!(target_os = "linux") {
+        assert!(
+            report.stats.reactor_polls > 0 && report.stats.reactor_events > 0,
+            "ServeStats is fed from the front-end's counters: {:?}",
+            report.stats
+        );
+    }
+}
+
+#[test]
+fn shutdown_request_acks_and_sets_draining() {
+    let (server, addr) = bound_server(ServeConfig::default());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown ack");
+    assert!(server.shutdown_requested(), "drain flag set by the request");
+    assert_eq!(server.shutdown().dropped(), 0);
 }
 
 #[test]

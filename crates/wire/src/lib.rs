@@ -39,12 +39,13 @@
 //! [`Transport`] trait (frame ops + deadline arming), the blocking
 //! [`FramedTcp`] implementation dialed from an [`Endpoint`], and the
 //! [`FramedListener`] that chaos-wraps accepted (server-side) sockets.
-//! For services that multiplex many connections on one thread, the
-//! [`reactor`] module provides an epoll readiness loop ([`Poller`] +
-//! [`Waker`]), [`timer`] a hashed timer wheel for per-connection
-//! deadlines and backoff timers, and [`frames`] the non-blocking framed
-//! state machine ([`FramedConn`]) that incrementally decodes the same
-//! frames the blocking calls speak.
+//! Every listening port except the dist worker's is [`front`]: one
+//! accept/read/write/drain loop parameterised by a frame handler. It is
+//! built from the [`reactor`] module's epoll readiness loop ([`Poller`] +
+//! [`Waker`]), [`timer`]'s hashed timer wheel for per-connection stall
+//! deadlines, and [`frames`]' non-blocking framed state machine
+//! ([`FramedConn`]) that incrementally decodes the same frames the
+//! blocking calls speak.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,6 +53,7 @@
 pub mod chaos;
 pub mod deadline;
 pub mod frames;
+pub mod front;
 pub mod reactor;
 pub mod retry;
 pub mod timer;
@@ -107,8 +109,12 @@ pub fn write_frame_limited<W: Write>(w: &mut W, payload: &[u8], max_len: usize) 
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    // Prefix and payload leave in one write: two small writes on a socket
+    // without TCP_NODELAY stall the second behind the peer's delayed ACK.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

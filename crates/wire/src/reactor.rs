@@ -1,7 +1,7 @@
 //! A single-threaded epoll readiness reactor: [`Poller`], [`Waker`], and
-//! the [`Interest`]/[`PollEvent`] vocabulary shared by every event loop in
-//! the workspace (the serve front-end, the dist coordinator's gather
-//! phase, the rollout worker's accept loop, and `serve_load`'s client).
+//! the [`Interest`]/[`PollEvent`] vocabulary shared by the workspace's
+//! two event loops (the [`front`](crate::front) every port binds, and
+//! the dist rollout worker's accept loop).
 //!
 //! The design is deliberately the smallest thing that scales: one epoll
 //! instance per loop, level-triggered interest, a `u64` token per

@@ -13,9 +13,10 @@
 //!   assigns each accepted connection a sequential chaos connection id —
 //!   that is what lets a fault plan cover a worker's accept path.
 //! * **Reactor**: [`FramedConn`] (see [`frames`]), the non-blocking
-//!   state-machine counterpart driven by a [`reactor::Poller`]. It speaks
-//!   the identical frames; the loop owns readiness and deadlines (via the
-//!   [`timer`] wheel) instead of socket timeouts.
+//!   state-machine counterpart driven by a [`reactor::Poller`] inside
+//!   [`front`](crate::front). It speaks the identical frames; the loop
+//!   owns readiness and deadlines (via the [`timer`] wheel) instead of
+//!   socket timeouts.
 //!
 //! [`frames`]: crate::frames
 //! [`timer`]: crate::timer
@@ -198,8 +199,8 @@ impl FramedTcp {
     }
 
     /// Re-addresses chaos on the live connection (keeps the socket and
-    /// the frame counter). Supports the legacy builder methods that
-    /// attach a plan after connecting.
+    /// the frame counter), for callers that attach a plan after
+    /// connecting (`DistExecutor::with_chaos`).
     pub fn rewire_chaos(&mut self, plan: Arc<NetFaultPlan>, conn: u64) {
         self.inner.set_plan(Arc::clone(&plan), conn);
         self.endpoint.chaos = Some((plan, conn));

@@ -16,7 +16,7 @@
 //! rlccd verilog  --in design.nl --out design.v
 //! rlccd suite    [--scale 0.5]
 //! rlccd trace-validate --in run.jsonl
-//! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--reactor] [--max-batch N]
+//! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]
 //!                [--window-ms MS] [--queue N] [--serve-workers N] [--rho R]
 //! rlccd query    --design name:cells:tech:seed [--addr HOST:PORT] [--model NAME]
 //!                [--mode greedy|sample] [--seed S] [--count N] [--threads T]
@@ -132,7 +132,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
     ("trace-validate", "trace-validate --in FILE"),
     (
         "serve",
-        "serve    --checkpoint DIR [--model NAME] [--port P] [--reactor] [--max-batch N]\n\
+        "serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]\n\
          \u{20}         [--window-ms MS] [--queue N] [--serve-workers N] [--env-cache N]\n\
          \u{20}         [--rho R] [--fanout-cap N] [--trace-out FILE]",
     ),
@@ -682,13 +682,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     );
     let mut server = Server::start(registry, config);
     let bind_addr = format!("127.0.0.1:{port}");
-    // --reactor: one epoll thread multiplexes every connection instead of
-    // a thread per socket — what lets one replica hold thousands of them.
-    let addr = if args.iter().any(|a| a == "--reactor") {
-        server.bind_reactor(&bind_addr)?
-    } else {
-        server.bind(&bind_addr)?
-    };
+    let addr = server.bind(&bind_addr)?;
     println!("serving on {addr} — stop with `rlccd query --shutdown --addr {addr}`");
     while !server.shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));
