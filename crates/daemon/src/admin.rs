@@ -1,16 +1,17 @@
 //! The admin control protocol: `rl-ccd-admin v1` framed text over TCP.
 //!
 //! Same envelope discipline as the serve protocol — 4-byte BE length
-//! frames ([`rl_ccd_wire`]), line 1 the version token, line 2 a head with
-//! `key=value` fields, unknown keys ignored for forward compatibility.
+//! frames ([`rl_ccd_wire`]), line 1 the version token, line 2 a head whose
+//! `key=value` grammar is [`rl_ccd_wire::fields`]; this module is the
+//! schema over it.
 //! The admin port is separate from the tenant port: operators load
 //! checkpoints, run the gate, promote/roll back, manage tenants, and
 //! drain — none of which a tenant credential can reach.
 
 use crate::tenant::{TenantSummary, TenantUsage};
 use rl_ccd_serve::ModelVersion;
+use rl_ccd_wire::fields::{quote, split_verb, Fields, Writer};
 use rl_ccd_wire::{read_frame, write_frame};
-use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -80,31 +81,37 @@ pub enum AdminRequest {
 impl AdminRequest {
     /// Serializes with an optional admin token on the head line.
     pub fn encode(&self, token: Option<&str>) -> Vec<u8> {
-        let mut head = match self {
-            AdminRequest::Status => "status".to_string(),
+        let start = |verb| Writer::new(ADMIN_PROTOCOL_VERSION, verb);
+        let w = match self {
+            AdminRequest::Status => start("status"),
             AdminRequest::Load { slot, dir, rho } => {
-                format!("load slot={slot} dir={dir} rho={rho}")
+                start("load").kv("slot", slot).kv("dir", dir).kv("rho", rho)
             }
-            AdminRequest::Gate => "gate".to_string(),
-            AdminRequest::Promote { force } => format!("promote force={}", u8::from(*force)),
-            AdminRequest::Rollback => "rollback".to_string(),
-            AdminRequest::Canary { fraction } => format!("canary fraction={fraction}"),
-            AdminRequest::TenantAdd { spec } => format!("tenant_add spec={spec}"),
-            AdminRequest::TenantDel { id } => format!("tenant_del id={id}"),
-            AdminRequest::TenantList => "tenant_list".to_string(),
+            AdminRequest::Gate => start("gate"),
+            AdminRequest::Promote { force } => start("promote").kv("force", u8::from(*force)),
+            AdminRequest::Rollback => start("rollback"),
+            AdminRequest::Canary { fraction } => start("canary").kv("fraction", fraction),
+            AdminRequest::TenantAdd { spec } => start("tenant_add").kv("spec", spec),
+            AdminRequest::TenantDel { id } => start("tenant_del").kv("id", id),
+            AdminRequest::TenantList => start("tenant_list"),
             AdminRequest::Retrain {
                 base,
                 log,
                 out,
                 seed,
                 steps,
-            } => format!("retrain base={base} log={log} out={out} seed={seed} steps={steps}"),
-            AdminRequest::Drain => "drain".to_string(),
+            } => start("retrain")
+                .kv("base", base)
+                .kv("log", log)
+                .kv("out", out)
+                .kv("seed", seed)
+                .kv("steps", steps),
+            AdminRequest::Drain => start("drain"),
         };
-        if let Some(token) = token {
-            let _ = write!(head, " token={token}");
+        match token {
+            Some(token) => w.kv("token", token).finish(),
+            None => w.finish(),
         }
-        format!("{ADMIN_PROTOCOL_VERSION}\n{head}\n").into_bytes()
     }
 
     /// Parses a payload into the command and the token it carried.
@@ -112,90 +119,45 @@ impl AdminRequest {
     /// # Errors
     /// A human-readable description of the first violation.
     pub fn decode(payload: &[u8]) -> Result<(Self, Option<String>), String> {
-        let (head, _rest) = rl_ccd_wire::split_versioned(payload, ADMIN_PROTOCOL_VERSION)?;
-        let (verb, fields) = head.split_once(' ').unwrap_or((head, ""));
-        let mut token = None;
-        let mut slot = None;
-        let mut dir = None;
-        let mut rho = None;
-        let mut force = None;
-        let mut fraction = None;
-        let mut spec = None;
-        let mut id = None;
-        let mut base = None;
-        let mut log = None;
-        let mut out = None;
-        let mut seed = None;
-        let mut steps = None;
-        for field in fields.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-            match key {
-                "token" => token = Some(value.to_string()),
-                "slot" => slot = Some(value.to_string()),
-                "dir" => dir = Some(value.to_string()),
-                "rho" => {
-                    rho = Some(value.parse().map_err(|_| format!("bad rho {value:?}"))?);
-                }
-                "force" => force = Some(value == "1"),
-                "fraction" => {
-                    fraction = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad fraction {value:?}"))?,
-                    );
-                }
-                "spec" => spec = Some(value.to_string()),
-                "id" => id = Some(value.to_string()),
-                "base" => base = Some(value.to_string()),
-                "log" => log = Some(value.to_string()),
-                "out" => out = Some(value.to_string()),
-                "seed" => {
-                    seed = Some(value.parse().map_err(|_| format!("bad seed {value:?}"))?);
-                }
-                "steps" => {
-                    steps = Some(value.parse().map_err(|_| format!("bad steps {value:?}"))?);
-                }
-                _ => {} // forward compatibility
-            }
-        }
+        let (head, _body) = rl_ccd_wire::split_versioned(payload, ADMIN_PROTOCOL_VERSION)?;
+        let (verb, fields) = split_verb(head);
+        let f = Fields::read("admin request", fields, None)?;
         let request = match verb {
             "status" => AdminRequest::Status,
             "load" => AdminRequest::Load {
-                slot: slot.ok_or("load missing slot=")?,
-                dir: dir.ok_or("load missing dir=")?,
-                rho: rho.ok_or("load missing rho=")?,
+                slot: f.get("slot")?.to_string(),
+                dir: f.get("dir")?.to_string(),
+                rho: f.parse("rho")?,
             },
             "gate" => AdminRequest::Gate,
             "promote" => AdminRequest::Promote {
-                force: force.unwrap_or(false),
+                force: f.opt("force").is_some() && f.flag("force")?,
             },
             "rollback" => AdminRequest::Rollback,
             "canary" => AdminRequest::Canary {
-                fraction: fraction.ok_or("canary missing fraction=")?,
+                fraction: f.parse("fraction")?,
             },
             "tenant_add" => AdminRequest::TenantAdd {
-                spec: spec.ok_or("tenant_add missing spec=")?,
+                spec: f.get("spec")?.to_string(),
             },
             "tenant_del" => AdminRequest::TenantDel {
-                id: id.ok_or("tenant_del missing id=")?,
+                id: f.get("id")?.to_string(),
             },
             "tenant_list" => AdminRequest::TenantList,
             "retrain" => {
                 let defaults = rl_ccd_exp::RetrainConfig::default();
                 AdminRequest::Retrain {
-                    base: base.ok_or("retrain missing base=")?,
-                    log: log.ok_or("retrain missing log=")?,
-                    out: out.ok_or("retrain missing out=")?,
-                    seed: seed.unwrap_or(defaults.seed),
-                    steps: steps.unwrap_or(defaults.steps),
+                    base: f.get("base")?.to_string(),
+                    log: f.get("log")?.to_string(),
+                    out: f.get("out")?.to_string(),
+                    seed: f.parse_opt("seed")?.unwrap_or(defaults.seed),
+                    steps: f.parse_opt("steps")?.unwrap_or(defaults.steps),
                 }
             }
             "drain" => AdminRequest::Drain,
-            other => return Err(format!("unknown admin request {other:?}")),
+            other => return Err(format!("unknown admin request {}", quote(other))),
         };
-        Ok((request, token))
+        Ok((request, f.opt("token").map(str::to_string)))
     }
 }
 
@@ -250,38 +212,33 @@ fn parse_slot(value: &str) -> Result<Option<ModelVersion>, String> {
 impl AdminReply {
     /// Serializes to an admin payload.
     pub fn encode(&self) -> Vec<u8> {
-        let body = match self {
-            AdminReply::Ok { info } => format!("ok info={}", info.replace(['\n', '\r'], " ")),
-            AdminReply::Status(s) => format!(
-                "status ready={} queue={} champion={} challenger={} canary={} tenants={}",
-                u8::from(s.ready),
-                s.queue_depth,
-                slot_field(&s.champion),
-                slot_field(&s.challenger),
-                s.canary,
-                s.tenants
-            ),
+        let start = |verb| Writer::new(ADMIN_PROTOCOL_VERSION, verb);
+        let w = match self {
+            AdminReply::Ok { info } => start("ok").tail("info", info),
+            AdminReply::Status(s) => start("status")
+                .kv("ready", u8::from(s.ready))
+                .kv("queue", s.queue_depth)
+                .kv("champion", slot_field(&s.champion))
+                .kv("challenger", slot_field(&s.challenger))
+                .kv("canary", s.canary)
+                .kv("tenants", s.tenants),
             AdminReply::Tenants(list) => {
-                let mut body = format!("tenants count={}", list.len());
-                for t in list {
-                    let _ = write!(
-                        body,
-                        "\ntenant id={} rate={} burst={} quota={} used={} accepted={} denied={} throttled={}",
-                        t.id,
-                        t.rate_per_sec,
-                        t.burst,
-                        t.monthly_quota,
-                        t.usage.used_in_window,
-                        t.usage.accepted,
-                        t.usage.denied,
-                        t.usage.throttled
-                    );
-                }
-                body
+                let head = start("tenants").kv("count", list.len());
+                list.iter().fold(head, |w, t| {
+                    w.line("tenant")
+                        .kv("id", &t.id)
+                        .kv("rate", t.rate_per_sec)
+                        .kv("burst", t.burst)
+                        .kv("quota", t.monthly_quota)
+                        .kv("used", t.usage.used_in_window)
+                        .kv("accepted", t.usage.accepted)
+                        .kv("denied", t.usage.denied)
+                        .kv("throttled", t.usage.throttled)
+                })
             }
-            AdminReply::Err { msg } => format!("err msg={}", msg.replace(['\n', '\r'], " ")),
+            AdminReply::Err { msg } => start("err").tail("msg", msg),
         };
-        format!("{ADMIN_PROTOCOL_VERSION}\n{body}\n").into_bytes()
+        w.finish()
     }
 
     /// Parses an admin payload.
@@ -289,107 +246,51 @@ impl AdminReply {
     /// # Errors
     /// A human-readable description of the first violation.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let (head, rest) = rl_ccd_wire::split_versioned(payload, ADMIN_PROTOCOL_VERSION)?;
-        if let Some(info) = head.strip_prefix("ok") {
-            let info = info
-                .trim_start()
-                .strip_prefix("info=")
-                .unwrap_or("")
-                .to_string();
-            return Ok(AdminReply::Ok { info });
-        }
-        if let Some(msg) = head.strip_prefix("err") {
-            let msg = msg
-                .trim_start()
-                .strip_prefix("msg=")
-                .unwrap_or("")
-                .to_string();
-            return Ok(AdminReply::Err { msg });
-        }
-        if let Some(fields) = head.strip_prefix("status ") {
-            let mut ready = None;
-            let mut queue = None;
-            let mut champion = None;
-            let mut challenger = None;
-            let mut canary = None;
-            let mut tenants = None;
-            for field in fields.split_whitespace() {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-                match key {
-                    "ready" => ready = Some(value == "1"),
-                    "queue" => {
-                        queue = Some(value.parse().map_err(|_| format!("bad queue {value:?}"))?);
+        let (head, body) = rl_ccd_wire::split_versioned(payload, ADMIN_PROTOCOL_VERSION)?;
+        let (verb, fields) = split_verb(head);
+        let tail = match verb {
+            "ok" => Some("info"),
+            "err" => Some("msg"),
+            _ => None,
+        };
+        let f = Fields::read("admin reply", fields, tail)?;
+        let text = |key| f.opt(key).unwrap_or("").to_string();
+        match verb {
+            "ok" => Ok(AdminReply::Ok { info: text("info") }),
+            "err" => Ok(AdminReply::Err { msg: text("msg") }),
+            "status" => Ok(AdminReply::Status(DaemonStatus {
+                ready: f.flag("ready")?,
+                queue_depth: f.parse("queue")?,
+                champion: parse_slot(f.get("champion")?)?,
+                challenger: parse_slot(f.get("challenger")?)?,
+                canary: f.parse("canary")?,
+                tenants: f.parse("tenants")?,
+            })),
+            "tenants" => {
+                let mut list = Vec::new();
+                for line in body.lines().filter(|l| !l.is_empty()) {
+                    let (verb, fields) = split_verb(line);
+                    if verb != "tenant" {
+                        return Err(format!("bad tenant line {}", quote(line)));
                     }
-                    "champion" => champion = Some(parse_slot(value)?),
-                    "challenger" => challenger = Some(parse_slot(value)?),
-                    "canary" => {
-                        canary = Some(value.parse().map_err(|_| format!("bad canary {value:?}"))?);
-                    }
-                    "tenants" => {
-                        tenants = Some(
-                            value
-                                .parse()
-                                .map_err(|_| format!("bad tenants {value:?}"))?,
-                        );
-                    }
-                    _ => {}
+                    let f = Fields::read("tenant line", fields, None)?;
+                    list.push(TenantSummary {
+                        id: f.get("id")?.to_string(),
+                        rate_per_sec: f.parse("rate")?,
+                        burst: f.parse("burst")?,
+                        monthly_quota: f.parse("quota")?,
+                        usage: TenantUsage {
+                            used_in_window: f.parse("used")?,
+                            accepted: f.parse("accepted")?,
+                            denied: f.parse("denied")?,
+                            throttled: f.parse("throttled")?,
+                        },
+                    });
                 }
+                Ok(AdminReply::Tenants(list))
             }
-            return Ok(AdminReply::Status(DaemonStatus {
-                ready: ready.ok_or("status missing ready=")?,
-                queue_depth: queue.ok_or("status missing queue=")?,
-                champion: champion.ok_or("status missing champion=")?,
-                challenger: challenger.ok_or("status missing challenger=")?,
-                canary: canary.ok_or("status missing canary=")?,
-                tenants: tenants.ok_or("status missing tenants=")?,
-            }));
+            other => Err(format!("unknown admin reply {}", quote(other))),
         }
-        if head.starts_with("tenants") {
-            let mut list = Vec::new();
-            for line in rest.lines().filter(|l| !l.is_empty()) {
-                let fields = line
-                    .strip_prefix("tenant ")
-                    .ok_or_else(|| format!("bad tenant line {line:?}"))?;
-                let mut summary = TenantSummary {
-                    id: String::new(),
-                    rate_per_sec: 0.0,
-                    burst: 0.0,
-                    monthly_quota: 0,
-                    usage: TenantUsage::default(),
-                };
-                for field in fields.split_whitespace() {
-                    let (key, value) = field
-                        .split_once('=')
-                        .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-                    let bad = |k: &str| format!("bad {k} {value:?}");
-                    match key {
-                        "id" => summary.id = value.to_string(),
-                        "rate" => summary.rate_per_sec = value.parse().map_err(|_| bad(key))?,
-                        "burst" => summary.burst = value.parse().map_err(|_| bad(key))?,
-                        "quota" => summary.monthly_quota = value.parse().map_err(|_| bad(key))?,
-                        "used" => {
-                            summary.usage.used_in_window = value.parse().map_err(|_| bad(key))?;
-                        }
-                        "accepted" => {
-                            summary.usage.accepted = value.parse().map_err(|_| bad(key))?;
-                        }
-                        "denied" => summary.usage.denied = value.parse().map_err(|_| bad(key))?,
-                        "throttled" => {
-                            summary.usage.throttled = value.parse().map_err(|_| bad(key))?;
-                        }
-                        _ => {}
-                    }
-                }
-                if summary.id.is_empty() {
-                    return Err(format!("tenant line missing id=: {line:?}"));
-                }
-                list.push(summary);
-            }
-            return Ok(AdminReply::Tenants(list));
-        }
-        Err(format!("unknown admin reply {head:?}"))
     }
 }
 

@@ -2,7 +2,8 @@
 //! rollout workers exchange over TCP.
 //!
 //! The format is the shared [`rl_ccd_wire`] two-layer scheme — length-
-//! prefixed frames around a versioned text envelope — with a larger frame
+//! prefixed frames around a versioned text envelope whose `key=value`
+//! grammar is [`rl_ccd_wire::fields`] — with a larger frame
 //! cap ([`DIST_MAX_FRAME_LEN`]) because init frames carry a serialized
 //! netlist and run frames carry the full parameter set. Everything is
 //! plain text: Rust's shortest-roundtrip float formatting makes every
@@ -20,7 +21,9 @@
 use rl_ccd::{EncoderKind, FaultKind, RlConfig, RolloutFault};
 use rl_ccd_flow::{DatapathOpts, FlowRecipe, MarginMode, UsefulSkewOpts};
 use rl_ccd_nn::{GradSet, ParamSet};
-use rl_ccd_wire::{head_fields, read_frame_limited, split_versioned, write_frame_limited};
+use rl_ccd_wire::fields::{quote, split_verb, Fields, Writer};
+use rl_ccd_wire::{read_frame_limited, split_versioned, write_frame_limited};
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Version token on line 1 of every dist payload.
@@ -149,18 +152,20 @@ pub enum Inject {
     Poison(usize),
 }
 
-impl Inject {
-    fn encode(self) -> String {
+impl fmt::Display for Inject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Inject::Drop => "drop".into(),
-            Inject::Torn => "torn".into(),
-            Inject::SleepMs(ms) => format!("sleep:{ms}"),
-            Inject::Panic(slot) => format!("panic:{slot}"),
-            Inject::NanReward(slot) => format!("nan:{slot}"),
-            Inject::Poison(slot) => format!("poison:{slot}"),
+            Inject::Drop => write!(f, "drop"),
+            Inject::Torn => write!(f, "torn"),
+            Inject::SleepMs(ms) => write!(f, "sleep:{ms}"),
+            Inject::Panic(slot) => write!(f, "panic:{slot}"),
+            Inject::NanReward(slot) => write!(f, "nan:{slot}"),
+            Inject::Poison(slot) => write!(f, "poison:{slot}"),
         }
     }
+}
 
+impl Inject {
     fn decode(tok: &str) -> Result<Self, String> {
         let (kind, arg) = match tok.split_once(':') {
             Some((k, a)) => (k, Some(a)),
@@ -169,7 +174,7 @@ impl Inject {
         let num = |what: &str| -> Result<u64, String> {
             arg.ok_or_else(|| format!("inject {what} needs an argument"))?
                 .parse::<u64>()
-                .map_err(|e| format!("bad inject argument in {tok:?}: {e}"))
+                .map_err(|e| format!("bad inject argument: {e}"))
         };
         Ok(match kind {
             "drop" => Inject::Drop,
@@ -178,7 +183,7 @@ impl Inject {
             "panic" => Inject::Panic(num("panic")? as usize),
             "nan" => Inject::NanReward(num("nan")? as usize),
             "poison" => Inject::Poison(num("poison")? as usize),
-            other => return Err(format!("unknown inject token {other:?}")),
+            _ => return Err("unknown inject token".into()),
         })
     }
 }
@@ -211,56 +216,16 @@ pub struct BatchResponse {
 }
 
 // ---------------------------------------------------------------------------
-// key=value field helpers
-
-fn kv_fields(line: &str) -> Vec<(&str, &str)> {
-    line.split_whitespace()
-        .filter_map(|tok| tok.split_once('='))
-        .collect()
-}
-
-struct Fields<'a> {
-    what: &'a str,
-    fields: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Fields<'a> {
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("{} is missing field {key:?}", self.what))
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.get(key)?
-            .parse::<T>()
-            .map_err(|e| format!("{}: bad {key}: {e}", self.what))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // recipe and config codecs
 
-fn push_kv(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    out.push(' ');
-    out.push_str(key);
-    out.push('=');
-    out.push_str(&value.to_string());
-}
-
-fn encode_skew(out: &mut String, prefix: &str, o: &UsefulSkewOpts) {
-    push_kv(out, &format!("{prefix}.sweeps"), o.sweeps);
-    push_kv(out, &format!("{prefix}.rate"), o.rate);
-    push_kv(out, &format!("{prefix}.hold_floor"), o.hold_floor);
-    push_kv(out, &format!("{prefix}.launch_floor"), o.launch_floor);
-    push_kv(out, &format!("{prefix}.tolerance"), o.tolerance);
-    push_kv(out, &format!("{prefix}.move_budget"), o.move_budget_frac);
-    push_kv(out, &format!("{prefix}.serves"), o.serves_per_sweep_frac);
+fn encode_skew(w: Writer, prefix: &str, o: &UsefulSkewOpts) -> Writer {
+    w.kv(&format!("{prefix}.sweeps"), o.sweeps)
+        .kv(&format!("{prefix}.rate"), o.rate)
+        .kv(&format!("{prefix}.hold_floor"), o.hold_floor)
+        .kv(&format!("{prefix}.launch_floor"), o.launch_floor)
+        .kv(&format!("{prefix}.tolerance"), o.tolerance)
+        .kv(&format!("{prefix}.move_budget"), o.move_budget_frac)
+        .kv(&format!("{prefix}.serves"), o.serves_per_sweep_frac)
 }
 
 fn decode_skew(f: &Fields<'_>, prefix: &str) -> Result<UsefulSkewOpts, String> {
@@ -275,13 +240,13 @@ fn decode_skew(f: &Fields<'_>, prefix: &str) -> Result<UsefulSkewOpts, String> {
     })
 }
 
-fn encode_datapath(out: &mut String, prefix: &str, o: &DatapathOpts) {
-    push_kv(out, &format!("{prefix}.passes"), o.passes);
-    push_kv(out, &format!("{prefix}.ops_per_pass"), o.ops_per_pass);
-    push_kv(out, &format!("{prefix}.ops_per_kcell"), o.ops_per_kcell);
-    push_kv(out, &format!("{prefix}.ops_per_ep"), o.ops_per_endpoint);
-    push_kv(out, &format!("{prefix}.buffer_min_len"), o.buffer_min_len);
-    push_kv(out, &format!("{prefix}.min_gain"), o.min_gain);
+fn encode_datapath(w: Writer, prefix: &str, o: &DatapathOpts) -> Writer {
+    w.kv(&format!("{prefix}.passes"), o.passes)
+        .kv(&format!("{prefix}.ops_per_pass"), o.ops_per_pass)
+        .kv(&format!("{prefix}.ops_per_kcell"), o.ops_per_kcell)
+        .kv(&format!("{prefix}.ops_per_ep"), o.ops_per_endpoint)
+        .kv(&format!("{prefix}.buffer_min_len"), o.buffer_min_len)
+        .kv(&format!("{prefix}.min_gain"), o.min_gain)
 }
 
 fn decode_datapath(f: &Fields<'_>, prefix: &str) -> Result<DatapathOpts, String> {
@@ -295,22 +260,22 @@ fn decode_datapath(f: &Fields<'_>, prefix: &str) -> Result<DatapathOpts, String>
     })
 }
 
-fn encode_recipe(out: &mut String, r: &FlowRecipe) {
-    encode_skew(out, "skew", &r.skew);
-    encode_skew(out, "touchup", &r.skew_touchup);
-    encode_datapath(out, "pre", &r.pre_datapath);
-    encode_datapath(out, "main", &r.main_datapath);
-    push_kv(out, "recovery_slack", r.recovery_slack);
+fn encode_recipe(w: Writer, r: &FlowRecipe) -> Writer {
+    let w = encode_skew(w, "skew", &r.skew);
+    let w = encode_skew(w, "touchup", &r.skew_touchup);
+    let w = encode_datapath(w, "pre", &r.pre_datapath);
+    let w = encode_datapath(w, "main", &r.main_datapath);
     let mode = match r.margin_mode {
         MarginMode::OverFixToWns => "overfix",
         MarginMode::UnderFix => "underfix",
     };
-    push_kv(out, "margin_mode", mode);
-    push_kv(out, "clock_insertion", r.clock_insertion_frac);
-    push_kv(out, "clock_variation", r.clock_variation_frac);
-    push_kv(out, "skew_bound", r.skew_bound_frac);
-    push_kv(out, "legalize_disp", r.legalize_disp);
-    push_kv(out, "flow_seed", r.seed);
+    w.kv("recovery_slack", r.recovery_slack)
+        .kv("margin_mode", mode)
+        .kv("clock_insertion", r.clock_insertion_frac)
+        .kv("clock_variation", r.clock_variation_frac)
+        .kv("skew_bound", r.skew_bound_frac)
+        .kv("legalize_disp", r.legalize_disp)
+        .kv("flow_seed", r.seed)
 }
 
 fn decode_recipe(f: &Fields<'_>) -> Result<FlowRecipe, String> {
@@ -323,7 +288,7 @@ fn decode_recipe(f: &Fields<'_>) -> Result<FlowRecipe, String> {
         margin_mode: match f.get("margin_mode")? {
             "overfix" => MarginMode::OverFixToWns,
             "underfix" => MarginMode::UnderFix,
-            other => return Err(format!("unknown margin_mode {other:?}")),
+            other => return Err(format!("unknown margin_mode {}", quote(other))),
         },
         clock_insertion_frac: f.parse("clock_insertion")?,
         clock_variation_frac: f.parse("clock_variation")?,
@@ -333,31 +298,32 @@ fn decode_recipe(f: &Fields<'_>) -> Result<FlowRecipe, String> {
     })
 }
 
-fn encode_config(out: &mut String, c: &RlConfig) {
-    push_kv(out, "cfg.gnn_hidden", c.gnn_hidden);
-    push_kv(out, "cfg.embed_dim", c.embed_dim);
-    push_kv(out, "cfg.lstm_hidden", c.lstm_hidden);
-    push_kv(out, "cfg.attn_dim", c.attn_dim);
-    push_kv(out, "cfg.rho", c.rho);
-    push_kv(out, "cfg.lr", c.learning_rate);
-    push_kv(out, "cfg.grad_clip", c.grad_clip);
-    push_kv(out, "cfg.workers", c.workers);
-    push_kv(out, "cfg.max_iterations", c.max_iterations);
-    push_kv(out, "cfg.patience", c.patience);
-    push_kv(out, "cfg.fanout_cap", c.fanout_cap);
-    push_kv(out, "cfg.seed", c.seed);
+fn encode_config(w: Writer, c: &RlConfig) -> Writer {
     let enc = match c.encoder {
         EncoderKind::Lstm => "lstm",
         EncoderKind::Gru => "gru",
         EncoderKind::None => "none",
     };
-    push_kv(out, "cfg.encoder", enc);
-    push_kv(out, "cfg.tape_budget", c.tape_memory_budget);
-    match c.quorum {
-        Some(q) => push_kv(out, "cfg.quorum", q),
-        None => push_kv(out, "cfg.quorum", "none"),
-    }
-    push_kv(out, "cfg.div_lr_decay", c.divergence_lr_decay);
+    let w = w
+        .kv("cfg.gnn_hidden", c.gnn_hidden)
+        .kv("cfg.embed_dim", c.embed_dim)
+        .kv("cfg.lstm_hidden", c.lstm_hidden)
+        .kv("cfg.attn_dim", c.attn_dim)
+        .kv("cfg.rho", c.rho)
+        .kv("cfg.lr", c.learning_rate)
+        .kv("cfg.grad_clip", c.grad_clip)
+        .kv("cfg.workers", c.workers)
+        .kv("cfg.max_iterations", c.max_iterations)
+        .kv("cfg.patience", c.patience)
+        .kv("cfg.fanout_cap", c.fanout_cap)
+        .kv("cfg.seed", c.seed)
+        .kv("cfg.encoder", enc)
+        .kv("cfg.tape_budget", c.tape_memory_budget);
+    let w = match c.quorum {
+        Some(q) => w.kv("cfg.quorum", q),
+        None => w.kv("cfg.quorum", "none"),
+    };
+    w.kv("cfg.div_lr_decay", c.divergence_lr_decay)
 }
 
 fn decode_config(f: &Fields<'_>) -> Result<RlConfig, String> {
@@ -378,15 +344,12 @@ fn decode_config(f: &Fields<'_>) -> Result<RlConfig, String> {
             "lstm" => EncoderKind::Lstm,
             "gru" => EncoderKind::Gru,
             "none" => EncoderKind::None,
-            other => return Err(format!("unknown encoder {other:?}")),
+            other => return Err(format!("unknown encoder {}", quote(other))),
         },
         tape_memory_budget: f.parse("cfg.tape_budget")?,
         quorum: match f.get("cfg.quorum")? {
             "none" => None,
-            n => Some(
-                n.parse::<usize>()
-                    .map_err(|e| format!("bad cfg.quorum: {e}"))?,
-            ),
+            _ => Some(f.parse("cfg.quorum")?),
         },
         divergence_lr_decay: f.parse("cfg.div_lr_decay")?,
     })
@@ -397,49 +360,35 @@ fn decode_config(f: &Fields<'_>) -> Result<RlConfig, String> {
 
 /// Encodes a request into a framed-payload byte string.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut head = String::new();
-    let mut body = String::new();
+    let start = |verb| Writer::new(PROTOCOL_VERSION, verb);
     match req {
         Request::Init(init) => {
-            head.push_str("init");
-            push_kv(&mut head, "period_ps", init.period_ps);
-            encode_recipe(&mut head, &init.recipe);
-            encode_config(&mut head, &init.config);
-            body.push_str(&init.netlist_text);
+            let w = start("init").kv("period_ps", init.period_ps);
+            let w = encode_config(encode_recipe(w, &init.recipe), &init.config);
+            // The netlist is the rest of the payload, byte for byte.
+            let mut payload = w.finish();
+            payload.extend_from_slice(init.netlist_text.as_bytes());
+            payload
         }
         Request::Run(run) => {
-            head.push_str("run");
-            push_kv(&mut head, "iteration", run.iteration);
+            let mut w = start("run").kv("iteration", run.iteration);
             if run.req_id != 0 {
-                push_kv(&mut head, "req_id", run.req_id);
+                w = w.kv("req_id", run.req_id);
             }
             if let Some(ms) = run.budget_ms {
-                push_kv(&mut head, "budget_ms", ms);
+                w = w.kv("budget_ms", ms);
             }
-            let pairs = run
-                .pairs
-                .iter()
-                .map(|(slot, seed)| format!("{slot}:{seed}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            push_kv(&mut head, "pairs", pairs);
+            let pairs = run.pairs.iter();
+            w = w.list("pairs", pairs.map(|(slot, seed)| format!("{slot}:{seed}")));
             if !run.injects.is_empty() {
-                let injects = run
-                    .injects
-                    .iter()
-                    .map(|i| i.encode())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                push_kv(&mut head, "inject", injects);
+                w = w.list("inject", &run.injects);
             }
-            let mut params = Vec::new();
-            run.params.save(&mut params).expect("in-memory write");
-            body.push_str(&String::from_utf8(params).expect("params text is UTF-8"));
+            run.params.save(w.body()).expect("in-memory write");
+            w.finish()
         }
-        Request::Health => head.push_str("health"),
-        Request::Shutdown => head.push_str("shutdown"),
+        Request::Health => start("health").finish(),
+        Request::Shutdown => start("shutdown").finish(),
     }
-    format!("{PROTOCOL_VERSION}\n{head}\n{body}").into_bytes()
 }
 
 /// Decodes a request payload.
@@ -448,11 +397,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// A human-readable reason on a version mismatch or malformed message.
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
     let (head, body) = split_versioned(payload, PROTOCOL_VERSION)?;
-    let (verb, rest) = head.split_once(' ').unwrap_or((head, ""));
-    let fields = Fields {
-        what: "request",
-        fields: head_fields(rest)?,
-    };
+    let (verb, rest) = split_verb(head);
+    let fields = Fields::read("request", rest, None)?;
     match verb {
         "init" => Ok(Request::Init(InitRequest {
             period_ps: fields.parse("period_ps")?,
@@ -460,49 +406,27 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
             config: decode_config(&fields)?,
             netlist_text: body.to_string(),
         })),
-        "run" => {
-            let mut pairs = Vec::new();
-            for tok in fields.get("pairs")?.split(',').filter(|t| !t.is_empty()) {
-                let (slot, seed) = tok
-                    .split_once(':')
-                    .ok_or_else(|| format!("bad pair token {tok:?}"))?;
-                pairs.push((
-                    slot.parse::<usize>()
-                        .map_err(|e| format!("bad pair slot {tok:?}: {e}"))?,
-                    seed.parse::<u64>()
-                        .map_err(|e| format!("bad pair seed {tok:?}: {e}"))?,
-                ));
-            }
-            let mut injects = Vec::new();
-            if let Ok(toks) = fields.get("inject") {
-                for tok in toks.split(',').filter(|t| !t.is_empty()) {
-                    injects.push(Inject::decode(tok)?);
-                }
-            }
-            let params =
-                ParamSet::load(body.as_bytes()).map_err(|e| format!("bad params body: {e}"))?;
+        "run" => Ok(Request::Run(RunRequest {
+            iteration: fields.parse("iteration")?,
             // req_id and budget_ms are optional: older coordinators omit
             // them and get the pre-idempotency behavior.
-            let req_id = match fields.get("req_id") {
-                Ok(_) => fields.parse("req_id")?,
-                Err(_) => 0,
-            };
-            let budget_ms = match fields.get("budget_ms") {
-                Ok(_) => Some(fields.parse("budget_ms")?),
-                Err(_) => None,
-            };
-            Ok(Request::Run(RunRequest {
-                iteration: fields.parse("iteration")?,
-                req_id,
-                budget_ms,
-                pairs,
-                injects,
-                params,
-            }))
-        }
+            req_id: fields.parse_opt("req_id")?.unwrap_or(0),
+            budget_ms: fields.parse_opt("budget_ms")?,
+            pairs: fields.list("pairs", |tok| {
+                let (slot, seed) = tok.split_once(':').ok_or("not slot:seed")?;
+                let slot = slot.parse::<usize>().map_err(|_| "bad pair slot")?;
+                let seed = seed.parse::<u64>().map_err(|_| "bad pair seed")?;
+                Ok::<_, &str>((slot, seed))
+            })?,
+            injects: match fields.opt("inject") {
+                Some(_) => fields.list("inject", Inject::decode)?,
+                None => Vec::new(),
+            },
+            params: ParamSet::load(body.as_bytes()).map_err(|e| format!("bad params body: {e}"))?,
+        })),
         "health" => Ok(Request::Health),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown request verb {other:?}")),
+        other => Err(format!("unknown request verb {}", quote(other))),
     }
 }
 
@@ -511,58 +435,56 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
 
 /// Encodes a response into a framed-payload byte string.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut head = String::new();
-    let mut body = String::new();
-    match resp {
-        Response::InitAck { endpoints, pool } => {
-            head.push_str("init-ack");
-            push_kv(&mut head, "endpoints", endpoints);
-            push_kv(&mut head, "pool", pool);
-        }
+    let start = |verb| Writer::new(PROTOCOL_VERSION, verb);
+    let w = match resp {
+        Response::InitAck { endpoints, pool } => start("init-ack")
+            .kv("endpoints", endpoints)
+            .kv("pool", pool),
         Response::Batch(batch) => {
-            head.push_str("batch");
-            push_kv(&mut head, "items", batch.items.len());
-            push_kv(&mut head, "faults", batch.faults.len());
+            let mut w = start("batch")
+                .kv("items", batch.items.len())
+                .kv("faults", batch.faults.len());
             for item in &batch.items {
-                body.push_str("item");
-                push_kv(&mut body, "slot", item.slot);
-                push_kv(&mut body, "seed", item.seed);
-                push_kv(&mut body, "steps", item.steps);
-                push_kv(&mut body, "reward", item.reward);
-                let sel = item
-                    .selection
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
-                push_kv(&mut body, "selection", sel);
-                body.push('\n');
-                let mut grads = Vec::new();
-                item.grads.save(&mut grads).expect("in-memory write");
-                body.push_str(&String::from_utf8(grads).expect("grads text is UTF-8"));
+                w = w
+                    .line("item")
+                    .kv("slot", item.slot)
+                    .kv("seed", item.seed)
+                    .kv("steps", item.steps)
+                    .kv("reward", item.reward)
+                    .list("selection", &item.selection);
+                item.grads.save(w.body()).expect("in-memory write");
             }
-            for fault in &batch.faults {
-                body.push_str("fault");
-                push_kv(&mut body, "iteration", fault.iteration);
-                push_kv(&mut body, "worker", fault.worker);
-                push_kv(&mut body, "seed", fault.seed);
-                push_kv(&mut body, "kind", fault.kind.as_str());
-                // detail is free-form text and must stay the last field:
-                // everything after "detail=" to end of line is the value.
-                push_kv(&mut body, "detail", fault.detail.replace('\n', " "));
-                body.push('\n');
-            }
+            batch.faults.iter().fold(w, |w, fault| {
+                w.line("fault")
+                    .kv("iteration", fault.iteration)
+                    .kv("worker", fault.worker)
+                    .kv("seed", fault.seed)
+                    .kv("kind", fault.kind.as_str())
+                    .tail("detail", &fault.detail)
+            })
         }
-        Response::HealthAck { ready } => {
-            head.push_str("health-ack");
-            push_kv(&mut head, "ready", u8::from(*ready));
-        }
-        Response::Err { message } => {
-            head.push_str("err");
-            push_kv(&mut head, "message", message.replace(['\n', ' '], "_"));
-        }
+        Response::HealthAck { ready } => start("health-ack").kv("ready", u8::from(*ready)),
+        // Not a tail field: the one free text that travels as a token,
+        // underscore-mangled. Kept because its bytes may not move.
+        Response::Err { message } => start("err").kv("message", message.replace(['\n', ' '], "_")),
+    };
+    w.finish()
+}
+
+/// Takes one `verb key=value…` line off the front of the body cursor and
+/// returns what follows the verb.
+fn next_line<'a>(body: &mut &'a [u8], verb: &str) -> Result<&'a str, String> {
+    if body.is_empty() {
+        return Err(format!("batch body truncated ({verb} line)"));
     }
-    format!("{PROTOCOL_VERSION}\n{head}\n{body}").into_bytes()
+    let end = body.iter().position(|&b| b == b'\n').unwrap_or(body.len());
+    let (line, rest) = body.split_at(end);
+    *body = rest.get(1..).unwrap_or_default();
+    let line = std::str::from_utf8(line).map_err(|_| format!("{verb} line is not UTF-8"))?;
+    match split_verb(line) {
+        (found, fields) if found == verb => Ok(fields),
+        _ => Err(format!("expected a batch {verb} line, got {}", quote(line))),
+    }
 }
 
 /// Decodes a response payload.
@@ -571,11 +493,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// A human-readable reason on a version mismatch or malformed message.
 pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
     let (head, body) = split_versioned(payload, PROTOCOL_VERSION)?;
-    let (verb, rest) = head.split_once(' ').unwrap_or((head, ""));
-    let fields = Fields {
-        what: "response",
-        fields: head_fields(rest)?,
-    };
+    let (verb, rest) = split_verb(head);
+    let fields = Fields::read("response", rest, None)?;
     match verb {
         "init-ack" => Ok(Response::InitAck {
             endpoints: fields.parse("endpoints")?,
@@ -584,77 +503,45 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
         "batch" => {
             let n_items: usize = fields.parse("items")?;
             let n_faults: usize = fields.parse("faults")?;
-            let mut lines = body.lines();
-            let mut items = Vec::with_capacity(n_items);
+            // A cursor over the body: each gradient block delimits itself,
+            // so `GradSet::load` takes exactly its lines off the front.
+            let mut body = body.as_bytes();
+            let mut items = Vec::new();
             for _ in 0..n_items {
-                let line = lines.next().ok_or("batch body truncated (item line)")?;
-                let f = Fields {
-                    what: "batch item",
-                    fields: kv_fields(line),
-                };
-                let selection = f
-                    .get("selection")?
-                    .split(',')
-                    .filter(|t| !t.is_empty())
-                    .map(|t| t.parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("bad selection: {e}"))?;
-                // The gradient block is self-delimiting: its header names
-                // the tensor count, so that many lines follow.
-                let header = lines.next().ok_or("batch body truncated (grads header)")?;
-                let tensors: usize = header
-                    .split_whitespace()
-                    .nth(2)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("bad gradient header {header:?}"))?;
-                let mut grads_text = String::from(header);
-                grads_text.push('\n');
-                for _ in 0..tensors {
-                    let l = lines.next().ok_or("batch body truncated (grads line)")?;
-                    grads_text.push_str(l);
-                    grads_text.push('\n');
-                }
-                let grads = GradSet::load(grads_text.as_bytes())
-                    .map_err(|e| format!("bad gradient block: {e}"))?;
+                let f = Fields::read("batch item", next_line(&mut body, "item")?, None)?;
                 items.push(RolloutItem {
                     slot: f.parse("slot")?,
                     seed: f.parse("seed")?,
                     steps: f.parse("steps")?,
                     reward: f.parse("reward")?,
-                    selection,
-                    grads,
+                    selection: f.list("selection", str::parse::<usize>)?,
+                    grads: GradSet::load(&mut body)
+                        .map_err(|e| format!("bad gradient block: {e}"))?,
                 });
             }
-            let mut faults = Vec::with_capacity(n_faults);
+            let mut faults = Vec::new();
             for _ in 0..n_faults {
-                let line = lines.next().ok_or("batch body truncated (fault line)")?;
-                let detail = line
-                    .split_once("detail=")
-                    .map(|(_, d)| d.to_string())
-                    .ok_or_else(|| format!("fault line missing detail: {line:?}"))?;
-                let f = Fields {
-                    what: "batch fault",
-                    fields: kv_fields(line),
-                };
+                let line = next_line(&mut body, "fault")?;
+                let f = Fields::read("batch fault", line, Some("detail"))?;
                 let kind_tok = f.get("kind")?;
                 faults.push(RolloutFault {
                     iteration: f.parse("iteration")?,
                     worker: f.parse("worker")?,
                     seed: f.parse("seed")?,
                     kind: FaultKind::parse(kind_tok)
-                        .ok_or_else(|| format!("unknown fault kind {kind_tok:?}"))?,
-                    detail,
+                        .ok_or_else(|| format!("unknown fault kind {}", quote(kind_tok)))?,
+                    detail: f.get("detail")?.to_string(),
                 });
             }
             Ok(Response::Batch(BatchResponse { items, faults }))
         }
         "health-ack" => Ok(Response::HealthAck {
-            ready: fields.parse::<u8>("ready")? != 0,
+            ready: fields.flag("ready")?,
         }),
         "err" => Ok(Response::Err {
             message: fields.get("message")?.to_string(),
         }),
-        other => Err(format!("unknown response verb {other:?}")),
+        other => Err(format!("unknown response verb {}", quote(other))),
     }
 }
 

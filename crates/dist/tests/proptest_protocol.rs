@@ -15,7 +15,7 @@ use rl_ccd::{EncoderKind, FaultKind, RlConfig, RolloutFault};
 use rl_ccd_dist::{
     decode_request, decode_response, encode_request, encode_response, read_message, write_message,
     BatchResponse, InitRequest, Inject, Request, Response, RolloutItem, RunRequest,
-    DIST_MAX_FRAME_LEN,
+    DIST_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use rl_ccd_flow::{DatapathOpts, FlowRecipe, MarginMode, UsefulSkewOpts};
 use rl_ccd_nn::{GradSet, ParamSet, Tensor};
@@ -296,4 +296,161 @@ proptest! {
         let err = read_message(&mut &forged[..]).unwrap_err();
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
+}
+
+fn golden_params() -> ParamSet {
+    let mut params = ParamSet::new();
+    params.insert("dec.v", Tensor::from_vec(1, 2, vec![0.25, -0.75]));
+    params.insert("gnn.w1", Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.5, 3e-7]));
+    params
+}
+
+fn golden_grads() -> GradSet {
+    let mut grads = GradSet::new();
+    grads.set("g", Tensor::from_vec(2, 2, vec![1.0, 2.5, -3.0, 4e9]));
+    grads
+}
+
+/// One instance of every variant and the exact payload it has always had
+/// on the wire (captured from the encoders before they moved onto
+/// `rl_ccd_wire::fields`).
+#[test]
+fn golden_bytes() {
+    let requests: [(Request, &str); 5] = [
+        (
+            Request::Init(InitRequest {
+                period_ps: 812.25,
+                recipe: FlowRecipe::default(),
+                config: RlConfig::fast(),
+                netlist_text: "netlist body line 1\nline 2 without newline".into(),
+            }),
+            "rl-ccd-dist v1\ninit period_ps=812.25 skew.sweeps=12 skew.rate=0.9 skew.hold_floor=2 skew.launch_floor=12 skew.tolerance=0.05 skew.move_budget=0.7 skew.serves=0.15 touchup.sweeps=2 touchup.rate=0.9 touchup.hold_floor=2 touchup.launch_floor=12 touchup.tolerance=0.05 touchup.move_budget=0.02 touchup.serves=0.15 pre.passes=1 pre.ops_per_pass=0 pre.ops_per_kcell=80 pre.ops_per_ep=3 pre.buffer_min_len=30 pre.min_gain=0.5 main.passes=5 main.ops_per_pass=0 main.ops_per_kcell=160 main.ops_per_ep=6 main.buffer_min_len=30 main.min_gain=0.5 recovery_slack=40 margin_mode=overfix clock_insertion=0.1 clock_variation=0.015 skew_bound=0.45 legalize_disp=1 flow_seed=3856 cfg.gnn_hidden=8 cfg.embed_dim=4 cfg.lstm_hidden=8 cfg.attn_dim=8 cfg.rho=0.3 cfg.lr=0.003 cfg.grad_clip=5 cfg.workers=2 cfg.max_iterations=3 cfg.patience=3 cfg.fanout_cap=24 cfg.seed=3277 cfg.encoder=lstm cfg.tape_budget=6442450944 cfg.quorum=none cfg.div_lr_decay=0.5\nnetlist body line 1\nline 2 without newline",
+        ),
+        (
+            Request::Run(RunRequest {
+                iteration: 7,
+                req_id: 99,
+                budget_ms: Some(1_500),
+                pairs: vec![(0, 9001), (3, 42)],
+                injects: vec![
+                    Inject::Drop,
+                    Inject::Torn,
+                    Inject::SleepMs(1500),
+                    Inject::Panic(2),
+                    Inject::NanReward(0),
+                    Inject::Poison(1),
+                ],
+                params: golden_params(),
+            }),
+            "rl-ccd-dist v1\nrun iteration=7 req_id=99 budget_ms=1500 pairs=0:9001,3:42 inject=drop,torn,sleep:1500,panic:2,nan:0,poison:1\nrl-ccd-params v1 2\ndec.v 1 2 0.25 -0.75\ngnn.w1 2 2 1 -2 0.5 0.0000003\n",
+        ),
+        (
+            Request::Run(RunRequest {
+                iteration: 0,
+                req_id: 0,
+                budget_ms: None,
+                pairs: vec![],
+                injects: vec![],
+                params: ParamSet::new(),
+            }),
+            "rl-ccd-dist v1\nrun iteration=0 pairs=\nrl-ccd-params v1 0\n",
+        ),
+        (Request::Health, "rl-ccd-dist v1\nhealth\n"),
+        (Request::Shutdown, "rl-ccd-dist v1\nshutdown\n"),
+    ];
+    for (req, bytes) in requests {
+        assert_eq!(
+            String::from_utf8(encode_request(&req)).unwrap(),
+            bytes,
+            "{req:?}"
+        );
+        assert_eq!(decode_request(bytes.as_bytes()), Ok(req));
+    }
+    let responses: [(Response, &str); 5] = [
+        (
+            Response::InitAck {
+                endpoints: 120,
+                pool: 17,
+            },
+            "rl-ccd-dist v1\ninit-ack endpoints=120 pool=17\n",
+        ),
+        (
+            Response::Batch(BatchResponse {
+                items: vec![
+                    RolloutItem {
+                        slot: 1,
+                        seed: 77,
+                        steps: 3,
+                        reward: -1234.5678901,
+                        selection: vec![3, 1, 4],
+                        grads: golden_grads(),
+                    },
+                    RolloutItem {
+                        slot: 2,
+                        seed: 78,
+                        steps: 0,
+                        reward: 0.0,
+                        selection: vec![],
+                        grads: GradSet::new(),
+                    },
+                ],
+                faults: vec![RolloutFault {
+                    iteration: 2,
+                    worker: 1,
+                    seed: 55,
+                    kind: FaultKind::WorkerPanic,
+                    detail: "panic with spaces, = signs\nand detail=lookalikes".into(),
+                }],
+            }),
+            "rl-ccd-dist v1\nbatch items=2 faults=1\nitem slot=1 seed=77 steps=3 reward=-1234.5678901 selection=3,1,4\nrl-ccd-grads v1 1 0\ng 2 2 1 2.5 -3 4000000000\nitem slot=2 seed=78 steps=0 reward=0 selection=\nrl-ccd-grads v1 0 0\nfault iteration=2 worker=1 seed=55 kind=worker-panic detail=panic with spaces, = signs and detail=lookalikes\n",
+        ),
+        (Response::Batch(BatchResponse::default()), "rl-ccd-dist v1\nbatch items=0 faults=0\n"),
+        (Response::HealthAck { ready: true }, "rl-ccd-dist v1\nhealth-ack ready=1\n"),
+        (
+            Response::Err {
+                message: "no environment: send init first\n".into(),
+            },
+            "rl-ccd-dist v1\nerr message=no_environment:_send_init_first_\n",
+        ),
+    ];
+    for (resp, bytes) in responses {
+        assert_eq!(
+            String::from_utf8(encode_response(&resp)).unwrap(),
+            bytes,
+            "{resp:?}"
+        );
+        // (Free text is flattened and `GradSet` has no `PartialEq`, so
+        // compare bytes.)
+        let decoded = decode_response(bytes.as_bytes()).unwrap();
+        assert_eq!(String::from_utf8(encode_response(&decoded)).unwrap(), bytes);
+    }
+}
+
+/// The malformed lines every protocol on the field layer rejects alike —
+/// in a head and in a body line.
+#[test]
+fn repeated_keys_naked_tokens_and_non_binary_flags_are_rejected() {
+    let decode = |text: &str| decode_response(format!("{PROTOCOL_VERSION}\n{text}\n").as_bytes());
+    assert!(decode("health-ack ready=1").is_ok());
+    assert!(decode("health-ack ready=yes").is_err());
+    assert!(decode("health-ack ready=2").is_err());
+    assert!(decode("health-ack ready=1 ready=1").is_err());
+    assert!(decode("health-ack ready=1 naked").is_err());
+    let item = "slot=0 seed=1 steps=0 reward=0 selection=";
+    let grads = "rl-ccd-grads v1 0 0";
+    assert!(decode(&format!("batch items=1 faults=0\nitem {item}\n{grads}")).is_ok());
+    assert!(decode(&format!(
+        "batch items=1 faults=0\nitem {item} naked\n{grads}"
+    ))
+    .is_err());
+    assert!(decode(&format!(
+        "batch items=1 faults=0\nitem {item} slot=0\n{grads}"
+    ))
+    .is_err());
+    let run = |head: &str| {
+        decode_request(format!("{PROTOCOL_VERSION}\n{head}\nrl-ccd-params v1 0\n").as_bytes())
+    };
+    assert!(run("run iteration=3 pairs=0:11").is_ok());
+    assert!(run("run iteration=3 iteration=4 pairs=0:11").is_err());
+    assert!(run("run iteration=3 pairs=0:11 naked").is_err());
 }

@@ -44,6 +44,61 @@ impl LoadParamsError {
     }
 }
 
+/// Writes one `name rows cols v…` line per tensor — the body both
+/// [`ParamSet::save`] and [`GradSet::save`] put under their own header.
+fn write_tensors<W: Write>(mut w: W, tensors: &BTreeMap<String, Tensor>) -> std::io::Result<()> {
+    for (name, t) in tensors {
+        write!(w, "{} {} {}", name, t.rows(), t.cols())?;
+        for v in t.data() {
+            write!(w, " {v}")?;
+        }
+        writeln!(w)?;
+    }
+    Ok(())
+}
+
+/// Reads the next line of a parameter or gradient text.
+fn next_line<R: BufRead>(lines: &mut std::io::Lines<R>) -> Result<String, LoadParamsError> {
+    lines
+        .next()
+        .ok_or_else(|| LoadParamsError::new("truncated text"))?
+        .map_err(|e| LoadParamsError::new(e.to_string()))
+}
+
+/// Reads `count` lines written by [`write_tensors`].
+fn read_tensors<R: BufRead>(
+    lines: &mut std::io::Lines<R>,
+    count: usize,
+) -> Result<BTreeMap<String, Tensor>, LoadParamsError> {
+    let mut tensors = BTreeMap::new();
+    for _ in 0..count {
+        let line = next_line(lines)?;
+        let mut parts = line.split_whitespace();
+        let name = parts
+            .next()
+            .ok_or_else(|| LoadParamsError::new("missing name"))?;
+        let mut dim = |what| {
+            parts
+                .next()
+                .and_then(|s| s.parse::<usize>().ok())
+                .ok_or_else(|| LoadParamsError::new(format!("tensor {name}: missing {what}")))
+        };
+        let (rows, cols) = (dim("rows")?, dim("cols")?);
+        let data: Vec<f32> = parts
+            .map(|s| s.parse::<f32>())
+            .collect::<Result<_, _>>()
+            .map_err(|e| LoadParamsError::new(e.to_string()))?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(LoadParamsError::new(format!(
+                "tensor {name}: {rows}x{cols} does not hold {} values",
+                data.len()
+            )));
+        }
+        tensors.insert(name.to_string(), Tensor::from_vec(rows, cols, data));
+    }
+    Ok(tensors)
+}
+
 impl ParamSet {
     /// An empty set.
     pub fn new() -> Self {
@@ -124,14 +179,7 @@ impl ParamSet {
     /// Propagates I/O errors.
     pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "rl-ccd-params v1 {}", self.params.len())?;
-        for (name, t) in &self.params {
-            write!(w, "{} {} {}", name, t.rows(), t.cols())?;
-            for v in t.data() {
-                write!(w, " {v}")?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
+        write_tensors(w, &self.params)
     }
 
     /// Reads a set previously written by [`ParamSet::save`].
@@ -140,10 +188,7 @@ impl ParamSet {
     /// Returns [`LoadParamsError`] on malformed content.
     pub fn load<R: BufRead>(r: R) -> Result<Self, LoadParamsError> {
         let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| LoadParamsError::new("empty file"))?
-            .map_err(|e| LoadParamsError::new(e.to_string()))?;
+        let header = next_line(&mut lines)?;
         let mut hp = header.split_whitespace();
         if hp.next() != Some("rl-ccd-params") || hp.next() != Some("v1") {
             return Err(LoadParamsError::new("bad header"));
@@ -152,38 +197,9 @@ impl ParamSet {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| LoadParamsError::new("bad count"))?;
-        let mut set = ParamSet::new();
-        for _ in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| LoadParamsError::new("truncated file"))?
-                .map_err(|e| LoadParamsError::new(e.to_string()))?;
-            let mut parts = line.split_whitespace();
-            let name = parts
-                .next()
-                .ok_or_else(|| LoadParamsError::new("missing name"))?;
-            let rows: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| LoadParamsError::new("missing rows"))?;
-            let cols: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| LoadParamsError::new("missing cols"))?;
-            let data: Vec<f32> = parts
-                .map(|s| s.parse::<f32>())
-                .collect::<Result<_, _>>()
-                .map_err(|e| LoadParamsError::new(e.to_string()))?;
-            if data.len() != rows * cols {
-                return Err(LoadParamsError::new(format!(
-                    "tensor {name}: expected {} values, got {}",
-                    rows * cols,
-                    data.len()
-                )));
-            }
-            set.insert(name, Tensor::from_vec(rows, cols, data));
-        }
-        Ok(set)
+        Ok(Self {
+            params: read_tensors(&mut lines, count)?,
+        })
     }
 }
 
@@ -326,14 +342,7 @@ impl GradSet {
     /// Propagates I/O errors.
     pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "rl-ccd-grads v1 {} {}", self.grads.len(), self.count)?;
-        for (name, t) in &self.grads {
-            write!(w, "{} {} {}", name, t.rows(), t.cols())?;
-            for v in t.data() {
-                write!(w, " {v}")?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
+        write_tensors(w, &self.grads)
     }
 
     /// Reads a set previously written by [`GradSet::save`].
@@ -342,56 +351,21 @@ impl GradSet {
     /// Returns [`LoadParamsError`] on malformed content.
     pub fn load<R: BufRead>(r: R) -> Result<Self, LoadParamsError> {
         let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| LoadParamsError::new("empty gradient text"))?
-            .map_err(|e| LoadParamsError::new(e.to_string()))?;
+        let header = next_line(&mut lines)?;
         let mut hp = header.split_whitespace();
         if hp.next() != Some("rl-ccd-grads") || hp.next() != Some("v1") {
             return Err(LoadParamsError::new("bad gradient header"));
         }
-        let count: usize = hp
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| LoadParamsError::new("bad gradient tensor count"))?;
-        let rollouts: usize = hp
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| LoadParamsError::new("bad gradient rollout count"))?;
-        let mut set = GradSet::new();
-        for _ in 0..count {
-            let line = lines
-                .next()
-                .ok_or_else(|| LoadParamsError::new("truncated gradient text"))?
-                .map_err(|e| LoadParamsError::new(e.to_string()))?;
-            let mut parts = line.split_whitespace();
-            let name = parts
-                .next()
-                .ok_or_else(|| LoadParamsError::new("missing gradient name"))?;
-            let rows: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| LoadParamsError::new("missing gradient rows"))?;
-            let cols: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| LoadParamsError::new("missing gradient cols"))?;
-            let data: Vec<f32> = parts
-                .map(|s| s.parse::<f32>())
-                .collect::<Result<_, _>>()
-                .map_err(|e| LoadParamsError::new(e.to_string()))?;
-            if data.len() != rows * cols {
-                return Err(LoadParamsError::new(format!(
-                    "gradient {name}: expected {} values, got {}",
-                    rows * cols,
-                    data.len()
-                )));
-            }
-            set.grads
-                .insert(name.to_string(), Tensor::from_vec(rows, cols, data));
-        }
-        set.count = rollouts;
-        Ok(set)
+        let mut number = |what| {
+            hp.next()
+                .and_then(|s| s.parse::<usize>().ok())
+                .ok_or_else(|| LoadParamsError::new(format!("bad gradient {what} count")))
+        };
+        let (tensors, count) = (number("tensor")?, number("rollout")?);
+        Ok(Self {
+            grads: read_tensors(&mut lines, tensors)?,
+            count,
+        })
     }
 }
 

@@ -6,10 +6,11 @@
 //! [`read_frame`] and [`MAX_FRAME_LEN`] are re-exported here so existing
 //! callers keep working. Line 1 of every payload is the version token
 //! [`PROTOCOL_VERSION`]; line 2 is the message head (`query …` /
-//! `shutdown` / `ok …` / `err …`) with `key=value` fields; `ok` responses
-//! carry the selection on line 3. Unknown keys are ignored by readers, so
-//! fields can be added without a version bump.
+//! `shutdown` / `ok …` / `err …`); `ok` responses carry the selection on
+//! line 3. The `key=value` grammar is [`rl_ccd_wire::fields`]; this
+//! module is the schema over it.
 
+use rl_ccd_wire::fields::{hex16, quote, split_verb, Fields, Writer};
 use std::fmt;
 use std::str::FromStr;
 
@@ -50,14 +51,14 @@ impl FromStr for DesignKey {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split(':').collect();
         if parts.len() != 4 {
-            return Err(format!("design {s:?} is not name:cells:tech:seed"));
+            return Err(format!("design {} is not name:cells:tech:seed", quote(s)));
         }
         let cells = parts[1]
             .parse()
-            .map_err(|_| format!("bad cell count {:?}", parts[1]))?;
+            .map_err(|_| format!("bad cell count {}", quote(parts[1])))?;
         let seed = parts[3]
             .parse()
-            .map_err(|_| format!("bad seed {:?}", parts[3]))?;
+            .map_err(|_| format!("bad seed {}", quote(parts[3])))?;
         if parts[0].is_empty() {
             return Err("empty design name".into());
         }
@@ -99,9 +100,12 @@ impl FromStr for Mode {
             return seed
                 .parse()
                 .map(Mode::Sample)
-                .map_err(|_| format!("bad sample seed {seed:?}"));
+                .map_err(|_| format!("bad sample seed {}", quote(seed)));
         }
-        Err(format!("mode {s:?} is neither greedy nor sample:<seed>"))
+        Err(format!(
+            "mode {} is neither greedy nor sample:<seed>",
+            quote(s)
+        ))
     }
 }
 
@@ -148,24 +152,25 @@ pub enum Request {
 impl Request {
     /// Serializes to a protocol payload.
     pub fn encode(&self) -> Vec<u8> {
-        let body = match self {
+        let start = |verb| Writer::new(PROTOCOL_VERSION, verb);
+        let w = match self {
             Request::Query(q) => {
-                let mut line = format!(
-                    "query model={} design={} mode={}",
-                    q.model, q.design, q.mode
-                );
+                let mut w = start("query")
+                    .kv("model", &q.model)
+                    .kv("design", &q.design)
+                    .kv("mode", q.mode);
                 if let Some(ms) = q.deadline_ms {
-                    line.push_str(&format!(" deadline_ms={ms}"));
+                    w = w.kv("deadline_ms", ms);
                 }
                 if let Some(auth) = &q.auth {
-                    line.push_str(&format!(" tenant={} token={}", auth.tenant, auth.token));
+                    w = w.kv("tenant", &auth.tenant).kv("token", &auth.token);
                 }
-                line
+                w
             }
-            Request::Health => "health".to_string(),
-            Request::Shutdown => "shutdown".to_string(),
+            Request::Health => start("health"),
+            Request::Shutdown => start("shutdown"),
         };
-        format!("{PROTOCOL_VERSION}\n{body}\n").into_bytes()
+        w.finish()
     }
 
     /// Parses a protocol payload.
@@ -174,56 +179,33 @@ impl Request {
     /// A human-readable description of the first violation (bad version,
     /// unknown head, missing or malformed field).
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let (head, _rest) = split_versioned(payload)?;
-        if head == "shutdown" {
-            return Ok(Request::Shutdown);
-        }
-        if head == "health" {
-            return Ok(Request::Health);
-        }
-        let fields = head
-            .strip_prefix("query ")
-            .ok_or_else(|| format!("unknown request {head:?}"))?;
-        let mut model = None;
-        let mut design = None;
-        let mut mode = None;
-        let mut deadline_ms = None;
-        let mut tenant = None;
-        let mut token = None;
-        for field in fields.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-            match key {
-                "model" => model = Some(value.to_string()),
-                "design" => design = Some(value.parse()?),
-                "mode" => mode = Some(value.parse()?),
-                "deadline_ms" => {
-                    deadline_ms = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad deadline_ms {value:?}"))?,
-                    );
-                }
-                "tenant" => tenant = Some(value.to_string()),
-                "token" => token = Some(value.to_string()),
-                _ => {} // forward compatibility: ignore unknown keys
+        let (head, _body) = rl_ccd_wire::split_versioned(payload, PROTOCOL_VERSION)?;
+        let (verb, fields) = split_verb(head);
+        let f = Fields::read("request", fields, None)?;
+        match verb {
+            "shutdown" => Ok(Request::Shutdown),
+            "health" => Ok(Request::Health),
+            "query" => {
+                // Credentials travel as a pair; half a pair is a malformed
+                // request (a lone tenant= would silently bill nobody).
+                let auth = match (f.opt("tenant"), f.opt("token")) {
+                    (Some(tenant), Some(token)) => Some(Credentials {
+                        tenant: tenant.to_string(),
+                        token: token.to_string(),
+                    }),
+                    (None, None) => None,
+                    _ => return Err("tenant= and token= must be sent together".into()),
+                };
+                Ok(Request::Query(QueryRequest {
+                    model: f.get("model")?.to_string(),
+                    design: f.parse("design")?,
+                    mode: f.parse("mode")?,
+                    deadline_ms: f.parse_opt("deadline_ms")?,
+                    auth,
+                }))
             }
+            other => Err(format!("unknown request {}", quote(other))),
         }
-        // Credentials travel as a pair; half a pair is a malformed request
-        // (a lone tenant= would silently bill nobody).
-        let auth = match (tenant, token) {
-            (Some(tenant), Some(token)) => Some(Credentials { tenant, token }),
-            (None, None) => None,
-            _ => return Err("tenant= and token= must be sent together".into()),
-        };
-        Ok(Request::Query(QueryRequest {
-            model: model.ok_or("query missing model=")?,
-            design: design.ok_or("query missing design=")?,
-            mode: mode.ok_or("query missing mode=")?,
-            deadline_ms,
-            auth,
-        }))
     }
 }
 
@@ -279,7 +261,7 @@ impl FromStr for RejectKind {
             "unknown_model" => Ok(RejectKind::UnknownModel),
             "denied" => Ok(RejectKind::Denied),
             "internal" => Ok(RejectKind::Internal),
-            _ => Err(format!("unknown reject kind {s:?}")),
+            _ => Err(format!("unknown reject kind {}", quote(s))),
         }
     }
 }
@@ -329,15 +311,15 @@ impl FromStr for ModelVersion {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split('@').collect();
         if parts.len() != 3 || parts[0].is_empty() {
-            return Err(format!("active entry {s:?} is not name@version@fp"));
+            return Err(format!("active entry {} is not name@version@fp", quote(s)));
         }
         Ok(Self {
             name: parts[0].to_string(),
             version: parts[1]
                 .parse()
-                .map_err(|_| format!("bad version {:?}", parts[1]))?,
-            fingerprint: u64::from_str_radix(parts[2], 16)
-                .map_err(|_| format!("bad fingerprint {:?}", parts[2]))?,
+                .map_err(|_| format!("bad version {}", quote(parts[1])))?,
+            fingerprint: hex16(parts[2])
+                .ok_or_else(|| format!("bad fingerprint {}", quote(parts[2])))?,
         })
     }
 }
@@ -404,50 +386,37 @@ impl Response {
 
     /// Serializes to a protocol payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::Ok(r) => {
-                let selection: Vec<String> = r.selection.iter().map(|e| e.to_string()).collect();
-                format!(
-                    "{PROTOCOL_VERSION}\nok model={} version={} steps={} batch={} cached={}\nselection={}\n",
-                    r.model,
-                    r.version,
-                    r.steps,
-                    r.batch,
-                    u8::from(r.cached),
-                    selection.join(",")
-                )
-                .into_bytes()
-            }
+        let start = |verb| Writer::new(PROTOCOL_VERSION, verb);
+        let w = match self {
+            Response::Ok(r) => start("ok")
+                .kv("model", &r.model)
+                .kv("version", r.version)
+                .kv("steps", r.steps)
+                .kv("batch", r.batch)
+                .kv("cached", u8::from(r.cached))
+                .line("")
+                .list("selection", &r.selection),
             Response::Overloaded { retry_after_ms } => {
-                format!("{PROTOCOL_VERSION}\noverloaded retry_after_ms={retry_after_ms}\n")
-                    .into_bytes()
+                start("overloaded").kv("retry_after_ms", retry_after_ms)
             }
             Response::QuotaExceeded { retry_after_ms } => {
-                format!("{PROTOCOL_VERSION}\nquota_exceeded retry_after_ms={retry_after_ms}\n")
-                    .into_bytes()
+                start("quota_exceeded").kv("retry_after_ms", retry_after_ms)
             }
             Response::Health(h) => {
-                let mut head = format!(
-                    "health ready={} queue={} capacity={} models={}",
-                    u8::from(h.ready),
-                    h.queue_depth,
-                    h.queue_capacity,
-                    h.models
-                );
-                if !h.active.is_empty() {
-                    let entries: Vec<String> =
-                        h.active.iter().map(ModelVersion::to_string).collect();
-                    head.push_str(&format!(" active={}", entries.join(",")));
+                let w = start("health")
+                    .kv("ready", u8::from(h.ready))
+                    .kv("queue", h.queue_depth)
+                    .kv("capacity", h.queue_capacity)
+                    .kv("models", h.models);
+                if h.active.is_empty() {
+                    w
+                } else {
+                    w.list("active", &h.active)
                 }
-                format!("{PROTOCOL_VERSION}\n{head}\n").into_bytes()
             }
-            Response::Err { kind, msg } => {
-                // msg is the whole remainder of the line; newlines stripped
-                // so it cannot forge extra lines.
-                let msg = msg.replace('\n', " ");
-                format!("{PROTOCOL_VERSION}\nerr kind={kind} msg={msg}\n").into_bytes()
-            }
-        }
+            Response::Err { kind, msg } => start("err").kv("kind", kind).tail("msg", msg),
+        };
+        w.finish()
     }
 
     /// Parses a protocol payload.
@@ -455,127 +424,46 @@ impl Response {
     /// # Errors
     /// A human-readable description of the first violation.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let (head, rest) = split_versioned(payload)?;
-        if let Some(fields) = head.strip_prefix("overloaded ") {
-            let retry_after_ms = fields
-                .split_whitespace()
-                .find_map(|f| f.strip_prefix("retry_after_ms="))
-                .ok_or("overloaded missing retry_after_ms=")?
-                .parse()
-                .map_err(|_| "bad retry_after_ms".to_string())?;
-            return Ok(Response::Overloaded { retry_after_ms });
-        }
-        if let Some(fields) = head.strip_prefix("quota_exceeded ") {
-            let retry_after_ms = fields
-                .split_whitespace()
-                .find_map(|f| f.strip_prefix("retry_after_ms="))
-                .ok_or("quota_exceeded missing retry_after_ms=")?
-                .parse()
-                .map_err(|_| "bad retry_after_ms".to_string())?;
-            return Ok(Response::QuotaExceeded { retry_after_ms });
-        }
-        if let Some(fields) = head.strip_prefix("health ") {
-            let mut ready = None;
-            let mut queue_depth = None;
-            let mut queue_capacity = None;
-            let mut models = None;
-            let mut active = Vec::new();
-            for field in fields.split_whitespace() {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-                let parsed = || {
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad {key}={value}"))
-                };
-                match key {
-                    "ready" => ready = Some(value == "1"),
-                    "queue" => queue_depth = Some(parsed()?),
-                    "capacity" => queue_capacity = Some(parsed()?),
-                    "models" => models = Some(parsed()?),
-                    "active" => {
-                        active = value
-                            .split(',')
-                            .map(str::parse)
-                            .collect::<Result<_, String>>()?;
-                    }
-                    _ => {}
-                }
+        let (head, body) = rl_ccd_wire::split_versioned(payload, PROTOCOL_VERSION)?;
+        let (verb, fields) = split_verb(head);
+        let f = Fields::read("response", fields, (verb == "err").then_some("msg"))?;
+        match verb {
+            "ok" => {
+                let selection = body.lines().next().unwrap_or("");
+                let selection = Fields::read("ok response", selection, None)?;
+                Ok(Response::Ok(QueryReply {
+                    model: f.get("model")?.to_string(),
+                    version: f.parse("version")?,
+                    steps: f.parse("steps")?,
+                    batch: f.parse("batch")?,
+                    cached: f.flag("cached")?,
+                    selection: selection.list("selection", str::parse::<usize>)?,
+                }))
             }
-            return Ok(Response::Health(HealthReply {
-                ready: ready.ok_or("health missing ready=")?,
-                queue_depth: queue_depth.ok_or("health missing queue=")?,
-                queue_capacity: queue_capacity.ok_or("health missing capacity=")?,
-                models: models.ok_or("health missing models=")?,
-                active,
-            }));
+            "overloaded" => Ok(Response::Overloaded {
+                retry_after_ms: f.parse("retry_after_ms")?,
+            }),
+            "quota_exceeded" => Ok(Response::QuotaExceeded {
+                retry_after_ms: f.parse("retry_after_ms")?,
+            }),
+            "health" => Ok(Response::Health(HealthReply {
+                ready: f.flag("ready")?,
+                queue_depth: f.parse("queue")?,
+                queue_capacity: f.parse("capacity")?,
+                models: f.parse("models")?,
+                // Absent from a pre-v9 server and from an empty registry.
+                active: match f.opt("active") {
+                    Some(_) => f.list("active", str::parse::<ModelVersion>)?,
+                    None => Vec::new(),
+                },
+            })),
+            "err" => Ok(Response::Err {
+                kind: f.parse("kind")?,
+                msg: f.opt("msg").unwrap_or("").to_string(),
+            }),
+            other => Err(format!("unknown response {}", quote(other))),
         }
-        if let Some(fields) = head.strip_prefix("err ") {
-            let kind = fields
-                .strip_prefix("kind=")
-                .and_then(|s| s.split_whitespace().next())
-                .ok_or("err missing kind=")?
-                .parse()?;
-            let msg = fields
-                .split_once("msg=")
-                .map(|(_, m)| m.to_string())
-                .unwrap_or_default();
-            return Ok(Response::Err { kind, msg });
-        }
-        let fields = head
-            .strip_prefix("ok ")
-            .ok_or_else(|| format!("unknown response {head:?}"))?;
-        let mut model = None;
-        let mut version = None;
-        let mut steps = None;
-        let mut batch = None;
-        let mut cached = None;
-        for field in fields.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("field {field:?} is not key=value"))?;
-            let parsed = || {
-                value
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad {key}={value}"))
-            };
-            match key {
-                "model" => model = Some(value.to_string()),
-                "version" => version = Some(parsed()?),
-                "steps" => steps = Some(parsed()?),
-                "batch" => batch = Some(parsed()?),
-                "cached" => cached = Some(value == "1"),
-                _ => {}
-            }
-        }
-        let sel_line = rest
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("selection="))
-            .ok_or("ok response missing selection= line")?;
-        let selection = if sel_line.is_empty() {
-            Vec::new()
-        } else {
-            sel_line
-                .split(',')
-                .map(|s| s.parse().map_err(|_| format!("bad selection entry {s:?}")))
-                .collect::<Result<_, String>>()?
-        };
-        Ok(Response::Ok(QueryReply {
-            model: model.ok_or("ok missing model=")?,
-            version: version.ok_or("ok missing version=")?,
-            steps: steps.ok_or("ok missing steps=")?,
-            batch: batch.ok_or("ok missing batch=")?,
-            cached: cached.ok_or("ok missing cached=")?,
-            selection,
-        }))
     }
-}
-
-/// Checks the version line and returns (second line, remaining lines).
-fn split_versioned(payload: &[u8]) -> Result<(&str, &str), String> {
-    rl_ccd_wire::split_versioned(payload, PROTOCOL_VERSION)
 }
 
 #[cfg(test)]
@@ -589,26 +477,6 @@ mod tests {
             tech: "7nm".into(),
             seed: 7,
         }
-    }
-
-    #[test]
-    fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert!(read_frame(&mut r).is_err(), "stream exhausted");
-    }
-
-    #[test]
-    fn oversized_frames_are_rejected_both_ways() {
-        let mut buf = Vec::new();
-        let too_big = vec![0u8; MAX_FRAME_LEN + 1];
-        assert!(write_frame(&mut buf, &too_big).is_err());
-        let forged = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
-        assert!(read_frame(&mut &forged[..]).is_err());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! The payload is UTF-8 text. Line 1 is always a protocol version token
 //! (e.g. `rl-ccd-serve v1`); mismatched versions are rejected before any
 //! field is parsed, so each format can evolve by bumping its token. Line 2
-//! is the message head with `key=value` fields; the remaining lines are
-//! the message body. Readers ignore unknown keys, so fields can be added
-//! without a version bump.
+//! is the message head — a verb and `key=value` fields; the remaining
+//! lines are the message body. [`fields`] holds that grammar once: the
+//! reader and the writer every protocol's codec is a schema over.
 //!
 //! # Failure machinery
 //!
@@ -52,6 +52,7 @@
 
 pub mod chaos;
 pub mod deadline;
+pub mod fields;
 pub mod frames;
 pub mod front;
 pub mod reactor;
@@ -151,25 +152,12 @@ pub fn split_versioned<'a>(payload: &'a [u8], version: &str) -> Result<(&'a str,
         .ok_or_else(|| "payload has no version line".to_string())?;
     if found != version {
         return Err(format!(
-            "protocol version {found:?}, this endpoint speaks {version:?}"
+            "protocol version {}, this endpoint speaks {version:?}",
+            fields::quote(found)
         ));
     }
     let (head, rest) = rest.split_once('\n').unwrap_or((rest, ""));
     Ok((head, rest))
-}
-
-/// Splits a message head's whitespace-separated `key=value` fields.
-///
-/// # Errors
-/// A human-readable description of the first token that is not `key=value`.
-pub fn head_fields(head: &str) -> Result<Vec<(&str, &str)>, String> {
-    head.split_whitespace()
-        .map(|field| {
-            field
-                .split_once('=')
-                .ok_or_else(|| format!("field {field:?} is not key=value"))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -230,13 +218,5 @@ mod tests {
         assert!(err.contains("version"), "{err}");
         assert!(split_versioned(&[0xFF, 0xFE], "proto v1").is_err());
         assert!(split_versioned(b"no newline", "proto v1").is_err());
-    }
-
-    #[test]
-    fn head_fields_parse_and_reject() {
-        let fields = head_fields("a=1 b=two c=3.5").unwrap();
-        assert_eq!(fields, vec![("a", "1"), ("b", "two"), ("c", "3.5")]);
-        assert!(head_fields("a=1 naked").is_err());
-        assert!(head_fields("").unwrap().is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //! rlccd worker   [--port 7401] [--chaos-plan SPEC] [--conn-base N]
 //! rlccd transfer --in design.nl --params donor.txt [--iters 12] [--trace-out run.jsonl]
 //! rlccd baseline --in design.nl [--period <ps>]
-//! rlccd verilog  --in design.nl --out design.v
+//! rlccd verilog  --in design.nl --out design.v [--period <ps>]
 //! rlccd suite    [--scale 0.5]
 //! rlccd trace-validate --in run.jsonl
 //! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]
@@ -87,11 +87,37 @@ use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The value after `key`, parsed; `None` when the flag is absent.
+///
+/// # Errors
+/// `Error::Config` when the value is missing or does not parse — a typo
+/// must not silently run with the default.
+fn arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, Error> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| Error::Config(format!("{key} needs a value")))?;
+    let unreadable = |_| Error::Config(format!("{key}: cannot read {value:?}"));
+    value.parse().map(Some).map_err(unreadable)
+}
+
+/// Rejects a `--flag` that `cmd`'s usage line does not name: the usage
+/// table is the one list of what each subcommand reads.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), Error> {
+    let Some((_, usage)) = USAGE_TABLE.iter().find(|(name, _)| *name == cmd) else {
+        return Ok(());
+    };
+    let known = |flag: &str| {
+        usage.match_indices(flag).any(|(at, _)| {
+            !usage[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    };
+    match args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        Some(flag) => Err(Error::Config(format!("{cmd} has no flag {flag}"))),
+        None => Ok(()),
+    }
 }
 
 /// (subcommand, usage line) table — one source of truth for both the
@@ -127,7 +153,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
         "baseline",
         "baseline --in FILE [--period PS] [--trace-out FILE]",
     ),
-    ("verilog", "verilog  --in FILE --out FILE"),
+    ("verilog", "verilog  --in FILE --out FILE [--period PS]"),
     ("suite", "suite    [--scale F]"),
     ("trace-validate", "trace-validate --in FILE"),
     (
@@ -155,8 +181,8 @@ const USAGE_TABLE: &[(&str, &str)] = &[
          \u{20}         [--rho R] [--admin-token T] [--audit-out FILE] [--usage-out FILE]\n\
          \u{20}         [--usage-flush-ms MS] [--exp-out FILE]\n\
          \u{20}         [--gate-samples N] [--gate-seed S] [--max-batch N] [--window-ms MS]\n\
-         \u{20}         [--queue N] [--serve-workers N] [--trace-out FILE]\n\
-         \u{20}         (a tenant SPEC is id:token:rate:burst:quota)",
+         \u{20}         [--queue N] [--serve-workers N] [--env-cache N] [--fanout-cap N]\n\
+         \u{20}         [--trace-out FILE] (a tenant SPEC is id:token:rate:burst:quota)",
     ),
     (
         "admin",
@@ -184,7 +210,8 @@ fn usage() -> ExitCode {
 }
 
 /// Prints the usage line of one subcommand (the arg-error path: a bad
-/// `rlccd train --iters x` shows how to call `train`, not a bare error).
+/// `rlccd train --iters x` or `rlccd serve --reactor` shows how to call
+/// that subcommand, not a bare error).
 fn usage_for(cmd: &str) {
     if let Some((_, line)) = USAGE_TABLE.iter().find(|(name, _)| *name == cmd) {
         eprintln!("usage: rlccd {line}");
@@ -197,11 +224,11 @@ struct Trace {
     path: PathBuf,
 }
 
-fn trace_from(args: &[String]) -> Option<Trace> {
-    arg::<String>(args, "--trace-out").map(|path| Trace {
+fn trace_from(args: &[String]) -> Result<Option<Trace>, Error> {
+    Ok(arg::<String>(args, "--trace-out")?.map(|path| Trace {
         recorder: Recorder::new(),
         path: PathBuf::from(path),
-    })
+    }))
 }
 
 impl Trace {
@@ -215,19 +242,19 @@ impl Trace {
 
 fn load_design(args: &[String]) -> Result<GeneratedDesign, Error> {
     let path: String =
-        arg(args, "--in").ok_or_else(|| Error::Config("missing --in FILE".into()))?;
+        arg(args, "--in")?.ok_or_else(|| Error::Config("missing --in FILE".into()))?;
     let file = File::open(&path)?;
     let netlist: Netlist =
         read_netlist(BufReader::new(file)).map_err(|e| Error::Config(format!("{path}: {e}")))?;
     // Period: explicit, or recalibrated from the netlist structure.
-    if let Some(p) = arg::<f32>(args, "--period") {
+    if let Some(p) = arg::<f32>(args, "--period")? {
         if p.is_nan() || p <= 0.0 {
             return Err(Error::Config(format!(
                 "--period must be a positive number of ps, got {p}"
             )));
         }
     }
-    let period = arg::<f32>(args, "--period").unwrap_or_else(|| {
+    let period = arg::<f32>(args, "--period")?.unwrap_or_else(|| {
         // Reuse the generator's calibration on the loaded structure by
         // regenerating a spec-shaped estimate: simplest robust choice is a
         // fresh STA-based quantile.
@@ -271,12 +298,12 @@ fn load_design(args: &[String]) -> Result<GeneratedDesign, Error> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), Error> {
-    let cells: usize = arg(args, "--cells").unwrap_or(1200);
-    let tech_name: String = arg(args, "--tech").unwrap_or_else(|| "7nm".into());
+    let cells: usize = arg(args, "--cells")?.unwrap_or(1200);
+    let tech_name: String = arg(args, "--tech")?.unwrap_or_else(|| "7nm".into());
     let tech: TechNode = Library::parse_tech(&tech_name)
         .ok_or_else(|| Error::Config(format!("unknown --tech {tech_name}")))?;
-    let seed: u64 = arg(args, "--seed").unwrap_or(42);
-    let out: String = arg(args, "--out").unwrap_or_else(|| "design.nl".into());
+    let seed: u64 = arg(args, "--seed")?.unwrap_or(42);
+    let out: String = arg(args, "--out")?.unwrap_or_else(|| "design.nl".into());
     let d = generate(&DesignSpec::new("cli", cells, tech, seed));
     let file = File::create(&out)?;
     write_netlist(&d.netlist, BufWriter::new(file))?;
@@ -291,7 +318,7 @@ fn cmd_generate(args: &[String]) -> Result<(), Error> {
 
 fn cmd_report(args: &[String]) -> Result<(), Error> {
     let d = load_design(args)?;
-    let paths: usize = arg(args, "--paths").unwrap_or(3);
+    let paths: usize = arg(args, "--paths")?.unwrap_or(3);
     let recipe = FlowRecipe::default();
     let graph = TimingGraph::new(&d.netlist);
     let clocks = recipe.clock_schedule(&d.netlist, d.period_ps);
@@ -310,7 +337,7 @@ fn cmd_report(args: &[String]) -> Result<(), Error> {
 
 fn cmd_flow(args: &[String]) -> Result<(), Error> {
     let d = load_design(args)?;
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     let mut builder = Session::builder().design(d);
     if let Some(t) = &trace {
         builder = builder.recorder(t.recorder.clone());
@@ -347,7 +374,7 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
     // rollouts over those worker processes (slot count then comes from
     // `--slots`). Parsed as a raw string first — `arg::<usize>` would
     // silently drop an address list.
-    let workers_raw = arg::<String>(args, "--workers");
+    let workers_raw = arg::<String>(args, "--workers")?;
     let (slots, dist_addrs) = match workers_raw {
         Some(w) if w.contains(':') => {
             let addrs: Vec<String> = w
@@ -355,7 +382,7 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
                 .filter(|s| !s.is_empty())
                 .map(str::to_string)
                 .collect();
-            (arg(args, "--slots").unwrap_or(8), Some(addrs))
+            (arg(args, "--slots")?.unwrap_or(8), Some(addrs))
         }
         Some(w) => (
             w.parse::<usize>().map_err(|_| {
@@ -368,11 +395,11 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
         None => (8, None),
     };
     let mut config = RlConfig {
-        max_iterations: arg(args, "--iters").unwrap_or(12),
+        max_iterations: arg(args, "--iters")?.unwrap_or(12),
         workers: slots,
         ..RlConfig::default()
     };
-    if let Some(gib) = arg::<f64>(args, "--tape-budget-gib") {
+    if let Some(gib) = arg::<f64>(args, "--tape-budget-gib")? {
         if !gib.is_finite() || gib <= 0.0 {
             return Err(Error::Config(format!(
                 "--tape-budget-gib must be positive, got {gib}"
@@ -380,18 +407,18 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
         }
         config.tape_memory_budget = (gib * (1u64 << 30) as f64) as usize;
     }
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     // --resume DIR continues an interrupted run (or starts one that
     // checkpoints into DIR); --checkpoint DIR starts fresh but writes
     // resumable state every --checkpoint-every iterations.
-    let resume_dir = arg::<String>(args, "--resume");
-    let checkpoint_dir = resume_dir.clone().or(arg::<String>(args, "--checkpoint"));
+    let resume_dir = arg::<String>(args, "--resume")?;
+    let checkpoint_dir = resume_dir.clone().or(arg::<String>(args, "--checkpoint")?);
     let mut builder = Session::builder().design(d).rl_config(config);
     if let Some(t) = &trace {
         builder = builder.recorder(t.recorder.clone());
     }
     if let Some(dir) = &checkpoint_dir {
-        let every = arg(args, "--checkpoint-every").unwrap_or(5);
+        let every = arg(args, "--checkpoint-every")?.unwrap_or(5);
         builder = builder.checkpoint(dir, every);
         if resume_dir.is_some() && rl_ccd::training_state_exists(dir) {
             println!("resuming from checkpoint in {dir}");
@@ -400,10 +427,10 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
     if let Some(addrs) = &dist_addrs {
         let mut executor = rl_ccd_dist::DistExecutor::connect(addrs)
             .map_err(|e| Error::Config(format!("--workers {}: {e}", addrs.join(","))))?;
-        if let Some(secs) = arg::<u64>(args, "--deadline-s") {
+        if let Some(secs) = arg::<u64>(args, "--deadline-s")? {
             executor = executor.with_deadline(std::time::Duration::from_secs(secs.max(1)));
         }
-        if let Some(n) = arg::<u32>(args, "--retries") {
+        if let Some(n) = arg::<u32>(args, "--retries")? {
             executor =
                 executor.with_retry(rl_ccd_wire::RetryPolicy::seeded(0).with_attempts(n.max(1)));
         }
@@ -423,7 +450,7 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
     }
     // CI smoke hook: kill worker process PROC mid-batch at iteration IT and
     // assert the run still completes (re-queued onto the survivors).
-    if let Some(spec) = arg::<String>(args, "--inject-worker-drop") {
+    if let Some(spec) = arg::<String>(args, "--inject-worker-drop")? {
         let (it, proc) = spec
             .split_once(':')
             .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
@@ -459,7 +486,7 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
             println!("  {f}");
         }
     }
-    if let Some(path) = arg::<String>(args, "--params") {
+    if let Some(path) = arg::<String>(args, "--params")? {
         save_params(&outcome.params, &path)?;
         println!("saved parameters to {path}");
     }
@@ -472,14 +499,14 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
 fn cmd_transfer(args: &[String]) -> Result<(), Error> {
     let d = load_design(args)?;
     let donor_path: String =
-        arg(args, "--params").ok_or_else(|| Error::Config("missing --params FILE".into()))?;
+        arg(args, "--params")?.ok_or_else(|| Error::Config("missing --params FILE".into()))?;
     let donor = rl_ccd::load_params(&donor_path)
         .map_err(|e| Error::Config(format!("{donor_path}: {e}")))?;
     let config = RlConfig {
-        max_iterations: arg(args, "--iters").unwrap_or(12),
+        max_iterations: arg(args, "--iters")?.unwrap_or(12),
         ..RlConfig::default()
     };
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     let (_, params, adopted) = with_pretrained_gnn(config.clone(), &donor);
     println!("adopted {adopted} EP-GNN tensors from {donor_path}");
     let mut builder = Session::builder()
@@ -506,7 +533,7 @@ fn cmd_transfer(args: &[String]) -> Result<(), Error> {
 
 fn cmd_baseline(args: &[String]) -> Result<(), Error> {
     let d = load_design(args)?;
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     let mut builder = Session::builder().design(d);
     if let Some(t) = &trace {
         builder = builder.recorder(t.recorder.clone());
@@ -544,7 +571,7 @@ fn cmd_baseline(args: &[String]) -> Result<(), Error> {
 
 fn cmd_verilog(args: &[String]) -> Result<(), Error> {
     let d = load_design(args)?;
-    let out: String = arg(args, "--out").unwrap_or_else(|| "design.v".into());
+    let out: String = arg(args, "--out")?.unwrap_or_else(|| "design.v".into());
     let file = File::create(&out)?;
     rl_ccd_netlist::write_verilog(&d.netlist, BufWriter::new(file))?;
     println!("wrote {out}");
@@ -552,7 +579,7 @@ fn cmd_verilog(args: &[String]) -> Result<(), Error> {
 }
 
 fn cmd_suite(args: &[String]) -> Result<(), Error> {
-    let scale: f32 = arg(args, "--scale").unwrap_or(0.5);
+    let scale: f32 = arg(args, "--scale")?.unwrap_or(0.5);
     println!(
         "{:<10} {:>8} {:>6} {:>9} {:>6}",
         "block", "cells", "tech", "period", "EPs"
@@ -573,7 +600,7 @@ fn cmd_suite(args: &[String]) -> Result<(), Error> {
 
 fn cmd_trace_validate(args: &[String]) -> Result<(), Error> {
     let path: String =
-        arg(args, "--in").ok_or_else(|| Error::Config("missing --in FILE".into()))?;
+        arg(args, "--in")?.ok_or_else(|| Error::Config("missing --in FILE".into()))?;
     let file = File::open(&path)?;
     let summary = rl_ccd_obs::validate_jsonl(BufReader::new(file))?;
     println!(
@@ -587,7 +614,7 @@ fn cmd_trace_validate(args: &[String]) -> Result<(), Error> {
 
 fn cmd_exp_validate(args: &[String]) -> Result<(), Error> {
     let path: String =
-        arg(args, "--in").ok_or_else(|| Error::Config("missing --in FILE".into()))?;
+        arg(args, "--in")?.ok_or_else(|| Error::Config("missing --in FILE".into()))?;
     let file = File::open(&path)?;
     let summary = rl_ccd_exp::validate_exp_jsonl(BufReader::new(file))
         .map_err(|e| Error::Config(format!("{path}: {e}")))?;
@@ -612,20 +639,20 @@ fn cmd_exp_validate(args: &[String]) -> Result<(), Error> {
 
 fn cmd_retrain(args: &[String]) -> Result<(), Error> {
     let base: String =
-        arg(args, "--base").ok_or_else(|| Error::Config("missing --base DIR".into()))?;
+        arg(args, "--base")?.ok_or_else(|| Error::Config("missing --base DIR".into()))?;
     let log: String =
-        arg(args, "--log").ok_or_else(|| Error::Config("missing --log FILE".into()))?;
+        arg(args, "--log")?.ok_or_else(|| Error::Config("missing --log FILE".into()))?;
     let out: String =
-        arg(args, "--out").ok_or_else(|| Error::Config("missing --out DIR".into()))?;
+        arg(args, "--out")?.ok_or_else(|| Error::Config("missing --out DIR".into()))?;
     let defaults = rl_ccd_exp::RetrainConfig::default();
     let cfg = rl_ccd_exp::RetrainConfig {
-        seed: arg(args, "--seed").unwrap_or(defaults.seed),
-        steps: arg(args, "--steps").unwrap_or(defaults.steps),
-        batch: arg(args, "--batch").unwrap_or(defaults.batch),
-        max_staleness: arg(args, "--max-staleness").unwrap_or(defaults.max_staleness),
-        w_max: arg(args, "--w-max").unwrap_or(defaults.w_max),
-        learning_rate: arg(args, "--lr"),
-        grad_clip: arg(args, "--grad-clip").unwrap_or(defaults.grad_clip),
+        seed: arg(args, "--seed")?.unwrap_or(defaults.seed),
+        steps: arg(args, "--steps")?.unwrap_or(defaults.steps),
+        batch: arg(args, "--batch")?.unwrap_or(defaults.batch),
+        max_staleness: arg(args, "--max-staleness")?.unwrap_or(defaults.max_staleness),
+        w_max: arg(args, "--w-max")?.unwrap_or(defaults.w_max),
+        learning_rate: arg(args, "--lr")?,
+        grad_clip: arg(args, "--grad-clip")?.unwrap_or(defaults.grad_clip),
     };
     let report = rl_ccd_exp::retrain(
         std::path::Path::new(&base),
@@ -656,21 +683,21 @@ fn cmd_retrain(args: &[String]) -> Result<(), Error> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Error> {
-    let dir: String = arg(args, "--checkpoint")
+    let dir: String = arg(args, "--checkpoint")?
         .ok_or_else(|| Error::Config("missing --checkpoint DIR".into()))?;
-    let model: String = arg(args, "--model").unwrap_or_else(|| "default".into());
-    let port: u16 = arg(args, "--port").unwrap_or(7878);
-    let rho: f32 = arg(args, "--rho").unwrap_or_else(|| RlConfig::default().rho);
+    let model: String = arg(args, "--model")?.unwrap_or_else(|| "default".into());
+    let port: u16 = arg(args, "--port")?.unwrap_or(7878);
+    let rho: f32 = arg(args, "--rho")?.unwrap_or_else(|| RlConfig::default().rho);
     let config = ServeConfig {
-        max_batch: arg(args, "--max-batch").unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms").unwrap_or(2)),
-        queue_capacity: arg(args, "--queue").unwrap_or(64),
-        workers: arg(args, "--serve-workers").unwrap_or(2),
-        env_cache: arg(args, "--env-cache").unwrap_or(4),
-        fanout_cap: arg(args, "--fanout-cap").unwrap_or_else(|| RlConfig::default().fanout_cap),
+        max_batch: arg(args, "--max-batch")?.unwrap_or(8),
+        window: std::time::Duration::from_millis(arg(args, "--window-ms")?.unwrap_or(2)),
+        queue_capacity: arg(args, "--queue")?.unwrap_or(64),
+        workers: arg(args, "--serve-workers")?.unwrap_or(2),
+        env_cache: arg(args, "--env-cache")?.unwrap_or(4),
+        fanout_cap: arg(args, "--fanout-cap")?.unwrap_or_else(|| RlConfig::default().fanout_cap),
         ..ServeConfig::default()
     };
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     let _obs = trace.as_ref().map(|t| rl_ccd_obs::attach(&t.recorder));
     let registry = ModelRegistry::new();
     let entry = registry
@@ -718,7 +745,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
 fn parse_chaos_plan(
     args: &[String],
 ) -> Result<Option<std::sync::Arc<rl_ccd_wire::NetFaultPlan>>, Error> {
-    arg::<String>(args, "--chaos-plan")
+    arg::<String>(args, "--chaos-plan")?
         .map(|spec| {
             rl_ccd_wire::NetFaultPlan::parse(&spec)
                 .map(std::sync::Arc::new)
@@ -758,7 +785,7 @@ fn run_queries(
 }
 
 fn cmd_query(args: &[String]) -> Result<(), Error> {
-    let addr: String = arg(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
+    let addr: String = arg(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7878".into());
     if args.iter().any(|a| a == "--shutdown") {
         let mut client = serve_connect(&addr)?;
         client
@@ -767,13 +794,13 @@ fn cmd_query(args: &[String]) -> Result<(), Error> {
         println!("server at {addr} is draining");
         return Ok(());
     }
-    let design: DesignKey = arg::<String>(args, "--design")
+    let design: DesignKey = arg::<String>(args, "--design")?
         .ok_or_else(|| Error::Config("missing --design name:cells:tech:seed".into()))?
         .parse()
         .map_err(Error::Config)?;
-    let model: String = arg(args, "--model").unwrap_or_else(|| "default".into());
-    let mode_name: String = arg(args, "--mode").unwrap_or_else(|| "greedy".into());
-    let seed: u64 = arg(args, "--seed").unwrap_or(0);
+    let model: String = arg(args, "--model")?.unwrap_or_else(|| "default".into());
+    let mode_name: String = arg(args, "--mode")?.unwrap_or_else(|| "greedy".into());
+    let seed: u64 = arg(args, "--seed")?.unwrap_or(0);
     let mode = match mode_name.as_str() {
         "greedy" => Mode::Greedy,
         "sample" => Mode::Sample(seed),
@@ -783,16 +810,16 @@ fn cmd_query(args: &[String]) -> Result<(), Error> {
             )))
         }
     };
-    let count: usize = arg(args, "--count").unwrap_or(1);
-    let threads: usize = arg(args, "--threads").unwrap_or(1).max(1);
-    let deadline_ms: Option<u64> = arg(args, "--deadline-ms");
-    let retries: u32 = arg(args, "--retries").unwrap_or(3);
+    let count: usize = arg(args, "--count")?.unwrap_or(1);
+    let threads: usize = arg(args, "--threads")?.unwrap_or(1).max(1);
+    let deadline_ms: Option<u64> = arg(args, "--deadline-ms")?;
+    let retries: u32 = arg(args, "--retries")?.unwrap_or(3);
     let chaos_plan = parse_chaos_plan(args)?;
     // Tenant credentials travel as a pair (the daemon port requires them;
     // a bare serve endpoint ignores them).
     let auth = match (
-        arg::<String>(args, "--tenant"),
-        arg::<String>(args, "--token"),
+        arg::<String>(args, "--tenant")?,
+        arg::<String>(args, "--token")?,
     ) {
         (Some(tenant), Some(token)) => Some(Credentials { tenant, token }),
         (None, None) => None,
@@ -890,8 +917,8 @@ fn cmd_query(args: &[String]) -> Result<(), Error> {
 /// ready, so scripts can gate on it.
 fn cmd_probe(args: &[String]) -> Result<(), Error> {
     let timeout =
-        std::time::Duration::from_millis(arg::<u64>(args, "--timeout-ms").unwrap_or(5_000).max(1));
-    if let Some(w) = arg::<String>(args, "--workers") {
+        std::time::Duration::from_millis(arg::<u64>(args, "--timeout-ms")?.unwrap_or(5_000).max(1));
+    if let Some(w) = arg::<String>(args, "--workers")? {
         let addrs: Vec<String> = w
             .split(',')
             .filter(|s| !s.is_empty())
@@ -925,7 +952,7 @@ fn cmd_probe(args: &[String]) -> Result<(), Error> {
         }
         return Ok(());
     }
-    let addr: String = arg(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
+    let addr: String = arg(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7878".into());
     let mut client = serve_connect(&addr)?;
     client.set_timeout(Some(timeout));
     let h = client
@@ -974,7 +1001,7 @@ fn probe_dist_worker(addr: &str, timeout: std::time::Duration) -> Result<bool, S
 /// parameters a coordinator sends over `rl-ccd-dist v1`, then answers
 /// `run` requests until told to shut down.
 fn cmd_worker(args: &[String]) -> Result<(), Error> {
-    let port: u16 = arg(args, "--port").unwrap_or(7401);
+    let port: u16 = arg(args, "--port")?.unwrap_or(7401);
     let listener = std::net::TcpListener::bind(("0.0.0.0", port))?;
     println!("rl-ccd worker serving on {}", listener.local_addr()?);
     // Chaos on the *accept* path: every accepted connection is wrapped,
@@ -983,7 +1010,7 @@ fn cmd_worker(args: &[String]) -> Result<(), Error> {
     if let Some(plan) = parse_chaos_plan(args)? {
         println!("chaos plan armed: {} wire fault(s)", plan.len());
         net.chaos = Some(plan);
-        net.conn_base = arg(args, "--conn-base").unwrap_or(0);
+        net.conn_base = arg(args, "--conn-base")?.unwrap_or(0);
     }
     rl_ccd_dist::serve_worker_with(listener, net)?;
     println!("worker shut down");
@@ -992,35 +1019,35 @@ fn cmd_worker(args: &[String]) -> Result<(), Error> {
 
 /// Runs the multi-tenant daemon until an admin sends `drain`.
 fn cmd_daemon(args: &[String]) -> Result<(), Error> {
-    let dir: String = arg(args, "--checkpoint")
+    let dir: String = arg(args, "--checkpoint")?
         .ok_or_else(|| Error::Config("missing --checkpoint DIR".into()))?;
-    let port: u16 = arg(args, "--port").unwrap_or(7791);
-    let admin_port: u16 = arg(args, "--admin-port").unwrap_or(7792);
-    let rho: f32 = arg(args, "--rho").unwrap_or_else(|| RlConfig::default().rho);
+    let port: u16 = arg(args, "--port")?.unwrap_or(7791);
+    let admin_port: u16 = arg(args, "--admin-port")?.unwrap_or(7792);
+    let rho: f32 = arg(args, "--rho")?.unwrap_or_else(|| RlConfig::default().rho);
     let serve = ServeConfig {
-        max_batch: arg(args, "--max-batch").unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms").unwrap_or(2)),
-        queue_capacity: arg(args, "--queue").unwrap_or(64),
-        workers: arg(args, "--serve-workers").unwrap_or(2),
-        env_cache: arg(args, "--env-cache").unwrap_or(4),
-        fanout_cap: arg(args, "--fanout-cap").unwrap_or_else(|| RlConfig::default().fanout_cap),
+        max_batch: arg(args, "--max-batch")?.unwrap_or(8),
+        window: std::time::Duration::from_millis(arg(args, "--window-ms")?.unwrap_or(2)),
+        queue_capacity: arg(args, "--queue")?.unwrap_or(64),
+        workers: arg(args, "--serve-workers")?.unwrap_or(2),
+        env_cache: arg(args, "--env-cache")?.unwrap_or(4),
+        fanout_cap: arg(args, "--fanout-cap")?.unwrap_or_else(|| RlConfig::default().fanout_cap),
         ..ServeConfig::default()
     };
-    let mut gate = rl_ccd::GateSpec::quick(arg(args, "--gate-seed").unwrap_or(0xCCD));
-    if let Some(samples) = arg(args, "--gate-samples") {
+    let mut gate = rl_ccd::GateSpec::quick(arg(args, "--gate-seed")?.unwrap_or(0xCCD));
+    if let Some(samples) = arg(args, "--gate-samples")? {
         gate.samples = samples;
     }
     let config = DaemonConfig {
         serve,
         rho,
         gate,
-        admin_token: arg(args, "--admin-token"),
-        audit_path: arg::<String>(args, "--audit-out").map(PathBuf::from),
-        usage_path: arg::<String>(args, "--usage-out").map(PathBuf::from),
-        usage_flush_ms: arg(args, "--usage-flush-ms").unwrap_or(0),
-        experience_path: arg::<String>(args, "--exp-out").map(PathBuf::from),
+        admin_token: arg(args, "--admin-token")?,
+        audit_path: arg::<String>(args, "--audit-out")?.map(PathBuf::from),
+        usage_path: arg::<String>(args, "--usage-out")?.map(PathBuf::from),
+        usage_flush_ms: arg(args, "--usage-flush-ms")?.unwrap_or(0),
+        experience_path: arg::<String>(args, "--exp-out")?.map(PathBuf::from),
     };
-    let trace = trace_from(args);
+    let trace = trace_from(args)?;
     let _obs = trace.as_ref().map(|t| rl_ccd_obs::attach(&t.recorder));
     let registry = ModelRegistry::new();
     let entry = registry
@@ -1031,7 +1058,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), Error> {
         entry.version, entry.fingerprint
     );
     let mut daemon = Daemon::start(registry, config, std::sync::Arc::new(SystemClock));
-    if let Some(specs) = arg::<String>(args, "--tenants") {
+    if let Some(specs) = arg::<String>(args, "--tenants")? {
         for spec in specs.split(',').filter(|s| !s.is_empty()) {
             let tenant: TenantConfig = spec.parse().map_err(Error::Config)?;
             println!(
@@ -1088,7 +1115,7 @@ fn cmd_admin(args: &[String]) -> Result<(), Error> {
         .ok_or_else(|| Error::Config("missing admin action".into()))?
         .clone();
     let rest = &args[1..];
-    let addr: String = arg(rest, "--addr").unwrap_or_else(|| "127.0.0.1:7792".into());
+    let addr: String = arg(rest, "--addr")?.unwrap_or_else(|| "127.0.0.1:7792".into());
     let sock = addr
         .to_socket_addrs()
         .map_err(|e| Error::Config(format!("--addr {addr}: {e}")))?
@@ -1097,9 +1124,9 @@ fn cmd_admin(args: &[String]) -> Result<(), Error> {
     let request = match action.as_str() {
         "status" => AdminRequest::Status,
         "load" => AdminRequest::Load {
-            slot: arg(rest, "--slot").unwrap_or_else(|| "challenger".into()),
-            dir: arg(rest, "--dir").ok_or_else(|| Error::Config("load needs --dir DIR".into()))?,
-            rho: arg(rest, "--rho").unwrap_or(0.0), // 0 = daemon's default
+            slot: arg(rest, "--slot")?.unwrap_or_else(|| "challenger".into()),
+            dir: arg(rest, "--dir")?.ok_or_else(|| Error::Config("load needs --dir DIR".into()))?,
+            rho: arg(rest, "--rho")?.unwrap_or(0.0), // 0 = daemon's default
         },
         "gate" => AdminRequest::Gate,
         "promote" => AdminRequest::Promote {
@@ -1107,34 +1134,34 @@ fn cmd_admin(args: &[String]) -> Result<(), Error> {
         },
         "rollback" => AdminRequest::Rollback,
         "canary" => AdminRequest::Canary {
-            fraction: arg(rest, "--fraction")
+            fraction: arg(rest, "--fraction")?
                 .ok_or_else(|| Error::Config("canary needs --fraction F".into()))?,
         },
         "tenant-add" => AdminRequest::TenantAdd {
-            spec: arg(rest, "--spec")
+            spec: arg(rest, "--spec")?
                 .ok_or_else(|| Error::Config("tenant-add needs --spec".into()))?,
         },
         "tenant-del" => AdminRequest::TenantDel {
-            id: arg(rest, "--id").ok_or_else(|| Error::Config("tenant-del needs --id".into()))?,
+            id: arg(rest, "--id")?.ok_or_else(|| Error::Config("tenant-del needs --id".into()))?,
         },
         "tenant-list" => AdminRequest::TenantList,
         "retrain" => {
             let defaults = rl_ccd_exp::RetrainConfig::default();
             AdminRequest::Retrain {
-                base: arg(rest, "--base")
+                base: arg(rest, "--base")?
                     .ok_or_else(|| Error::Config("retrain needs --base DIR".into()))?,
-                log: arg(rest, "--log")
+                log: arg(rest, "--log")?
                     .ok_or_else(|| Error::Config("retrain needs --log FILE".into()))?,
-                out: arg(rest, "--out")
+                out: arg(rest, "--out")?
                     .ok_or_else(|| Error::Config("retrain needs --out DIR".into()))?,
-                seed: arg(rest, "--seed").unwrap_or(defaults.seed),
-                steps: arg(rest, "--steps").unwrap_or(defaults.steps),
+                seed: arg(rest, "--seed")?.unwrap_or(defaults.seed),
+                steps: arg(rest, "--steps")?.unwrap_or(defaults.steps),
             }
         }
         "drain" => AdminRequest::Drain,
         other => return Err(Error::Config(format!("unknown admin action {other:?}"))),
     };
-    let client = AdminClient::new(sock, arg(rest, "--admin-token"));
+    let client = AdminClient::new(sock, arg(rest, "--admin-token")?);
     match client.call(&request).map_err(Error::Config)? {
         AdminReply::Ok { info } => println!("{info}"),
         AdminReply::Status(s) => {
@@ -1181,7 +1208,9 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
+    let flags = check_flags(cmd, rest);
     let result = match cmd.as_str() {
+        _ if flags.is_err() => flags,
         "generate" => cmd_generate(rest),
         "report" => cmd_report(rest),
         "flow" => cmd_flow(rest),
