@@ -358,4 +358,27 @@ fn repeated_keys_naked_tokens_and_non_binary_flags_are_rejected() {
     assert!(decode_reply(&format!("status ready=yes {status}")).is_err());
     assert!(decode_reply(&format!("status ready=1 ready=1 {status}")).is_err());
     assert!(decode_reply(&format!("status ready=1 {status} naked")).is_err());
+    let crowd: String = (0..200).map(|i| format!(" x{i}=1")).collect();
+    let err = decode_req(&format!("promote force=1{crowd}")).unwrap_err();
+    assert!(err.contains("more than 128 fields"), "{err}");
+}
+
+/// An answer that echoes a frame-sized request value still fits a frame:
+/// the `info`/`msg` tail is clipped at 4 KiB.
+#[test]
+fn ok_and_err_tails_are_clipped() {
+    let text = "d".repeat(1 << 20);
+    for reply in [
+        AdminReply::Ok { info: text.clone() },
+        AdminReply::Err { msg: text },
+    ] {
+        let bytes = reply.encode();
+        assert!(bytes.len() < 4096 + 64, "{} bytes", bytes.len());
+        match AdminReply::decode(&bytes).unwrap() {
+            AdminReply::Ok { info: t } | AdminReply::Err { msg: t } => {
+                assert!(t.starts_with("dddd") && t.ends_with('…'));
+            }
+            other => panic!("expected ok/err, got {other:?}"),
+        }
+    }
 }

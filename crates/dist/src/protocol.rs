@@ -418,10 +418,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
                 let seed = seed.parse::<u64>().map_err(|_| "bad pair seed")?;
                 Ok::<_, &str>((slot, seed))
             })?,
-            injects: match fields.opt("inject") {
-                Some(_) => fields.list("inject", Inject::decode)?,
-                None => Vec::new(),
-            },
+            injects: fields.list_opt("inject", Inject::decode)?,
             params: ParamSet::load(body.as_bytes()).map_err(|e| format!("bad params body: {e}"))?,
         })),
         "health" => Ok(Request::Health),

@@ -453,4 +453,37 @@ fn repeated_keys_naked_tokens_and_non_binary_flags_are_rejected() {
     assert!(run("run iteration=3 pairs=0:11").is_ok());
     assert!(run("run iteration=3 iteration=4 pairs=0:11").is_err());
     assert!(run("run iteration=3 pairs=0:11 naked").is_err());
+    let crowd: String = (0..200).map(|i| format!(" x{i}=1")).collect();
+    let err = run(&format!("run iteration=3 pairs=0:11{crowd}")).unwrap_err();
+    assert!(err.contains("more than 128 fields"), "{err}");
+}
+
+/// Where the tail rules move bytes the parent would have written: a `\r`
+/// in a fault's `detail` is flattened like a `\n` (the parent left it
+/// raw), and text past 4 KiB is clipped.
+#[test]
+fn the_fault_detail_flattens_carriage_returns_and_is_clipped() {
+    let fault = |detail: &str| {
+        let fault = RolloutFault {
+            iteration: 2,
+            worker: 1,
+            seed: 55,
+            kind: FaultKind::WorkerPanic,
+            detail: detail.into(),
+        };
+        encode_response(&Response::Batch(BatchResponse {
+            items: vec![],
+            faults: vec![fault],
+        }))
+    };
+    assert_eq!(
+        String::from_utf8(fault("a\r\nb\r")).unwrap(),
+        "rl-ccd-dist v1\nbatch items=0 faults=1\nfault iteration=2 worker=1 seed=55 kind=worker-panic detail=a  b \n"
+    );
+    let huge = fault(&"p".repeat(1 << 20));
+    assert!(huge.len() < 4096 + 128, "{} bytes", huge.len());
+    match decode_response(&huge).unwrap() {
+        Response::Batch(b) => assert!(b.faults[0].detail.ends_with('…')),
+        other => panic!("expected batch, got {other:?}"),
+    }
 }

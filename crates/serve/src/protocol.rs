@@ -452,10 +452,7 @@ impl Response {
                 queue_capacity: f.parse("capacity")?,
                 models: f.parse("models")?,
                 // Absent from a pre-v9 server and from an empty registry.
-                active: match f.opt("active") {
-                    Some(_) => f.list("active", str::parse::<ModelVersion>)?,
-                    None => Vec::new(),
-                },
+                active: f.list_opt("active", str::parse::<ModelVersion>)?,
             })),
             "err" => Ok(Response::Err {
                 kind: f.parse("kind")?,

@@ -364,4 +364,34 @@ fn repeated_keys_naked_tokens_and_non_binary_flags_are_rejected() {
     assert!(decode_resp("ok model=m version=1 steps=0 batch=1 cached=0").is_ok());
     assert!(decode_resp("ok model=m version=1 steps=0 batch=1 cached=no").is_err());
     assert!(decode_resp("ok model=m version=1 version=2 steps=0 batch=1 cached=0").is_err());
+    let crowd: String = (0..200).map(|i| format!(" x{i}=1")).collect();
+    let err = decode_req(&format!(
+        "query model=m design=d:10:7nm:1 mode=greedy{crowd}"
+    ));
+    assert!(err.unwrap_err().contains("more than 128 fields"));
+}
+
+/// Where the tail rules move bytes the parent would have written: a `\r`
+/// in `msg` is flattened like a `\n` (the parent left it raw, and a
+/// trailing one did not survive the decode), and text past 4 KiB is
+/// clipped so a rejection that echoes a frame-sized value still fits a
+/// frame. Everything shorter and `\r`-free is the golden table's business.
+#[test]
+fn the_err_tail_flattens_carriage_returns_and_is_clipped() {
+    let reject = Response::reject(RejectKind::Internal, "a\r\nb\r");
+    let bytes = "rl-ccd-serve v1\nerr kind=internal msg=a  b \n";
+    assert_eq!(String::from_utf8(reject.encode()).unwrap(), bytes);
+    assert_eq!(
+        Response::decode(bytes.as_bytes()).unwrap(),
+        Response::reject(RejectKind::Internal, "a  b ")
+    );
+    let huge = Response::reject(RejectKind::UnknownModel, "A".repeat(1 << 20)).encode();
+    assert!(huge.len() < 4096 + 64, "{} bytes", huge.len());
+    match Response::decode(&huge).unwrap() {
+        Response::Err { kind, msg } => {
+            assert_eq!(kind, RejectKind::UnknownModel);
+            assert!(msg.starts_with("AAAA") && msg.ends_with('…'));
+        }
+        other => panic!("expected err, got {other:?}"),
+    }
 }

@@ -5,14 +5,17 @@
 //!
 //! A line is whitespace-separated tokens. Its first token may be a verb
 //! ([`split_verb`]); every other token is `key=value`, split at its first
-//! `=`. A token without `=` and a key that appears twice are errors; a key
-//! the schema does not ask for is ignored, so fields can be added without
-//! a version bump. A line may name one *tail* key: its value is the rest
-//! of the line, spaces and `=` included, so it is always written last.
-//! Flags are `0|1`, a [`hex16`] is exactly sixteen hex digits, a list is
-//! comma-separated and the empty value is the empty list. Errors quote at
-//! most [`QUOTE_MAX`] bytes of the input that caused them, so a reply that
-//! carries one is bounded however large the offending frame was.
+//! `=`. A token without `=`, a key that appears twice and a line of more
+//! than [`MAX_FIELDS`] fields are errors; a key the schema does not ask for
+//! is ignored, so fields can be added without a version bump. A line may
+//! name one *tail* key: its value is the rest of the line, spaces and `=`
+//! included, so it is always written last; the writer flattens its line
+//! breaks and clips it to [`TAIL_MAX`] bytes. Flags are `0|1`, a [`hex16`]
+//! is exactly sixteen hex digits, a list is comma-separated and the empty
+//! value is the empty list. Errors quote at most [`QUOTE_MAX`] bytes of the
+//! input that caused them; with the tail clip, a reply that carries an
+//! error or echoes a request value is bounded however large the offending
+//! frame was, and reading a line costs time linear in its length.
 
 use std::fmt::{self, Display};
 use std::io::Write as _;
@@ -21,16 +24,30 @@ use std::str::FromStr;
 /// Most bytes of offending input an error message quotes.
 pub const QUOTE_MAX: usize = 64;
 
-/// `{s:?}` of at most the first [`QUOTE_MAX`] bytes of `s`; `…` marks a cut.
-pub fn quote(s: &str) -> String {
-    if s.len() <= QUOTE_MAX {
-        return format!("{s:?}");
+/// Most fields one line may carry. The widest schema (dist `init`) has 50;
+/// the cap keeps the repeated-key check, and so a junk frame read on the
+/// reactor thread, linear in the line's length.
+pub const MAX_FIELDS: usize = 128;
+
+/// Most bytes of free text a tail field carries.
+pub const TAIL_MAX: usize = 4096;
+
+/// The longest prefix of `s` within `max` bytes, and `…` if that cut it.
+fn clip(s: &str, max: usize) -> (&str, &'static str) {
+    if s.len() <= max {
+        return (s, "");
     }
-    let mut end = QUOTE_MAX;
+    let mut end = max;
     while !s.is_char_boundary(end) {
         end -= 1;
     }
-    format!("{:?}…", &s[..end])
+    (&s[..end], "…")
+}
+
+/// `{s:?}` of at most the first [`QUOTE_MAX`] bytes of `s`; `…` marks a cut.
+pub fn quote(s: &str) -> String {
+    let (s, cut) = clip(s, QUOTE_MAX);
+    format!("{s:?}{cut}")
 }
 
 /// Parses exactly sixteen hex digits — the `{:016x}` form fingerprints and
@@ -45,25 +62,14 @@ pub fn split_verb(line: &str) -> (&str, &str) {
     line.split_once(char::is_whitespace).unwrap_or((line, ""))
 }
 
-/// Why a line did not read as the fields its schema asks for; each variant
-/// carries the bounded, human-readable message.
+/// Why a line did not read as the fields its schema asks for: a bounded,
+/// human-readable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FieldError {
-    /// A token has no `=`.
-    NotKeyValue(String),
-    /// A key appears twice on one line.
-    Repeated(String),
-    /// A required key is absent.
-    Missing(String),
-    /// A value is not what its key requires.
-    Bad(String),
-}
+pub struct FieldError(String);
 
 impl Display for FieldError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use FieldError::{Bad, Missing, NotKeyValue, Repeated};
-        let (NotKeyValue(message) | Repeated(message) | Missing(message) | Bad(message)) = self;
-        f.write_str(message)
+        f.write_str(&self.0)
     }
 }
 
@@ -71,7 +77,7 @@ impl std::error::Error for FieldError {}
 
 impl From<FieldError> for String {
     fn from(e: FieldError) -> String {
-        e.to_string()
+        e.0
     }
 }
 
@@ -85,8 +91,8 @@ pub struct Fields<'a> {
 impl<'a> Fields<'a> {
     /// Tokenises `line` (its verb, if any, already split off). `what`
     /// names the line in errors; `tail` names the key, if any, whose value
-    /// is the rest of the line. Fails on a token without `=` and on a
-    /// repeated key.
+    /// is the rest of the line. Fails on a token without `=`, on a
+    /// repeated key and past [`MAX_FIELDS`] fields.
     pub fn read(what: &'static str, line: &'a str, tail: Option<&str>) -> Result<Self, FieldError> {
         let mut pairs: Vec<(&str, &str)> = Vec::with_capacity(8);
         let mut rest = line.trim_start();
@@ -95,15 +101,16 @@ impl<'a> Fields<'a> {
             let token = &rest[..end];
             let Some((key, mut value)) = token.split_once('=') else {
                 let token = quote(token);
-                return Err(FieldError::NotKeyValue(format!(
+                return Err(FieldError(format!(
                     "{what}: field {token} is not key=value"
                 )));
             };
             if pairs.iter().any(|(k, _)| *k == key) {
                 let key = quote(key);
-                return Err(FieldError::Repeated(format!(
-                    "{what}: key {key} appears twice"
-                )));
+                return Err(FieldError(format!("{what}: key {key} appears twice")));
+            }
+            if pairs.len() == MAX_FIELDS {
+                return Err(FieldError(format!("{what}: more than {MAX_FIELDS} fields")));
             }
             if tail == Some(key) {
                 end = rest.len();
@@ -117,7 +124,7 @@ impl<'a> Fields<'a> {
 
     fn bad(&self, key: &str, value: &str, why: impl Display) -> FieldError {
         let (what, value) = (self.what, quote(value));
-        FieldError::Bad(format!("{what}: bad {key}={value}: {why}"))
+        FieldError(format!("{what}: bad {key}={value}: {why}"))
     }
 
     /// The value of an optional key.
@@ -128,7 +135,7 @@ impl<'a> Fields<'a> {
     /// The value of a required key.
     pub fn get(&self, key: &str) -> Result<&'a str, FieldError> {
         self.opt(key)
-            .ok_or_else(|| FieldError::Missing(format!("{} missing {key}=", self.what)))
+            .ok_or_else(|| FieldError(format!("{} missing {key}=", self.what)))
     }
 
     /// A required key's value through its `FromStr`.
@@ -157,12 +164,6 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// A required [`hex16`] value.
-    pub fn hex16(&self, key: &str) -> Result<u64, FieldError> {
-        let value = self.get(key)?;
-        hex16(value).ok_or_else(|| self.bad(key, value, "not sixteen hex digits"))
-    }
-
     /// A required comma-separated list, each element through `item`; the
     /// empty value is the empty list. An error quotes the element `item`
     /// refused, not the list.
@@ -172,10 +173,24 @@ impl<'a> Fields<'a> {
         item: impl Fn(&'a str) -> Result<T, E>,
     ) -> Result<Vec<T>, FieldError> {
         let value = self.get(key)?;
-        let elements = value.split(',').filter(|_| !value.is_empty());
-        elements
-            .map(|element| item(element).map_err(|e| self.bad(key, element, e)))
-            .collect()
+        if value.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut list = Vec::with_capacity(value.bytes().filter(|&b| b == b',').count() + 1);
+        for element in value.split(',') {
+            list.push(item(element).map_err(|e| self.bad(key, element, e))?);
+        }
+        Ok(list)
+    }
+
+    /// [`Fields::list`] for an optional key: the empty list when it is absent.
+    pub fn list_opt<T, E: Display>(
+        &self,
+        key: &str,
+        item: impl Fn(&'a str) -> Result<T, E>,
+    ) -> Result<Vec<T>, FieldError> {
+        self.opt(key)
+            .map_or(Ok(Vec::new()), |_| self.list(key, item))
     }
 }
 
@@ -218,9 +233,18 @@ impl Writer {
     }
 
     /// Appends the line's tail field: free text to the end of the line,
-    /// line breaks flattened to spaces so it cannot forge another line.
-    pub fn tail(self, key: &str, text: &str) -> Self {
-        self.kv(key, text.replace(['\n', '\r'], " "))
+    /// line breaks flattened to spaces so it cannot forge another line,
+    /// clipped to [`TAIL_MAX`] bytes so a reply that echoes what it was
+    /// sent still fits a frame.
+    pub fn tail(mut self, key: &str, text: &str) -> Self {
+        self = self.kv(key, "");
+        let (text, cut) = clip(text, TAIL_MAX);
+        let flat = text
+            .bytes()
+            .map(|b| if matches!(b, b'\n' | b'\r') { b' ' } else { b });
+        self.buf.extend(flat);
+        self.buf.extend_from_slice(cut.as_bytes());
+        self
     }
 
     /// Ends the current line and starts a body line with `verb` (`""` for

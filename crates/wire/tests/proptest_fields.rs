@@ -3,10 +3,12 @@
 //!
 //! 1. arbitrary bytes never panic the reader, and every error it returns
 //!    is bounded however large the input;
-//! 2. a naked token, a repeated key, a non-`0|1` flag, a non-hex `hex16`
-//!    and a bad list element are the typed errors the module documents;
+//! 2. a naked token, a repeated key, too many fields, a non-`0|1` flag, a
+//!    non-hex `hex16` and a bad list element are the errors the module
+//!    documents, and a frame-sized line of distinct keys is refused in
+//!    linear time;
 //! 3. the tail is opaque: `=`, spaces and would-be duplicate keys inside
-//!    it are text;
+//!    it are text; the writer flattens `\n` and `\r` in it and clips it;
 //! 4. whatever the writer emits, the reader returns.
 //!
 //! Cases are generated from a seeded RNG rather than nested strategies:
@@ -16,8 +18,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl_ccd_wire::fields::{hex16, quote, split_verb, FieldError, Fields, Writer, QUOTE_MAX};
-use rl_ccd_wire::split_versioned;
+use rl_ccd_wire::fields::{
+    hex16, quote, split_verb, FieldError, Fields, Writer, MAX_FIELDS, QUOTE_MAX, TAIL_MAX,
+};
+use rl_ccd_wire::{split_versioned, MAX_FRAME_LEN};
+use std::time::{Duration, Instant};
 
 const VERSION: &str = "proto v1";
 
@@ -76,7 +81,8 @@ proptest! {
                 // Every typed reader is total on whatever was tokenised.
                 for key in ["a", "m", "zz", ""] {
                     let _ = (f.opt(key), f.get(key), f.parse::<u64>(key), f.parse_opt::<f32>(key));
-                    let _ = (f.flag(key), f.hex16(key), f.list(key, str::parse::<usize>));
+                    let _ = (f.flag(key), f.list(key, str::parse::<usize>));
+                    let _ = f.list_opt(key, str::parse::<usize>);
                 }
             }
             Err(e) => prop_assert!(e.to_string().len() < 16 * QUOTE_MAX, "{e}"),
@@ -114,7 +120,7 @@ proptest! {
         }
         prop_assert_eq!(f.list("list", str::parse::<u32>), Ok(list.clone()));
         prop_assert_eq!(f.flag("flag"), Ok(flag));
-        prop_assert_eq!(f.hex16("id"), Ok(id));
+        prop_assert_eq!(f.get("id").map(hex16), Ok(Some(id)));
         prop_assert_eq!(f.opt("tail"), tail.as_deref());
         let (second, streamed) = rest.split_once('\n').expect("body line");
         let g = Fields::read("body", second, None).expect("body line");
@@ -138,11 +144,8 @@ proptest! {
         }
         let err = Fields::read("head", &tokens.join(" "), None).unwrap_err();
         prop_assert!(err.to_string().starts_with("head: "), "{err}");
-        if naked {
-            prop_assert!(matches!(err, FieldError::NotKeyValue(_)), "{err}");
-        } else {
-            prop_assert!(matches!(err, FieldError::Repeated(_)), "{err}");
-        }
+        let expected = if naked { "is not key=value" } else { "appears twice" };
+        prop_assert!(err.to_string().ends_with(expected), "{err}");
     }
 }
 
@@ -163,40 +166,73 @@ fn a_line_reads_as_typed_fields() {
     assert_eq!(f.list("e", str::parse::<u8>), Ok(vec![]));
     assert_eq!(f.get("zzz").unwrap_err().to_string(), "demo missing zzz=");
     let missing = rejected(f.list("zzz", str::parse::<u8>));
-    assert!(matches!(missing, FieldError::Missing(_)), "{missing}");
+    assert_eq!(missing.to_string(), "demo missing zzz=");
+    assert_eq!(f.list_opt("zzz", str::parse::<u8>), Ok(vec![]));
+    assert_eq!(f.list_opt("l", str::parse::<u8>), Ok(vec![4, 5]));
     assert!(Fields::read("demo", "", None).unwrap().opt("a").is_none());
     assert_eq!(split_verb("load slot=a dir=b"), ("load", "slot=a dir=b"));
     assert_eq!(split_verb("drain"), ("drain", ""));
 }
 
 #[test]
-fn each_violation_is_its_own_typed_error() {
+fn each_violation_is_a_typed_error_that_names_it() {
     assert_eq!(
-        rejected(Fields::read("demo", "a=1 naked", None)),
-        FieldError::NotKeyValue("demo: field \"naked\" is not key=value".into())
+        rejected(Fields::read("demo", "a=1 naked", None)).to_string(),
+        "demo: field \"naked\" is not key=value"
     );
     assert_eq!(
-        rejected(Fields::read("demo", "a=1 b=2 a=3", None)),
-        FieldError::Repeated("demo: key \"a\" appears twice".into())
+        rejected(Fields::read("demo", "a=1 b=2 a=3", None)).to_string(),
+        "demo: key \"a\" appears twice"
     );
-    let f = Fields::read("demo", "ready=yes two=2 fp=deadbeef l=1,,2 l2=1,x", None).unwrap();
-    for bad in [f.flag("ready"), f.flag("two"), f.hex16("fp").map(|_| true)] {
-        assert!(matches!(bad, Err(FieldError::Bad(_))), "{bad:?}");
+    let f = Fields::read("demo", "ready=yes two=2 l=1,,2 l2=1,x", None).unwrap();
+    for bad in [f.flag("ready"), f.flag("two")] {
+        let message = rejected(bad).to_string();
+        assert!(message.ends_with(": a flag is 0 or 1"), "{message}");
     }
     // A list error quotes the element, not the list.
-    let FieldError::Bad(message) = rejected(f.list("l2", str::parse::<u8>)) else {
-        panic!("a bad element is Bad");
-    };
+    let message = rejected(f.list("l2", str::parse::<u8>)).to_string();
     assert!(message.starts_with("demo: bad l2=\"x\": "), "{message}");
     assert!(
         f.list("l", str::parse::<u8>).is_err(),
         "an empty element is not a number"
     );
+    assert!(f.list_opt("l2", str::parse::<u8>).is_err());
     assert!(f
         .parse::<u8>("ready")
         .unwrap_err()
         .to_string()
         .starts_with("demo: bad ready=\"yes\": "));
+}
+
+/// The repeated-key check looks at every earlier key, so the field count
+/// is capped: a frame-sized line of distinct keys — read on the reactor
+/// thread, before any authentication — is refused after `MAX_FIELDS`
+/// tokens instead of costing quadratic time (16 s for 1 MiB, uncapped).
+#[test]
+fn a_frame_of_distinct_keys_is_refused_in_linear_time() {
+    let numbered = |n: usize| (0..n).map(|i| format!("{i}=1 ")).collect::<String>();
+    assert!(Fields::read("demo", &numbered(MAX_FIELDS), None).is_ok());
+    let mut line = String::with_capacity(MAX_FRAME_LEN + 16);
+    for i in 0.. {
+        if line.len() >= MAX_FRAME_LEN {
+            break;
+        }
+        line.push_str(&format!("{i}=1 "));
+    }
+    // Same-length keys, so every comparison has to look at the bytes.
+    let long_keys: String = (0..200)
+        .map(|i| format!("{}{i:03}=1 ", "k".repeat(5000)))
+        .collect();
+    for junk in [line, long_keys] {
+        let started = Instant::now();
+        let err = rejected(Fields::read("demo", &junk, None)).to_string();
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "{:?}",
+            started.elapsed()
+        );
+        assert_eq!(err, format!("demo: more than {MAX_FIELDS} fields"));
+    }
 }
 
 #[test]
@@ -216,7 +252,44 @@ fn the_tail_is_the_rest_of_the_line() {
     let f = Fields::read("demo", "a=1 msg=a=2 a=3", Some("msg")).unwrap();
     assert_eq!((f.get("a"), f.get("msg")), (Ok("1"), Ok("a=2 a=3")));
     let untailed = rejected(Fields::read("demo", "a=1 msg=a=2 a=3", None));
-    assert!(matches!(untailed, FieldError::Repeated(_)), "{untailed}");
+    assert!(
+        untailed.to_string().ends_with("appears twice"),
+        "{untailed}"
+    );
+    // The tail ends the line: fields past the cap are text too.
+    let many = (0..MAX_FIELDS - 1)
+        .map(|i| format!("{i}=1 "))
+        .collect::<String>();
+    let line = format!("{many}msg=x 1=1 2=2");
+    assert!(Fields::read("demo", &line, Some("msg")).is_ok());
+    assert!(Fields::read("demo", &line, None).is_err());
+}
+
+#[test]
+fn the_writer_flattens_and_clips_the_tail() {
+    let tail = |text: &str| {
+        let payload = Writer::new(VERSION, "err")
+            .kv("kind", "x")
+            .tail("msg", text)
+            .finish();
+        let (head, _) = split_versioned(&payload, VERSION).expect("envelope");
+        let f = Fields::read("head", split_verb(head).1, Some("msg")).expect("head");
+        f.get("msg").expect("msg").to_string()
+    };
+    // `\r` too: `str::lines` would eat one left at the end of a line.
+    assert_eq!(tail("a\r\nb\rc\n"), "a  b c ");
+    assert_eq!(tail(&"x".repeat(TAIL_MAX)), "x".repeat(TAIL_MAX));
+    let clipped = tail(&"é\n".repeat(MAX_FRAME_LEN / 3));
+    assert!(
+        clipped.len() <= TAIL_MAX + '…'.len_utf8(),
+        "{}",
+        clipped.len()
+    );
+    assert!(
+        clipped.starts_with("é é ") && clipped.ends_with('…'),
+        "{}",
+        &clipped[..16]
+    );
 }
 
 #[test]
