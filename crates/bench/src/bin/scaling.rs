@@ -2,8 +2,10 @@
 //!
 //! The paper notes RL's runtime "may be prohibitive" and answers with
 //! transfer learning; this harness quantifies where our reproduction's time
-//! goes — STA pass, full default flow, one GNN forward, one selection
-//! trajectory — across a size sweep.
+//! goes — STA pass, full default flow, one GNN forward, one training
+//! rollout (dense re-encode per step) and the same trajectory through the
+//! inference path (one dense encode, then a dirty-frontier patch per step)
+//! — across a size sweep.
 //!
 //! Usage:
 //! ```text
@@ -12,7 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl_ccd::{CcdEnv, RlCcd, RlConfig};
+use rl_ccd::{sample_endpoints, CcdEnv, RlCcd, RlConfig};
 use rl_ccd_bench::{write_csv, Cli};
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, TechNode};
@@ -30,8 +32,8 @@ fn main() -> Result<(), rl_ccd::Error> {
     let csv = cli.csv("scaling.csv");
 
     println!(
-        "{:>8} {:>8} {:>8} | {:>10} {:>10} {:>10} {:>12}",
-        "cells", "nets", "pool", "sta (ms)", "flow (ms)", "gnn (ms)", "rollout (ms)"
+        "{:>8} {:>8} {:>8} | {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "cells", "nets", "pool", "sta (ms)", "flow (ms)", "gnn (ms)", "rollout (ms)", "infer (ms)"
     );
     let mut csv_rows = Vec::new();
     let mut cells = 500usize;
@@ -68,22 +70,30 @@ fn main() -> Result<(), rl_ccd::Error> {
             let _ = model.gnn_forward(&mut tape, &binding, x, env.adjacency(), env.readout());
         }
         let gnn_ms = ms(t);
+        // The inference path first (one dense encode, then patches), then
+        // the training rollout on the same seed: same selection. In this
+        // order the allocator is not yet holding the rollout's tape.
+        let t = Instant::now();
+        let inferred = sample_endpoints(&model, &params, &env, &mut StdRng::seed_from_u64(1));
+        let infer_ms = ms(t);
         let t = Instant::now();
         let ro = model.rollout(&params, &env, &mut StdRng::seed_from_u64(1));
         let rollout_ms = ms(t);
+        assert_eq!(inferred, ro.selected, "inference diverged from the rollout");
 
         println!(
-            "{:>8} {:>8} {:>8} | {:>10.2} {:>10.1} {:>10.2} {:>12.1}",
+            "{:>8} {:>8} {:>8} | {:>10.2} {:>10.1} {:>10.2} {:>12.1} {:>10.2}",
             n_cells,
             n_nets,
             env.pool().len(),
             sta_ms,
             flow_ms,
             gnn_ms,
-            rollout_ms
+            rollout_ms,
+            infer_ms
         );
         csv_rows.push(format!(
-            "{n_cells},{n_nets},{},{sta_ms:.3},{flow_ms:.2},{gnn_ms:.3},{rollout_ms:.2},{}",
+            "{n_cells},{n_nets},{},{sta_ms:.3},{flow_ms:.2},{gnn_ms:.3},{rollout_ms:.2},{},{infer_ms:.3}",
             env.pool().len(),
             ro.steps()
         ));
@@ -91,7 +101,7 @@ fn main() -> Result<(), rl_ccd::Error> {
     }
     write_csv(
         &csv,
-        "cells,nets,pool,sta_ms,flow_ms,gnn_forward_ms,rollout_ms,trajectory_steps",
+        "cells,nets,pool,sta_ms,flow_ms,gnn_forward_ms,rollout_ms,trajectory_steps,infer_ms",
         &csv_rows,
     )?;
     println!("wrote {csv}");

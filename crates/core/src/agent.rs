@@ -3,14 +3,15 @@
 
 use crate::config::RlConfig;
 use crate::decoder::AttentionDecoder;
-use crate::encoder::{ActionEncoder, EncoderState};
+use crate::encoder::ActionEncoder;
 use crate::env::CcdEnv;
 use crate::epgnn::EpGnn;
+use crate::incremental::IncrementalEncoder;
 use crate::masking::SelectionMask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_ccd_netlist::{CellId, EndpointId};
-use rl_ccd_nn::{LstmState, NoGradTape, ParamBinding, ParamSet, Tape, TapeOps, Tensor, Var};
+use rl_ccd_nn::{NoGradTape, ParamBinding, ParamSet, Tape, TapeOps, Var};
 use std::sync::Arc;
 
 /// The assembled RL-CCD model: EP-GNN + LSTM encoder + attention decoder.
@@ -146,16 +147,15 @@ impl RlCcd {
         }
     }
 
-    /// Inference-only trajectory: op-for-op the same forward pass as
-    /// [`RlCcd::rollout`] / [`RlCcd::rollout_greedy`], but on a
-    /// [`NoGradTape`] — no gradient bookkeeping — and with the tape
-    /// truncated back to the parameter leaves after every step, so memory
-    /// stays bounded by one step's intermediates instead of growing with
-    /// the whole trajectory. With `Some(rng)` it samples (consuming
-    /// exactly one draw per step, identical to `rollout`); with `None` it
-    /// is greedy. Unlike the training rollout, an empty endpoint pool
-    /// yields an empty selection instead of panicking, so a server can
-    /// answer queries on already-clean designs.
+    /// Inference-only trajectory: the forward pass of [`RlCcd::rollout`] /
+    /// [`RlCcd::rollout_greedy`] on a [`NoGradTape`] — no gradient
+    /// bookkeeping — with EP-GNN encoded densely once and patched after
+    /// each selection by [`IncrementalEncoder`], which yields the dense
+    /// re-encode's embeddings bit for bit. With `Some(rng)` it samples
+    /// (consuming exactly one draw per step, identical to `rollout`); with
+    /// `None` it is greedy. Unlike the training rollout, an empty endpoint
+    /// pool yields an empty selection instead of panicking, so a server
+    /// can answer queries on already-clean designs.
     pub(crate) fn infer_trajectory(
         &self,
         params: &ParamSet,
@@ -164,58 +164,40 @@ impl RlCcd {
     ) -> Vec<EndpointId> {
         let mut tape = NoGradTape::new();
         let binding = params.bind(&mut tape);
-        let base = tape.len();
-        self.infer_trajectory_in(&mut tape, &binding, base, env, rng)
-    }
-
-    /// The body of [`RlCcd::infer_trajectory`] against a tape whose first
-    /// `base` entries are the bound parameter leaves. The tape is truncated
-    /// back to `base` after every step (and left at `base`-plus-carries on
-    /// return), so one bound tape can serve many requests — the per-request
-    /// parameter re-bind (one clone per tensor) disappears. Used by
-    /// [`crate::infer::InferSession`].
-    pub(crate) fn infer_trajectory_in(
-        &self,
-        tape: &mut NoGradTape,
-        binding: &ParamBinding,
-        base: usize,
-        env: &CcdEnv,
-        rng: Option<&mut StdRng>,
-    ) -> Vec<EndpointId> {
-        self.infer_trajectory_logged_in(tape, binding, base, env, rng)
+        self.infer_trajectory_logged_in(&mut tape, &binding, env, rng)
             .0
     }
 
-    /// Like [`RlCcd::infer_trajectory_in`] but also returns the
+    /// The body of [`RlCcd::infer_trajectory`] against a tape that already
+    /// holds the bound parameter leaves, also returning the
     /// log-probability the policy assigned to each selected action, in
-    /// selection order. Reading a value off the tape records nothing, so
-    /// this is op-for-op identical to the unlogged path — the parity tests
-    /// in [`crate::infer`] pin that. The log-probs are the *behavior*
-    /// policy's: experience logging captures them at serve time so offline
-    /// retraining can importance-weight against a newer policy.
+    /// selection order (a tape read, not a tape op). The log-probs are the
+    /// *behavior* policy's: experience logging captures them at serve time
+    /// so offline retraining can importance-weight against a newer policy.
+    ///
+    /// The trajectory's values stay on the tape — one dense encode plus
+    /// each step's frontier rows and decoder intermediates — until the
+    /// caller truncates it; [`crate::infer::InferSession`] does so once
+    /// per request, so one bound tape serves many.
     pub(crate) fn infer_trajectory_logged_in(
         &self,
         tape: &mut NoGradTape,
         binding: &ParamBinding,
-        base: usize,
         env: &CcdEnv,
         mut rng: Option<&mut StdRng>,
     ) -> (Vec<EndpointId>, Vec<f32>) {
         let pool = env.pool();
         let mut mask = SelectionMask::new(pool.len(), self.config.rho);
-        let (mut state, mut prev_embed) = self.encoder.start(tape);
         let mut selected = Vec::new();
         let mut log_probs = Vec::new();
-        while mask.any_valid() {
-            let flag_cells: Vec<CellId> = mask
-                .flagged()
-                .iter()
-                .map(|&i| env.pool_cells()[i])
-                .collect();
-            let x = tape.leaf(env.features().with_flags(&flag_cells));
-            let embeddings = self
-                .gnn
-                .forward(tape, binding, x, env.adjacency(), env.readout());
+        if !mask.any_valid() {
+            return (selected, log_probs);
+        }
+        let (mut state, mut prev_embed) = self.encoder.start(tape);
+        let mut gnn =
+            IncrementalEncoder::start(&self.gnn, tape, binding, env.graph(), env.features().base());
+        loop {
+            let embeddings = gnn.embeddings(tape);
             state = self.encoder.step(tape, binding, prev_embed, state);
             let query = state.query();
             let valid = mask.valid_mask();
@@ -227,35 +209,20 @@ impl RlCcd {
                     .decoder
                     .decode_greedy(tape, binding, embeddings, query, &valid),
             };
-            mask.select(step.action, env.cones());
+            let mut flagged = mask.select(step.action, env.cones());
+            flagged.push(step.action);
             selected.push(pool[step.action]);
-            // Capture the behavior log-prob before the truncate below drops
-            // the step's intermediates.
             log_probs.push(tape.value(step.action_log_prob).data()[0]);
-            let embed_row = tape.gather_rows(embeddings, Arc::new(vec![step.action as u32]));
-            // Only the previous-action embedding and the encoder state
-            // survive into the next step: clone their values out, drop the
-            // step's intermediates, and re-record them as fresh leaves.
-            let carry_embed = tape.value(embed_row).clone();
-            let carry_state = match state {
-                EncoderState::Lstm(s) => {
-                    CarriedState::Lstm(tape.value(s.h).clone(), tape.value(s.c).clone())
-                }
-                EncoderState::Gru(h) => CarriedState::Gru(tape.value(h).clone()),
-                EncoderState::None(z) => CarriedState::None(tape.value(z).clone()),
-            };
-            tape.truncate(base);
-            prev_embed = tape.leaf(carry_embed);
-            state = match carry_state {
-                CarriedState::Lstm(h, c) => EncoderState::Lstm(LstmState {
-                    h: tape.leaf(h),
-                    c: tape.leaf(c),
-                }),
-                CarriedState::Gru(h) => EncoderState::Gru(tape.leaf(h)),
-                CarriedState::None(z) => EncoderState::None(tape.leaf(z)),
-            };
+            if !mask.any_valid() {
+                return (selected, log_probs);
+            }
+            prev_embed = tape.gather_rows(embeddings, Arc::new(vec![step.action as u32]));
+            let cells: Vec<u32> = flagged
+                .iter()
+                .map(|&i| env.pool_cells()[i].index() as u32)
+                .collect();
+            gnn.flag(tape, binding, &cells);
         }
-        (selected, log_probs)
     }
 
     /// Teacher-forced replay of a logged action sequence on a gradient
@@ -358,13 +325,6 @@ impl std::fmt::Display for ReplayError {
 }
 
 impl std::error::Error for ReplayError {}
-
-/// Encoder-state tensors carried across a [`NoGradTape::truncate`].
-enum CarriedState {
-    Lstm(Tensor, Tensor),
-    Gru(Tensor),
-    None(Tensor),
-}
 
 /// One finished selection trajectory, with its tape kept alive so the
 /// trainer can weight the log-probabilities by the achieved reward and

@@ -7,6 +7,7 @@
 //! flow (the trajectory reward of Algorithm 1 line 17).
 
 use crate::features::NodeFeatures;
+use crate::incremental::EpGraph;
 use rl_ccd_flow::{FlowRecipe, FlowResult};
 use rl_ccd_netlist::{
     cone_readout, fanin_cone, message_graph, CellId, Cone, ConeSet, EndpointId, GeneratedDesign,
@@ -23,15 +24,15 @@ pub struct CcdEnv {
     pool: Vec<EndpointId>,
     pool_cells: Vec<CellId>,
     cones: ConeSet,
-    adjacency: SharedCsr,
-    readout: SharedCsr,
+    graph: EpGraph,
     features: NodeFeatures,
 }
 
 impl CcdEnv {
     /// Prepares the environment: runs the begin STA, collects the violating
     /// endpoints (the action pool), traces their cones, builds the GNN
-    /// graphs, and extracts features.
+    /// graphs (and the reverse indices the incremental encoder walks), and
+    /// extracts features.
     pub fn new(design: GeneratedDesign, recipe: FlowRecipe, fanout_cap: usize) -> Self {
         let netlist = &design.netlist;
         let graph = TimingGraph::new(netlist);
@@ -80,8 +81,7 @@ impl CcdEnv {
             pool,
             pool_cells,
             cones,
-            adjacency,
-            readout,
+            graph: EpGraph::new(adjacency, readout),
             features,
         }
     }
@@ -113,12 +113,17 @@ impl CcdEnv {
 
     /// Mean-normalized message-passing adjacency (V×V).
     pub fn adjacency(&self) -> &SharedCsr {
-        &self.adjacency
+        self.graph.adjacency()
     }
 
     /// Cone-readout matrix (|pool|×V) implementing Eq. 3's pooling.
     pub fn readout(&self) -> &SharedCsr {
-        &self.readout
+        self.graph.readout()
+    }
+
+    /// Both GNN graphs with their reverse indices.
+    pub fn graph(&self) -> &EpGraph {
+        &self.graph
     }
 
     /// Normalized Table I features.

@@ -91,18 +91,50 @@ impl EpGnn {
     ) -> Var {
         let mut h = x;
         for l in 0..3 {
-            // Eq. 2: σ(γ·proj(h) + (1−γ)·agg(mean_neighbors(h))), with the
-            // γ-gating fused into one tape op (tapes persist per RL step, so
-            // intermediate count dominates training memory).
-            let gamma_raw = binding.var(&format!("{GNN_PREFIX}l{l}.gamma"));
-            let gamma = tape.sigmoid(gamma_raw);
-            let self_term = self.proj[l].forward(tape, binding, h);
-            let neigh = tape.spmm(adjacency, h);
-            let agg_term = self.agg[l].forward(tape, binding, neigh);
-            let combined = tape.mix(gamma, self_term, agg_term);
-            h = tape.sigmoid(combined);
+            let gamma = self.gate(tape, binding, l);
+            h = self.layer(tape, binding, l, gamma, h, adjacency, h);
         }
-        // Eq. 3: FC over endpoint + fan-in-cone sum.
+        self.embed(tape, binding, readout, h)
+    }
+
+    /// Layer `l`'s mixing gate γ = sigmoid(γ_raw) (1×1).
+    pub(crate) fn gate<T: TapeOps>(&self, tape: &mut T, binding: &ParamBinding, l: usize) -> Var {
+        let gamma_raw = binding.var(&format!("{GNN_PREFIX}l{l}.gamma"));
+        tape.sigmoid(gamma_raw)
+    }
+
+    /// Eq. 2 for the rows of `own`: σ(γ·proj(own) + (1−γ)·agg(graph·all)),
+    /// with the γ-gating fused into one tape op (tapes persist per RL step,
+    /// so intermediate count dominates training memory). `graph` has one
+    /// row per row of `own` and one column per row of `all`; the dense pass
+    /// hands the whole layer input in as both.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn layer<T: TapeOps>(
+        &self,
+        tape: &mut T,
+        binding: &ParamBinding,
+        l: usize,
+        gamma: Var,
+        own: Var,
+        graph: &SharedCsr,
+        all: Var,
+    ) -> Var {
+        let self_term = self.proj[l].forward(tape, binding, own);
+        let neigh = tape.spmm(graph, all);
+        let agg_term = self.agg[l].forward(tape, binding, neigh);
+        let combined = tape.mix(gamma, self_term, agg_term);
+        tape.sigmoid(combined)
+    }
+
+    /// Eq. 3 for the endpoints `readout` has rows for: FC over endpoint +
+    /// fan-in-cone sum of the last layer's rows `h`.
+    pub(crate) fn embed<T: TapeOps>(
+        &self,
+        tape: &mut T,
+        binding: &ParamBinding,
+        readout: &SharedCsr,
+        h: Var,
+    ) -> Var {
         let pooled = tape.spmm(readout, h);
         self.fc.forward(tape, binding, pooled)
     }

@@ -3,16 +3,22 @@
 //! Training records every forward op on a [`Tape`](rl_ccd_nn::Tape) so
 //! REINFORCE can backpropagate; a server answering "which endpoints should
 //! the clock path over-fix?" needs none of that. [`select_endpoints`] and
-//! [`sample_endpoints`] run the identical EP-GNN + encoder + attention
-//! forward pass on a [`rl_ccd_nn::NoGradTape`]: no gradient
-//! bookkeeping, no Adam state, and per-step memory reclamation (the tape is
-//! truncated back to the parameter leaves after every selection, carrying
-//! only the previous-action embedding and the encoder state forward).
+//! [`sample_endpoints`] run the same encoder + attention forward pass on a
+//! [`rl_ccd_nn::NoGradTape`] — no gradient bookkeeping, no Adam state — and
+//! encode the netlist once: EP-GNN runs densely on the unflagged features,
+//! then [`crate::incremental::IncrementalEncoder`] recomputes only the rows
+//! within three hops of each step's newly flagged cells and the endpoint
+//! readouts they touch. A request's memory is one dense encode plus its
+//! trajectory's frontier rows and decoder intermediates; a session
+//! truncates its tape back to the parameter leaves once per request.
 //!
-//! Because both tapes share the same per-op forward kernels, the selections
-//! are **bit-identical** to [`RlCcd::rollout_greedy`] / [`RlCcd::rollout`]
-//! on the same parameters and seeds — pinned by the tests in this module
-//! and by `tests/serve_parity.rs`.
+//! Every recomputed row runs through the kernels the dense pass uses, in
+//! the same in-row order, and every other row is the dense pass's cached
+//! value, so the selections are **bit-identical** to
+//! [`RlCcd::rollout_greedy`] / [`RlCcd::rollout`] (which re-encode densely
+//! every step) on the same parameters and seeds — pinned by the tests in
+//! this module, by `tests/proptest_incremental_encoder.rs`, by
+//! `tests/serve_parity.rs` and by `tests/differential_oracle.rs`.
 
 use crate::agent::RlCcd;
 use crate::env::CcdEnv;
@@ -22,9 +28,9 @@ use rl_ccd_nn::{NoGradTape, ParamBinding, ParamSet};
 
 /// Deterministic greedy selection (argmax at every step) without any
 /// gradient bookkeeping. Bit-identical to
-/// `model.rollout_greedy(params, env).selected`, but with bounded memory
-/// and no tape allocation; an empty endpoint pool yields an empty
-/// selection instead of panicking.
+/// `model.rollout_greedy(params, env).selected`, but with one dense encode
+/// per trajectory instead of one per step; an empty endpoint pool yields
+/// an empty selection instead of panicking.
 pub fn select_endpoints(model: &RlCcd, params: &ParamSet, env: &CcdEnv) -> Vec<EndpointId> {
     model.infer_trajectory(params, env, None)
 }
@@ -48,11 +54,12 @@ pub fn sample_endpoints(
 /// re-bind every parameter (one tensor clone each) per call; a server
 /// answering a batch of queries against the same model pays that cost once
 /// by building a session and calling [`InferSession::select`] /
-/// [`InferSession::sample`] per request. Between requests the tape is
-/// truncated back to the parameter leaves, returning every intermediate
-/// buffer to the tape's pool — steady-state serving allocates nothing per
-/// step. Selections are bit-identical to the free functions (same leaves,
-/// same kernels, same RNG discipline).
+/// [`InferSession::sample`] per request. Each request starts by truncating
+/// the tape back to the parameter leaves, which returns the previous
+/// request's values (one dense encode plus its frontier rows) to the
+/// tape's pool in the order the next request will ask for them.
+/// Selections are bit-identical to the free functions (same leaves, same
+/// kernels, same RNG discipline).
 #[derive(Debug)]
 pub struct InferSession<'a> {
     model: &'a RlCcd,
@@ -88,17 +95,13 @@ impl<'a> InferSession<'a> {
     /// Deterministic greedy selection; bit-identical to
     /// [`select_endpoints`] on the same model/params/env.
     pub fn select(&mut self, env: &CcdEnv) -> Vec<EndpointId> {
-        self.tape.truncate(self.base);
-        self.model
-            .infer_trajectory_in(&mut self.tape, &self.binding, self.base, env, None)
+        self.request(env, None).0
     }
 
     /// Stochastic selection consuming one RNG draw per step; bit-identical
     /// to [`sample_endpoints`] for the same `rng` state.
     pub fn sample(&mut self, env: &CcdEnv, rng: &mut StdRng) -> Vec<EndpointId> {
-        self.tape.truncate(self.base);
-        self.model
-            .infer_trajectory_in(&mut self.tape, &self.binding, self.base, env, Some(rng))
+        self.request(env, Some(rng)).0
     }
 
     /// Like [`InferSession::sample`] but also returning the behavior
@@ -107,14 +110,13 @@ impl<'a> InferSession<'a> {
     /// stream consumed) is bit-identical to [`InferSession::sample`]:
     /// capturing a log-prob is a tape read, not a tape op.
     pub fn sample_logged(&mut self, env: &CcdEnv, rng: &mut StdRng) -> (Vec<EndpointId>, Vec<f32>) {
+        self.request(env, Some(rng))
+    }
+
+    fn request(&mut self, env: &CcdEnv, rng: Option<&mut StdRng>) -> (Vec<EndpointId>, Vec<f32>) {
         self.tape.truncate(self.base);
-        self.model.infer_trajectory_logged_in(
-            &mut self.tape,
-            &self.binding,
-            self.base,
-            env,
-            Some(rng),
-        )
+        self.model
+            .infer_trajectory_logged_in(&mut self.tape, &self.binding, env, rng)
     }
 }
 

@@ -8,7 +8,9 @@
 //! them, the margins are removed, and the rest of placement optimization
 //! runs unchanged. The agent is built from:
 //!
-//! * [`EpGnn`] — endpoint-oriented GNN (Eqs. 2–3) over Table I features;
+//! * [`EpGnn`] — endpoint-oriented GNN (Eqs. 2–3) over Table I features,
+//!   kept current across selections by [`IncrementalEncoder`] on the
+//!   inference path;
 //! * [`ActionEncoder`] — an LSTM encoding past selections (Eq. 4);
 //! * [`AttentionDecoder`] — pointer-style attention producing the sampling
 //!   distribution over endpoints (Eqs. 5–6);
@@ -56,6 +58,7 @@ pub mod executor;
 pub mod fault;
 pub mod features;
 pub mod gate;
+pub mod incremental;
 pub mod infer;
 pub mod masking;
 pub mod parallel;
@@ -83,6 +86,7 @@ pub use executor::{
 pub use fault::{FaultKind, FaultPlan, InjectedFault, RolloutFault};
 pub use features::{NodeFeatures, FEATURE_DIM, MASKED_COL};
 pub use gate::{run_eval_gate, DesignScore, GateSpec, GateVerdict};
+pub use incremental::{EpGraph, Frontier, IncrementalEncoder};
 pub use infer::{sample_endpoints, select_endpoints, InferSession};
 pub use masking::{EndpointStatus, SelectionMask};
 pub use parallel::{

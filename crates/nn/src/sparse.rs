@@ -22,7 +22,8 @@ impl Csr {
     /// Builds a CSR matrix from raw parts.
     ///
     /// # Panics
-    /// Panics if the parts are inconsistent (lengths, column bounds).
+    /// Panics if the parts are inconsistent (lengths, a decreasing
+    /// `indptr`, column bounds).
     pub fn new(
         rows: usize,
         cols: usize,
@@ -35,6 +36,10 @@ impl Csr {
         assert_eq!(
             *indptr.last().expect("non-empty indptr") as usize,
             indices.len()
+        );
+        assert!(
+            indptr.windows(2).all(|w| w[0] <= w[1]),
+            "indptr must be non-decreasing"
         );
         assert!(
             indices.iter().all(|&c| (c as usize) < cols),
@@ -62,6 +67,38 @@ impl Csr {
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
         self.indices.len()
+    }
+
+    /// Row `i` as its column indices and weights, in stored order.
+    pub fn row(&self, i: usize) -> (&[u32], &[f32]) {
+        let (s, e) = (self.indptr[i] as usize, self.indptr[i + 1] as usize);
+        (&self.indices[s..e], &self.values[s..e])
+    }
+
+    /// The rows `rows` of `self` over the columns `cols` (ascending, no
+    /// repeats): a `rows.len() × cols.len()` matrix whose row `i` is
+    /// `self.row(rows[i])` with every column renumbered to its position in
+    /// `cols`. Each row keeps its stored column order, so a product with
+    /// the `cols` rows of a dense operand accumulates exactly as the full
+    /// product does for that row.
+    ///
+    /// # Panics
+    /// Panics if a selected row stores a column that `cols` does not name.
+    pub fn row_subset(&self, rows: &[u32], cols: &[u32]) -> Csr {
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        indptr.push(0);
+        for &r in rows {
+            let (row_cols, row_values) = self.row(r as usize);
+            for c in row_cols {
+                let at = cols.binary_search(c).expect("row_subset column not kept");
+                indices.push(at as u32);
+            }
+            values.extend_from_slice(row_values);
+            indptr.push(indices.len() as u32);
+        }
+        Csr::new(rows.len(), cols.len(), indptr, indices, values)
     }
 
     /// Sparse × dense product: `self (r×c) · dense (c×m) → (r×m)`.
@@ -188,5 +225,46 @@ mod tests {
     #[should_panic(expected = "column index out of bounds")]
     fn bad_column_panics() {
         let _ = Csr::new(1, 2, vec![0, 1], vec![5], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "indptr must be non-decreasing")]
+    fn decreasing_indptr_panics() {
+        // Lengths and the last entry are consistent; only the order is
+        // wrong, which used to surface as a slice panic inside a product.
+        let _ = Csr::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0]);
+    }
+
+    #[test]
+    fn row_subset_keeps_column_order_and_products() {
+        // Row 1 stores its columns out of ascending order on purpose.
+        let s = Csr::new(
+            3,
+            4,
+            vec![0, 2, 5, 6],
+            vec![0, 3, 2, 0, 1, 3],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        );
+        assert_eq!(s.row(1), (&[2u32, 0, 1][..], &[3.0f32, 4.0, 5.0][..]));
+        let sub = s.row_subset(&[2, 1], &[0, 1, 2, 3]);
+        assert_eq!(sub.row(0), s.row(2));
+        assert_eq!(sub.row(1), s.row(1));
+        // Dropping the unused column renumbers the rest.
+        let sub = s.row_subset(&[1], &[0, 1, 2]);
+        assert_eq!((sub.rows(), sub.cols()), (1, 3));
+        assert_eq!(sub.row(0), (&[2u32, 0, 1][..], &[3.0f32, 4.0, 5.0][..]));
+        let d = Tensor::from_vec(4, 1, vec![0.3, -1.7, 2.9, 0.11]);
+        let compact = Tensor::from_vec(3, 1, d.data()[..3].to_vec());
+        let full = s.matmul(&d);
+        assert_eq!(
+            sub.matmul(&compact).data()[0].to_bits(),
+            full.data()[1].to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row_subset column not kept")]
+    fn row_subset_rejects_a_dropped_column() {
+        let _ = example().row_subset(&[0], &[0, 1]);
     }
 }

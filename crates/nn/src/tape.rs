@@ -3,7 +3,8 @@
 //! A [`Tape`] records every operation of a forward pass; [`Tape::backward`]
 //! replays it in reverse, producing gradients for every recorded variable.
 //! The op set is exactly what the RL-CCD networks need: dense/sparse matrix
-//! products, broadcasting adds, elementwise nonlinearities, gather/pick, a
+//! products, broadcasting adds, elementwise nonlinearities, gather/pick
+//! (rows of one variable, or of several — [`TapeOps::gather_from`]), a
 //! trainable-scalar gate, a masked log-softmax for the pointer-attention
 //! decoder, and fused linear layers ([`TapeOps::linear`],
 //! [`TapeOps::linear2`]) for the dense/recurrent gate bodies.
@@ -11,8 +12,8 @@
 //! Inference does not need gradients: [`NoGradTape`] executes the same op
 //! set while storing only the computed values (no op records, so nothing to
 //! replay and nothing for [`Tape::backward`] to walk), and supports
-//! [`NoGradTape::truncate`] so a selection loop can reclaim each step's
-//! intermediates. Both executors implement [`TapeOps`] and route every op
+//! [`NoGradTape::truncate`] so a session can reclaim one request's values
+//! before the next. Both executors implement [`TapeOps`] and route every op
 //! through the shared kernels in [`crate::kernels`], which is what makes
 //! training-mode and inference-mode forwards bit-identical.
 //!
@@ -57,6 +58,7 @@ enum Op {
     Tanh(Var),
     Relu(Var),
     GatherRows(Var, Arc<Vec<u32>>),
+    GatherFrom(Vec<(Var, u32)>),
     Pick(Var, usize, usize),
     MaskedLogSoftmax(Var, Arc<Vec<bool>>),
     Mix(Var, Var, Var),
@@ -319,6 +321,21 @@ impl Tape {
         self.push(v, Op::GatherRows(a, rows))
     }
 
+    /// Multi-source row gather: output row `i` is row `picks[i].1` of
+    /// `picks[i].0`. The backward pass scatter-adds each gradient row
+    /// into its own source, so the sources may be any mix of variables.
+    ///
+    /// # Panics
+    /// Panics if a row is out of bounds or the sources differ in width.
+    pub fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
+        let rows: Vec<&[f32]> = picks
+            .iter()
+            .map(|&(v, r)| self.nodes[v.index()].value.row(r as usize))
+            .collect();
+        let v = kernels::stack_rows(self.mode, &mut self.pool, &rows);
+        self.push(v, Op::GatherFrom(picks.to_vec()))
+    }
+
     /// Extracts element `(r, c)` as a 1×1 tensor.
     ///
     /// # Panics
@@ -526,6 +543,17 @@ impl Tape {
                     accumulate(&mut grads, mode, pool, *a, ga);
                     recycle(mode, pool, g);
                 }
+                Op::GatherFrom(picks) => {
+                    for (i, &(src, r)) in picks.iter().enumerate() {
+                        let (n, m) = self.nodes[src.index()].value.shape();
+                        let ga = grads[src.index()].get_or_insert_with(|| zeroed(mode, pool, n, m));
+                        let dst = r as usize * m;
+                        for (x, y) in ga.data_mut()[dst..dst + m].iter_mut().zip(g.row(i)) {
+                            *x += y;
+                        }
+                    }
+                    recycle(mode, pool, g);
+                }
                 Op::Pick(a, r, c) => {
                     let (n, m) = self.nodes[a.index()].value.shape();
                     let mut ga = zeroed(mode, pool, n, m);
@@ -650,6 +678,9 @@ pub trait TapeOps {
     fn relu(&mut self, a: Var) -> Var;
     /// Gathers the given rows of `a` into a new (k×m) tensor.
     fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var;
+    /// Multi-source row gather: output row `i` is row `picks[i].1` of
+    /// `picks[i].0` (no picks give a 0×0 tensor).
+    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var;
     /// Extracts element `(r, c)` as a 1×1 tensor.
     fn pick(&mut self, a: Var, r: usize, c: usize) -> Var;
     /// Masked log-softmax over all elements of `a` (treated flat).
@@ -715,6 +746,9 @@ impl TapeOps for Tape {
     fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
         Tape::gather_rows(self, a, rows)
     }
+    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
+        Tape::gather_from(self, picks)
+    }
     fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
         Tape::pick(self, a, r, c)
     }
@@ -731,10 +765,10 @@ impl TapeOps for Tape {
 
 /// Inference-only executor: runs the forward op set while storing nothing
 /// but the computed values — no op records, no gradient machinery, and an
-/// explicit [`NoGradTape::truncate`] so a selection loop can drop each
-/// step's intermediates instead of growing without bound. Truncated
-/// values return their storage to the internal buffer pool, so a
-/// steady-state selection loop allocates nothing per step.
+/// explicit [`NoGradTape::truncate`] so a session serving many requests
+/// drops each finished request's values instead of growing without bound.
+/// Truncated values return their storage to the internal buffer pool for
+/// the next request's ops.
 #[derive(Debug, Default)]
 pub struct NoGradTape {
     values: Vec<Tensor>,
@@ -775,13 +809,15 @@ impl NoGradTape {
     /// Drops every value recorded after position `len`, invalidating their
     /// [`Var`] handles and recycling their storage through the buffer pool
     /// (fast mode). The caller must re-[`leaf`](TapeOps::leaf) any tensor
-    /// it still needs (the selection loop carries the previous action
-    /// embedding and recurrent state across a truncation this way).
+    /// it still needs.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.values.len() {
             return;
         }
-        for value in self.values.drain(len..) {
+        // Parked last-recorded-first, so the pool hands buffers back in
+        // recording order: the next request's k-th op reuses the k-th op's
+        // buffer, and a dense encode never inherits a step's small one.
+        for value in self.values.drain(len..).rev() {
             if self.mode == KernelMode::Fast {
                 self.pool.give_tensor(value);
             }
@@ -792,11 +828,21 @@ impl NoGradTape {
         self.values.push(value);
         Var(self.values.len() - 1)
     }
+
+    /// Records a value that arrived with storage of its own. It retires
+    /// the buffer parked for its position, so pool and tape stay one to
+    /// one across [`NoGradTape::truncate`]: a session's pool does not grow
+    /// by a leaf per request, and a leaf does not shift every later op
+    /// onto a buffer sized for another.
+    fn push_owned(&mut self, value: Tensor) -> Var {
+        drop(self.pool.take_zeroed(0));
+        self.push(value)
+    }
 }
 
 impl TapeOps for NoGradTape {
     fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value)
+        self.push_owned(value)
     }
     fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
@@ -884,9 +930,17 @@ impl TapeOps for NoGradTape {
         let v = kernels::gather_rows(self.mode, &mut self.pool, &self.values[a.index()], &rows);
         self.push(v)
     }
+    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
+        let rows: Vec<&[f32]> = picks
+            .iter()
+            .map(|&(v, r)| self.values[v.index()].row(r as usize))
+            .collect();
+        let v = kernels::stack_rows(self.mode, &mut self.pool, &rows);
+        self.push(v)
+    }
     fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
         let v = kernels::pick(self.mode, &mut self.pool, &self.values[a.index()], r, c);
-        self.push(v)
+        self.push_owned(v)
     }
     fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var {
         let v =
@@ -1081,6 +1135,59 @@ mod tests {
             },
             1e-2,
         );
+    }
+
+    #[test]
+    fn gather_from_gradient_scatters_into_every_source() {
+        // Rows drawn from two variables, one of them twice: the loss sees
+        // x's row 1 twice (via the gather and via `other`'s pick of it).
+        let y = Tensor::from_vec(2, 2, vec![0.9, -0.4, 0.2, 0.6]);
+        grad_check(
+            Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+            move |t, x| {
+                let yv = t.leaf(y.clone());
+                let g = t.gather_from(&[(x, 1), (yv, 0), (x, 2), (x, 1)]);
+                let g = t.tanh(g);
+                let ones = t.leaf(Tensor::from_vec(2, 1, vec![1.0, -0.5]));
+                let col = t.matmul(g, ones);
+                let onesr = t.leaf(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+                t.matmul(onesr, col)
+            },
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn gather_from_one_source_is_gather_rows_bit_for_bit() {
+        // Values and gradients, on both kernel modes and both executors.
+        fn run(mut t: Tape, multi: bool) -> (Vec<f32>, Vec<f32>) {
+            let x = t.leaf(Tensor::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]));
+            let g = if multi {
+                t.gather_from(&[(x, 2), (x, 0), (x, 2)])
+            } else {
+                t.gather_rows(x, Arc::new(vec![2, 0, 2]))
+            };
+            let s = t.sigmoid(g);
+            let ones = t.leaf(Tensor::from_vec(2, 1, vec![1.0, 0.7]));
+            let col = t.matmul(s, ones);
+            let onesr = t.leaf(Tensor::from_vec(1, 3, vec![1.0, -2.0, 0.5]));
+            let loss = t.matmul(onesr, col);
+            let grads = t.backward(loss);
+            (
+                t.value(g).data().to_vec(),
+                grads.get(x).expect("gx").data().to_vec(),
+            )
+        }
+        let want = run(Tape::new(), false);
+        assert_eq!(run(Tape::new(), true), want);
+        assert_eq!(run(Tape::scalar_reference(), true), want);
+        for mut ng in [NoGradTape::new(), NoGradTape::scalar_reference()] {
+            let x = ng.leaf(Tensor::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]));
+            let g = ng.gather_from(&[(x, 2), (x, 0), (x, 2)]);
+            assert_eq!(ng.value(g).data(), &want.0[..]);
+            let none = ng.gather_from(&[]);
+            assert_eq!(ng.value(none).shape(), (0, 0));
+        }
     }
 
     #[test]

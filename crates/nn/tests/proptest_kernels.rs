@@ -218,6 +218,19 @@ fn check_gather_softmax_sparse(a: &Tensor, mask_seed: u32) -> TestCaseResult {
         "gather_rows"
     );
 
+    // stack_rows (the multi-source gather's kernel): the same picks.
+    let picked: Vec<&[f32]> = rows.iter().map(|&r| a.row(r as usize)).collect();
+    assert_bit_eq!(
+        kernels::stack_rows(KernelMode::Fast, &mut pool, &picked),
+        kernels::gather_rows(KernelMode::Scalar, &mut pool, a, &rows),
+        "stack_rows (fast) vs gather_rows"
+    );
+    assert_bit_eq!(
+        kernels::stack_rows(KernelMode::Scalar, &mut pool, &picked),
+        kernels::gather_rows(KernelMode::Scalar, &mut pool, a, &rows),
+        "stack_rows (scalar) vs gather_rows"
+    );
+
     // masked_log_softmax: random mask with at least one survivor.
     let mut mask: Vec<bool> = (0..m * n)
         .map(|i| (mask_seed >> (i % 31)) & 1 == 1)
