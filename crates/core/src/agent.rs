@@ -6,7 +6,7 @@ use crate::decoder::AttentionDecoder;
 use crate::encoder::ActionEncoder;
 use crate::env::CcdEnv;
 use crate::epgnn::EpGnn;
-use crate::incremental::IncrementalEncoder;
+use crate::incremental::{IncrementalEncoder, StoredEncode};
 use crate::masking::SelectionMask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,7 +164,7 @@ impl RlCcd {
     ) -> Vec<EndpointId> {
         let mut tape = NoGradTape::new();
         let binding = params.bind(&mut tape);
-        self.infer_trajectory_logged_in(&mut tape, &binding, env, rng)
+        self.infer_trajectory_logged_in(&mut tape, &binding, env, rng, None)
             .0
     }
 
@@ -175,16 +175,23 @@ impl RlCcd {
     /// *behavior* policy's: experience logging captures them at serve time
     /// so offline retraining can importance-weight against a newer policy.
     ///
-    /// The trajectory's values stay on the tape — one dense encode plus
-    /// each step's frontier rows and decoder intermediates — until the
-    /// caller truncates it; [`crate::infer::InferSession`] does so once
-    /// per request, so one bound tape serves many.
+    /// With `stored` — [`IncrementalEncoder::encode`]'s outputs for these
+    /// parameters and this `env` — the trajectory starts from a copy of
+    /// them instead of running the dense pass; the result is the same bit
+    /// for bit.
+    ///
+    /// The trajectory's values stay on the tape — the step-0 encode (run
+    /// or copied) plus each step's frontier rows and decoder
+    /// intermediates — until the caller truncates it;
+    /// [`crate::infer::InferSession`] does so once per request, so one
+    /// bound tape serves many.
     pub(crate) fn infer_trajectory_logged_in(
         &self,
         tape: &mut NoGradTape,
         binding: &ParamBinding,
         env: &CcdEnv,
         mut rng: Option<&mut StdRng>,
+        stored: Option<&StoredEncode>,
     ) -> (Vec<EndpointId>, Vec<f32>) {
         let pool = env.pool();
         let mut mask = SelectionMask::new(pool.len(), self.config.rho);
@@ -194,8 +201,13 @@ impl RlCcd {
             return (selected, log_probs);
         }
         let (mut state, mut prev_embed) = self.encoder.start(tape);
-        let mut gnn =
-            IncrementalEncoder::start(&self.gnn, tape, binding, env.graph(), env.features().base());
+        let (graph, base) = (env.graph(), env.features().base());
+        let mut gnn = match stored {
+            Some(stored) => {
+                IncrementalEncoder::resume(&self.gnn, tape, binding, graph, base, stored)
+            }
+            None => IncrementalEncoder::start(&self.gnn, tape, binding, graph, base),
+        };
         loop {
             let embeddings = gnn.embeddings(tape);
             state = self.encoder.step(tape, binding, prev_embed, state);
@@ -223,6 +235,18 @@ impl RlCcd {
                 .collect();
             gnn.flag(tape, binding, &cells);
         }
+    }
+
+    /// The step-0 EP-GNN encode of `env` under the parameters bound on
+    /// `tape`, copied off it: what `infer_trajectory_logged_in` takes as
+    /// `stored`.
+    pub(crate) fn encode_in(
+        &self,
+        tape: &mut NoGradTape,
+        binding: &ParamBinding,
+        env: &CcdEnv,
+    ) -> StoredEncode {
+        IncrementalEncoder::encode(&self.gnn, tape, binding, env.graph(), env.features().base())
     }
 
     /// Teacher-forced replay of a logged action sequence on a gradient

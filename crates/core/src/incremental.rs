@@ -29,6 +29,13 @@
 //! scatters into each source — so the same code is differentiable on a
 //! gradient [`rl_ccd_nn::Tape`] and every value a backward pass could need
 //! is still on the tape.
+//!
+//! **Encode once per (θ, design).** The same property makes the dense
+//! pass storable: [`IncrementalEncoder::encode`] copies its outputs off the
+//! tape as a [`StoredEncode`], and [`IncrementalEncoder::resume`] starts a
+//! trajectory from such a copy — the tensors become leaves, the values are
+//! the dense pass's own (copied, not recomputed), and since a patch never
+//! writes a row, one stored encode serves any number of trajectories.
 
 use crate::epgnn::EpGnn;
 use crate::features::MASKED_COL;
@@ -137,6 +144,46 @@ pub struct IncrementalEncoder<'a> {
     endpoints: Vec<(Var, u32)>,
 }
 
+/// The dense pass's outputs — the three layer outputs (V×hidden each) and
+/// the endpoint embeddings (E×embed) — copied off the tape as plain
+/// tensors. Nothing is flagged yet, so they are a pure function of
+/// (parameters, design): every trajectory of one model on one design can
+/// start from one copy ([`IncrementalEncoder::resume`]).
+#[derive(Clone, Debug)]
+pub struct StoredEncode {
+    layers: [Tensor; 3],
+    embeddings: Tensor,
+}
+
+impl StoredEncode {
+    /// Bytes of `f32` storage held: `(3·V·hidden + E·embed)·4`.
+    pub fn bytes(&self) -> usize {
+        let floats: usize = self.layers.iter().map(|t| t.data().len()).sum();
+        (floats + self.embeddings.data().len()) * std::mem::size_of::<f32>()
+    }
+}
+
+/// The dense pass over the unflagged features `base` (V×13) — the ops of
+/// [`EpGnn::forward`] — with every layer's variable kept: the gates, the
+/// feature leaf, the three layer outputs, the endpoint embeddings.
+fn dense_pass<T: TapeOps>(
+    gnn: &EpGnn,
+    tape: &mut T,
+    binding: &ParamBinding,
+    graph: &EpGraph,
+    base: &Tensor,
+) -> ([Var; 3], Var, [Var; 3], Var) {
+    let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
+    let x = tape.leaf(base.clone());
+    let (mut h, mut below) = ([x; 3], x);
+    for l in 0..3 {
+        below = gnn.layer(tape, binding, l, gates[l], below, &graph.adjacency, below);
+        h[l] = below;
+    }
+    let embeddings = gnn.embed(tape, binding, &graph.readout, below);
+    (gates, x, h, embeddings)
+}
+
 impl<'a> IncrementalEncoder<'a> {
     /// The dense pass over the unflagged features `base` (V×13) — the ops
     /// of [`EpGnn::forward`] — with the layer outputs kept.
@@ -147,22 +194,72 @@ impl<'a> IncrementalEncoder<'a> {
         graph: &'a EpGraph,
         base: &'a Tensor,
     ) -> Self {
+        let (gates, x, h, embeddings) = dense_pass(gnn, tape, binding, graph, base);
+        Self::over(gnn, graph, base, gates, x, h, embeddings)
+    }
+
+    /// The dense pass of [`IncrementalEncoder::start`] with its outputs
+    /// copied off the tape — what [`IncrementalEncoder::resume`] starts
+    /// from.
+    pub fn encode<T: TapeOps>(
+        gnn: &EpGnn,
+        tape: &mut T,
+        binding: &ParamBinding,
+        graph: &EpGraph,
+        base: &Tensor,
+    ) -> StoredEncode {
+        let (_, _, h, embeddings) = dense_pass(gnn, tape, binding, graph, base);
+        StoredEncode {
+            layers: h.map(|v| tape.value(v).clone()),
+            embeddings: tape.value(embeddings).clone(),
+        }
+    }
+
+    /// [`IncrementalEncoder::start`] without the dense pass: `stored`'s
+    /// tensors become leaves of `tape` and every row points at them, so the
+    /// encoder is in the state `start` leaves it in, value for value.
+    /// `stored` must come from [`IncrementalEncoder::encode`] on the same
+    /// parameters, graph and features; it is read, never written — a patch
+    /// repoints rows to new variables and leaves these alone.
+    pub fn resume<T: TapeOps>(
+        gnn: &'a EpGnn,
+        tape: &mut T,
+        binding: &ParamBinding,
+        graph: &'a EpGraph,
+        base: &'a Tensor,
+        stored: &StoredEncode,
+    ) -> Self {
+        assert!(
+            stored.layers.iter().all(|t| t.rows() == base.rows())
+                && stored.embeddings.rows() == graph.readout.rows(),
+            "stored encode is of another design"
+        );
+        let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
+        let x = tape.leaf(base.clone());
+        let h = stored.layers.each_ref().map(|t| tape.leaf(t.clone()));
+        let embeddings = tape.leaf(stored.embeddings.clone());
+        Self::over(gnn, graph, base, gates, x, h, embeddings)
+    }
+
+    /// The state right after a dense pass: every row of every layer is
+    /// held by that layer's one variable.
+    fn over(
+        gnn: &'a EpGnn,
+        graph: &'a EpGraph,
+        base: &'a Tensor,
+        gates: [Var; 3],
+        x: Var,
+        h: [Var; 3],
+        embeddings: Var,
+    ) -> Self {
         let whole = |v: Var, n: usize| (0..n as u32).map(|r| (v, r)).collect::<Vec<_>>();
         let cells = base.rows();
-        let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
-        let mut h = tape.leaf(base.clone());
-        let mut layers = [whole(h, cells), Vec::new(), Vec::new(), Vec::new()];
-        for l in 0..3 {
-            h = gnn.layer(tape, binding, l, gates[l], h, &graph.adjacency, h);
-            layers[l + 1] = whole(h, cells);
-        }
-        let embeddings = gnn.embed(tape, binding, &graph.readout, h);
         Self {
             gnn,
             graph,
             base,
             gates,
-            layers,
+            layers: [x, h[0], h[1], h[2]].map(|v| whole(v, cells)),
             endpoints: whole(embeddings, graph.readout.rows()),
         }
     }

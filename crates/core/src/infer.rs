@@ -8,13 +8,19 @@
 //! encode the netlist once: EP-GNN runs densely on the unflagged features,
 //! then [`crate::incremental::IncrementalEncoder`] recomputes only the rows
 //! within three hops of each step's newly flagged cells and the endpoint
-//! readouts they touch. A request's memory is one dense encode plus its
-//! trajectory's frontier rows and decoder intermediates; a session
-//! truncates its tape back to the parameter leaves once per request.
+//! readouts they touch. The dense encode is a pure function of
+//! (parameters, design), so a session can run it once
+//! ([`InferSession::encode`]) and start every later request from a copy
+//! ([`InferSession::hold`]) — the server keeps those per
+//! (model fingerprint, design). A request's memory is the step-0 encode
+//! (run, or four copied tensors) plus its trajectory's frontier rows and
+//! decoder intermediates; a session truncates its tape back to the
+//! parameter leaves once per request.
 //!
 //! Every recomputed row runs through the kernels the dense pass uses, in
-//! the same in-row order, and every other row is the dense pass's cached
-//! value, so the selections are **bit-identical** to
+//! the same in-row order, and every other row is the dense pass's value
+//! (computed in this request or copied from a stored encode — never
+//! recomputed differently), so the selections are **bit-identical** to
 //! [`RlCcd::rollout_greedy`] / [`RlCcd::rollout`] (which re-encode densely
 //! every step) on the same parameters and seeds — pinned by the tests in
 //! this module, by `tests/proptest_incremental_encoder.rs`, by
@@ -22,9 +28,11 @@
 
 use crate::agent::RlCcd;
 use crate::env::CcdEnv;
+use crate::incremental::StoredEncode;
 use rand::rngs::StdRng;
 use rl_ccd_netlist::EndpointId;
 use rl_ccd_nn::{NoGradTape, ParamBinding, ParamSet};
+use std::sync::Arc;
 
 /// Deterministic greedy selection (argmax at every step) without any
 /// gradient bookkeeping. Bit-identical to
@@ -56,16 +64,21 @@ pub fn sample_endpoints(
 /// by building a session and calling [`InferSession::select`] /
 /// [`InferSession::sample`] per request. Each request starts by truncating
 /// the tape back to the parameter leaves, which returns the previous
-/// request's values (one dense encode plus its frontier rows) to the
+/// request's values (its step-0 encode plus its frontier rows) to the
 /// tape's pool in the order the next request will ask for them.
-/// Selections are bit-identical to the free functions (same leaves, same
-/// kernels, same RNG discipline).
+///
+/// A session whose requests are all on one design need not run the dense
+/// encode per request: [`InferSession::encode`] runs it once and
+/// [`InferSession::hold`] makes every later request start from that copy.
+/// Selections are bit-identical to the free functions either way (same
+/// leaves, same kernels, same values, same RNG discipline).
 #[derive(Debug)]
 pub struct InferSession<'a> {
     model: &'a RlCcd,
     tape: NoGradTape,
     binding: ParamBinding,
     base: usize,
+    held: Option<Arc<StoredEncode>>,
 }
 
 impl<'a> InferSession<'a> {
@@ -89,7 +102,26 @@ impl<'a> InferSession<'a> {
             tape,
             binding,
             base,
+            held: None,
         }
+    }
+
+    /// Runs the step-0 dense encode of `env` under this session's
+    /// parameters and returns its outputs — a pure function of
+    /// (parameters, design), so it may be kept and shared for as long as
+    /// both are.
+    pub fn encode(&mut self, env: &CcdEnv) -> StoredEncode {
+        self.tape.truncate(self.base);
+        self.model.encode_in(&mut self.tape, &self.binding, env)
+    }
+
+    /// Makes every later request start from `encode` instead of running
+    /// the dense pass. `encode` must be [`InferSession::encode`]'s result
+    /// for these parameters and for the design every later request names
+    /// (a design of another size panics; the same size and other contents
+    /// would answer wrongly).
+    pub fn hold(&mut self, encode: Arc<StoredEncode>) {
+        self.held = Some(encode);
     }
 
     /// Deterministic greedy selection; bit-identical to
@@ -115,8 +147,13 @@ impl<'a> InferSession<'a> {
 
     fn request(&mut self, env: &CcdEnv, rng: Option<&mut StdRng>) -> (Vec<EndpointId>, Vec<f32>) {
         self.tape.truncate(self.base);
-        self.model
-            .infer_trajectory_logged_in(&mut self.tape, &self.binding, env, rng)
+        self.model.infer_trajectory_logged_in(
+            &mut self.tape,
+            &self.binding,
+            env,
+            rng,
+            self.held.as_deref(),
+        )
     }
 }
 
@@ -184,6 +221,37 @@ mod tests {
         // The scalar-reference session agrees bit-for-bit too.
         let mut scalar = InferSession::scalar_reference(&model, &params);
         assert_eq!(scalar.select(&env), select_endpoints(&model, &params, &env));
+    }
+
+    #[test]
+    fn a_session_holding_a_stored_encode_answers_bit_for_bit() {
+        let env = env();
+        let cfg = RlConfig::fast();
+        let (hidden, embed) = (cfg.gnn_hidden, cfg.embed_dim);
+        let (model, params) = RlCcd::init(cfg);
+        let mut plain = InferSession::new(&model, &params);
+        // Written through the scalar kernels, read through the fast ones,
+        // by a fresh session and by one that has already served.
+        let stored = Arc::new(InferSession::scalar_reference(&model, &params).encode(&env));
+        let (cells, endpoints) = (env.features().base().rows(), env.pool().len());
+        assert_eq!(stored.bytes(), (3 * cells * hidden + endpoints * embed) * 4);
+        let mut fresh = InferSession::new(&model, &params);
+        fresh.hold(stored.clone());
+        let mut warm = InferSession::new(&model, &params);
+        warm.select(&env);
+        warm.hold(stored);
+        for session in [&mut fresh, &mut warm] {
+            assert_eq!(session.select(&env), plain.select(&env));
+            for seed in [0u64, 7, 1234] {
+                let rng = || StdRng::seed_from_u64(seed);
+                let (want, want_lp) = plain.sample_logged(&env, &mut rng());
+                assert_eq!(session.sample(&env, &mut rng()), want, "seed {seed}");
+                let (got, got_lp) = session.sample_logged(&env, &mut rng());
+                assert_eq!(got, want, "seed {seed}");
+                let bits = |lp: &[f32]| lp.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got_lp), bits(&want_lp), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use executor::{
 pub use fault::{FaultKind, FaultPlan, InjectedFault, RolloutFault};
 pub use features::{NodeFeatures, FEATURE_DIM, MASKED_COL};
 pub use gate::{run_eval_gate, DesignScore, GateSpec, GateVerdict};
-pub use incremental::{EpGraph, Frontier, IncrementalEncoder};
+pub use incremental::{EpGraph, Frontier, IncrementalEncoder, StoredEncode};
 pub use infer::{sample_endpoints, select_endpoints, InferSession};
 pub use masking::{EndpointStatus, SelectionMask};
 pub use parallel::{

@@ -2,7 +2,9 @@
 //! the `IncrementalTimer` tradition (`crates/sta/tests/proptest_incremental`):
 //! the dense encode is the oracle, the incremental encode must reproduce it
 //! **bit for bit** at every step of every trajectory, on both executors and
-//! both kernel modes.
+//! both kernel modes. A second property pins the stored step-0 encode: an
+//! encoder resumed from one executor's copied-off dense pass is, on every
+//! executor, a freshly started one.
 //!
 //! One `u64` pins a whole case (design, technology, ρ, fan-out cap, widths,
 //! trajectory kind, executor), which keeps failures reproducible under the
@@ -13,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl_ccd::{
     select_endpoints, ActionEncoder, AttentionDecoder, CcdEnv, EpGnn, EpGraph, Frontier,
-    IncrementalEncoder, RlCcd, RlConfig, SelectionMask, FEATURE_DIM,
+    IncrementalEncoder, RlCcd, RlConfig, SelectionMask, StoredEncode, FEATURE_DIM,
 };
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, TechNode};
@@ -191,35 +193,116 @@ fn on_every_executor(
     Ok(first)
 }
 
+/// The dense pass's outputs copied off executor `executor`.
+fn stored_on(executor: u32, params: &ParamSet, graph: &EpGraph, base: &Tensor) -> StoredEncode {
+    fn encode<T: TapeOps>(
+        tape: &mut T,
+        params: &ParamSet,
+        graph: &EpGraph,
+        base: &Tensor,
+    ) -> StoredEncode {
+        let binding = params.bind(tape);
+        IncrementalEncoder::encode(&EpGnn::attach(params), tape, &binding, graph, base)
+    }
+    match executor {
+        0 => encode(&mut NoGradTape::new(), params, graph, base),
+        1 => encode(&mut NoGradTape::scalar_reference(), params, graph, base),
+        2 => encode(&mut Tape::new(), params, graph, base),
+        _ => encode(&mut Tape::scalar_reference(), params, graph, base),
+    }
+}
+
+/// Drives an encoder resumed from `stored` and a freshly started one
+/// through `steps` side by side on one executor: the same frontier and the
+/// same bits in every layer row and every embedding, at step 0 and after
+/// every flag.
+fn check_resumed<T: TapeOps>(
+    tape: &mut T,
+    params: &ParamSet,
+    graph: &EpGraph,
+    base: &Tensor,
+    stored: &StoredEncode,
+    steps: &[Vec<u32>],
+) -> Result<(), TestCaseError> {
+    let gnn = EpGnn::attach(params);
+    let binding = params.bind(tape);
+    let cells = base.rows();
+    let mut fresh = IncrementalEncoder::start(&gnn, tape, &binding, graph, base);
+    let mut resumed = IncrementalEncoder::resume(&gnn, tape, &binding, graph, base, stored);
+    let want = snapshot(&fresh, tape, cells);
+    prop_assert_eq!(&snapshot(&resumed, tape, cells), &want, "step-0 encode");
+    for (t, step) in steps.iter().enumerate() {
+        let frontier = fresh.flag(tape, &binding, step);
+        prop_assert_eq!(&resumed.flag(tape, &binding, step), &frontier, "step {}", t);
+        let want = snapshot(&fresh, tape, cells);
+        prop_assert_eq!(&snapshot(&resumed, tape, cells), &want, "step {}", t);
+    }
+    Ok(())
+}
+
+/// One generated case: a design, a model, one trajectory's flag sets and
+/// the executor to run them on.
+struct Case {
+    env: CcdEnv,
+    params: ParamSet,
+    steps: Vec<Vec<u32>>,
+    executor: u32,
+}
+
+fn generate_case(case: u64) -> Case {
+    let rng = &mut StdRng::seed_from_u64(case);
+    let cells = rng.gen_range(300usize..=1200);
+    let tech = [TechNode::N5, TechNode::N7, TechNode::N12][rng.gen_range(0..3usize)];
+    let rho = [0.1f32, 0.3, 0.6][rng.gen_range(0..3usize)];
+    let fanout_cap = [4usize, 24][rng.gen_range(0..2usize)];
+    let env = env_for(cells, tech, rng.gen_range(0u64..1000), fanout_cap);
+    // Widths on and off the kernels' lane and quad boundaries.
+    let mut cfg = RlConfig::fast();
+    cfg.rho = rho;
+    cfg.gnn_hidden = [8usize, 11, 32][rng.gen_range(0..3usize)];
+    cfg.embed_dim = [4usize, 7][rng.gen_range(0..2usize)];
+    cfg.seed = rng.gen_range(0u64..1000);
+    let (model, params) = RlCcd::init(cfg);
+    let actions = match rng.gen_range(0..3u32) {
+        0 => {
+            let mut sampler = StdRng::seed_from_u64(rng.gen_range(0u64..1000));
+            local(&env, &model.rollout(&params, &env, &mut sampler).selected)
+        }
+        1 => local(&env, &model.rollout_greedy(&params, &env).selected),
+        _ => uniform_actions(&env, rho, rng),
+    };
+    let steps = flag_steps(&env, rho, &actions);
+    let executor = rng.gen_range(0..4u32);
+    Case {
+        env,
+        params,
+        steps,
+        executor,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
     fn incremental_encode_is_the_dense_encode_at_every_step(case in any::<u64>()) {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let cells = rng.gen_range(300usize..=1200);
-        let tech = [TechNode::N5, TechNode::N7, TechNode::N12][rng.gen_range(0..3usize)];
-        let rho = [0.1f32, 0.3, 0.6][rng.gen_range(0..3usize)];
-        let fanout_cap = [4usize, 24][rng.gen_range(0..2usize)];
-        let env = env_for(cells, tech, rng.gen_range(0u64..1000), fanout_cap);
-        // Widths on and off the kernels' lane and quad boundaries.
-        let mut cfg = RlConfig::fast();
-        cfg.rho = rho;
-        cfg.gnn_hidden = [8usize, 11, 32][rng.gen_range(0..3usize)];
-        cfg.embed_dim = [4usize, 7][rng.gen_range(0..2usize)];
-        cfg.seed = rng.gen_range(0u64..1000);
-        let (model, params) = RlCcd::init(cfg);
-        let actions = match rng.gen_range(0..3u32) {
-            0 => {
-                let mut sampler = StdRng::seed_from_u64(rng.gen_range(0u64..1000));
-                local(&env, &model.rollout(&params, &env, &mut sampler).selected)
-            }
-            1 => local(&env, &model.rollout_greedy(&params, &env).selected),
-            _ => uniform_actions(&env, rho, rng),
-        };
-        let steps = flag_steps(&env, rho, &actions);
-        let executor = rng.gen_range(0..4u32);
-        check_on(executor, &params, env.graph(), env.features().base(), &steps)?;
+        let c = generate_case(case);
+        check_on(c.executor, &c.params, c.env.graph(), c.env.features().base(), &c.steps)?;
+    }
+
+    /// The store cannot change an answer: whichever executor wrote the
+    /// stored encode, every executor that resumes from it holds what it
+    /// would have computed itself.
+    #[test]
+    fn an_encoder_resumed_from_a_stored_encode_is_a_freshly_started_one(case in any::<u64>()) {
+        let c = generate_case(case);
+        let (params, graph, base) = (&c.params, c.env.graph(), c.env.features().base());
+        let stored = &stored_on(c.executor, params, graph, base);
+        let steps = &c.steps;
+        check_resumed(&mut NoGradTape::new(), params, graph, base, stored, steps)?;
+        check_resumed(&mut NoGradTape::scalar_reference(), params, graph, base, stored, steps)?;
+        check_resumed(&mut Tape::new(), params, graph, base, stored, steps)?;
+        check_resumed(&mut Tape::scalar_reference(), params, graph, base, stored, steps)?;
     }
 }
 

@@ -8,7 +8,10 @@
 //! happens on the sink's own thread, mirroring the obs sink machinery:
 //! rebuild the environment from the design key, run the flow to realize
 //! the selection's TNS/WNS delta, content-address the record, dedup
-//! against everything already in the file, and append JSONL.
+//! against everything already in the file, and append JSONL. The thread
+//! keeps the few most recently used environments and, apart from them,
+//! every design's default-flow baseline (three scalars), so evicting an
+//! environment costs one rebuild and never a second default flow.
 //!
 //! Re-opening an existing log preloads its content ids, so a restarted
 //! daemon never duplicates records it already has.
@@ -16,8 +19,8 @@
 use crate::rebuild::{build_env, feature_fingerprint};
 use crate::record::ExpRecord;
 use rl_ccd::CcdEnv;
-use rl_ccd_serve::{ExperienceEvent, ExperienceHook};
-use std::collections::{BTreeMap, BTreeSet};
+use rl_ccd_serve::{DesignKey, ExperienceEvent, ExperienceHook, LruCache};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,10 +28,15 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// How many rebuilt environments the sink thread keeps warm before
-/// clearing its cache (environments are large; traffic is usually a few
+/// How many rebuilt environments the sink thread keeps warm, evicting the
+/// least recently used (environments are large; traffic is usually a few
 /// hot designs).
-const ENV_CACHE_CAP: usize = 8;
+const WARM_ENVS: usize = 8;
+
+/// How many designs' [`Baseline`]s the sink thread remembers. Three
+/// scalars each, so this outlives any env working set: a design's default
+/// flow runs once per log, not once per env eviction.
+const KNOWN_BASELINES: usize = 4096;
 
 /// Final accounting of a drained sink.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -141,14 +149,60 @@ impl ExperienceHook for ExpSink {
     }
 }
 
-/// Per-design state the sink thread keeps warm: the environment plus its
-/// default-flow baseline (computed once, reused by every event on the
-/// design).
-struct CachedEnv {
-    env: Arc<CcdEnv>,
+/// What a record carries about its design besides the realized reward:
+/// the feature fingerprint and the default flow's result. Computed once
+/// per design and kept apart from the (large, evictable) environment.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Baseline {
     feat_fp: u64,
     base_tns_ps: f64,
     base_wns_ps: f32,
+}
+
+/// The sink thread's per-design state.
+struct Designs {
+    envs: LruCache<DesignKey, CcdEnv>,
+    baselines: LruCache<DesignKey, Baseline>,
+    /// Baselines computed, i.e. default flows run.
+    default_flows: u64,
+}
+
+impl Designs {
+    fn new(env_cap: usize) -> Self {
+        Self {
+            envs: LruCache::new(env_cap),
+            baselines: LruCache::new(KNOWN_BASELINES),
+            default_flows: 0,
+        }
+    }
+
+    /// The environment and baseline of design `key`, rebuilding the
+    /// former if it was evicted and computing the latter if it never was.
+    fn resolve(
+        &mut self,
+        key: &DesignKey,
+        fanout_cap: usize,
+    ) -> Result<(&CcdEnv, Baseline), String> {
+        if self.envs.get(key).is_none() {
+            self.envs.insert(key.clone(), build_env(key, fanout_cap)?);
+        }
+        let env = self.envs.get(key).expect("inserted above");
+        let baseline = match self.baselines.get(key) {
+            Some(known) => *known,
+            None => {
+                let base = env.default_flow();
+                self.default_flows += 1;
+                let fresh = Baseline {
+                    feat_fp: feature_fingerprint(env),
+                    base_tns_ps: base.final_qor.tns_ps,
+                    base_wns_ps: base.final_qor.wns_ps,
+                };
+                self.baselines.insert(key.clone(), fresh);
+                fresh
+            }
+        };
+        Ok((env, baseline))
+    }
 }
 
 fn sink_loop(
@@ -159,42 +213,22 @@ fn sink_loop(
 ) -> SinkReport {
     let _obs = recorder.as_ref().map(rl_ccd_obs::attach);
     let mut out = BufWriter::new(file);
-    let mut envs: BTreeMap<String, CachedEnv> = BTreeMap::new();
+    let mut designs = Designs::new(WARM_ENVS);
     let mut report = SinkReport::default();
     while let Ok(event) = rx.recv() {
         if event.selection.is_empty() {
             report.skipped_empty += 1;
             continue;
         }
-        let design = event.design.to_string();
-        if !envs.contains_key(&design) {
-            let built = match build_env(&event.design, event.fanout_cap) {
-                Ok(env) => env,
-                Err(_) => {
-                    report.failed += 1;
-                    rl_ccd_obs::counter!("exp.sink.failed", 1);
-                    continue;
-                }
-            };
-            let base = built.default_flow();
-            if envs.len() >= ENV_CACHE_CAP {
-                envs.clear();
-            }
-            envs.insert(
-                design.clone(),
-                CachedEnv {
-                    feat_fp: feature_fingerprint(&built),
-                    base_tns_ps: base.final_qor.tns_ps,
-                    base_wns_ps: base.final_qor.wns_ps,
-                    env: Arc::new(built),
-                },
-            );
-        }
-        let cached = envs.get(&design).expect("inserted above");
+        let Ok((env, baseline)) = designs.resolve(&event.design, event.fanout_cap) else {
+            report.failed += 1;
+            rl_ccd_obs::counter!("exp.sink.failed", 1);
+            continue;
+        };
         let _span = rl_ccd_obs::span!("exp.sink.realize", steps = event.selection.len() as u64);
-        let realized = cached.env.evaluate(&event.selection);
+        let realized = env.evaluate(&event.selection);
         let reward_tns_ps = realized.final_qor.tns_ps;
-        let wns_delta_ps = (realized.final_qor.wns_ps - cached.base_wns_ps) as f64;
+        let wns_delta_ps = (realized.final_qor.wns_ps - baseline.base_wns_ps) as f64;
         if !reward_tns_ps.is_finite()
             || !wns_delta_ps.is_finite()
             || !event.log_probs.iter().all(|v| v.is_finite())
@@ -204,8 +238,8 @@ fn sink_loop(
             continue;
         }
         let record = ExpRecord {
-            design,
-            feat_fp: cached.feat_fp,
+            design: event.design.to_string(),
+            feat_fp: baseline.feat_fp,
             model: event.model,
             policy_version: event.version,
             policy_fp: event.fingerprint,
@@ -215,7 +249,7 @@ fn sink_loop(
             selection: event.selection.iter().map(|e| e.index() as u32).collect(),
             log_probs: event.log_probs,
             reward_tns_ps,
-            base_tns_ps: cached.base_tns_ps,
+            base_tns_ps: baseline.base_tns_ps,
             wns_delta_ps,
         };
         if !seen.insert(record.content_id()) {
@@ -304,6 +338,37 @@ mod tests {
         let summary = validate_exp_jsonl(std::io::BufReader::new(file)).expect("still valid");
         assert_eq!(summary.records, 2, "restart duplicated records");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn env_eviction_is_least_recently_used_and_keeps_every_baseline() {
+        let keys: Vec<rl_ccd_serve::DesignKey> = ["a", "b", "c"]
+            .iter()
+            .map(|n| format!("sink-{n}:360:7nm:9").parse().expect("key"))
+            .collect();
+        let (a, b, c) = (&keys[0], &keys[1], &keys[2]);
+        let mut designs = Designs::new(2);
+        let mut baseline = |key| designs.resolve(key, 24).expect("resolve").1;
+        let first_b = baseline(b);
+        baseline(a);
+        baseline(b); // refresh b; a is now the least recently used
+        baseline(c); // a third design evicts a — and only a
+        assert_eq!(designs.envs.len(), 2);
+        assert!(designs.envs.get(b).is_some() && designs.envs.get(c).is_some());
+        assert!(designs.envs.get(a).is_none());
+        assert_eq!(designs.default_flows, 3);
+        // Rebuilding the evicted env runs no default flow: its baseline
+        // outlived it.
+        let (env, again_a) = designs.resolve(a, 24).expect("rebuild a");
+        let want = build_env(a, 24).expect("env");
+        assert_eq!(env.pool(), want.pool());
+        assert_eq!(again_a.feat_fp, feature_fingerprint(&want));
+        assert_eq!(again_a.base_tns_ps, want.default_flow().final_qor.tns_ps);
+        assert_eq!(designs.default_flows, 3);
+        assert_eq!(designs.resolve(b, 24).expect("b").1, first_b);
+        assert!(designs
+            .resolve(&"x:360:3nm:1".parse().expect("key"), 24)
+            .is_err());
     }
 
     #[test]

@@ -14,9 +14,16 @@
 //! selection keyed by the model *fingerprint* (checksum of the verified
 //! checkpoint bytes) plus the design key (plus the seed), so reloading a
 //! re-trained checkpoint can never serve a stale selection.
+//!
+//! [`EncodeCache`] sits between the two for every query that *is*
+//! computed: the step-0 EP-GNN encode is a pure function of (model
+//! weights, design), so it is kept under the same fingerprint + design key
+//! and each computed query starts from a copy instead of re-running the
+//! dense pass. Its entries are megabytes, not pointers, so it is bounded
+//! in bytes rather than in entries.
 
 use crate::protocol::DesignKey;
-use rl_ccd::CcdEnv;
+use rl_ccd::{CcdEnv, StoredEncode};
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, Library};
 use std::collections::HashMap;
@@ -54,20 +61,26 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// entry when full. Returns the value `key` held before, if any.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&oldest);
-            }
+            self.pop_oldest();
         }
-        self.entries.insert(key, (self.tick, value));
+        self.entries
+            .insert(key, (self.tick, value))
+            .map(|(_, old)| old)
+    }
+
+    /// Removes and returns the least-recently-used entry.
+    pub fn pop_oldest(&mut self) -> Option<(K, V)> {
+        let oldest = self
+            .entries
+            .iter()
+            .min_by_key(|(_, (stamp, _))| *stamp)
+            .map(|(k, _)| k.clone())?;
+        let (_, value) = self.entries.remove(&oldest)?;
+        Some((oldest, value))
     }
 
     /// Current entry count.
@@ -222,6 +235,108 @@ impl SelectionCache {
     }
 }
 
+/// Byte budget of [`EncodeCache`]. An entry is
+/// `(3·V·hidden + E·embed)·4` bytes — ≈ 390 KB at 1 000 cells, 3.9 MB at
+/// 10 000 with the default widths — so this holds the working set of a
+/// few dozen mid-sized designs per model.
+const ENCODE_BUDGET: usize = 64 << 20;
+
+/// The step-0 EP-GNN encodes under every computed query, keyed by (model
+/// fingerprint, design) exactly as [`SelectionCache`] is — a reloaded or
+/// promoted model has a new fingerprint and can never read an old encode.
+/// Least-recently-used entries are evicted until the stored bytes fit the
+/// budget; an encode larger than the whole budget is handed back without
+/// being stored.
+#[derive(Debug)]
+pub struct EncodeCache {
+    inner: Mutex<EncodeLru>,
+    budget: usize,
+}
+
+#[derive(Debug)]
+struct EncodeLru {
+    entries: LruCache<SelectionKey, Arc<StoredEncode>>,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl Default for EncodeCache {
+    /// An empty store with the fixed 64 MiB budget.
+    fn default() -> Self {
+        Self::with_budget(ENCODE_BUDGET)
+    }
+}
+
+impl EncodeCache {
+    pub(crate) fn with_budget(budget: usize) -> Self {
+        let entries = LruCache::new(usize::MAX);
+        Self {
+            inner: Mutex::new(EncodeLru {
+                entries,
+                bytes: 0,
+                hits: 0,
+                misses: 0,
+            }),
+            budget,
+        }
+    }
+
+    /// The stored encode for `fingerprint` × `key`, or — on a miss —
+    /// `encode()`'s result, stored for the next caller. Two threads that
+    /// miss one key at once both run `encode` (outside the lock; the
+    /// results are identical) and the later insert replaces the earlier.
+    pub fn get_or_encode(
+        &self,
+        fingerprint: u64,
+        key: &DesignKey,
+        encode: impl FnOnce() -> StoredEncode,
+    ) -> Arc<StoredEncode> {
+        let key = (fingerprint, key.clone());
+        let mut inner = self.inner.lock().expect("encode cache lock");
+        if let Some(hit) = inner.entries.get(&key).cloned() {
+            inner.hits += 1;
+            rl_ccd_obs::counter!("serve.cache.encode.hit", 1);
+            return hit;
+        }
+        inner.misses += 1;
+        drop(inner);
+        rl_ccd_obs::counter!("serve.cache.encode.miss", 1);
+        let fresh = Arc::new(encode());
+        let size = fresh.bytes();
+        if size > self.budget {
+            return fresh;
+        }
+        let mut inner = self.inner.lock().expect("encode cache lock");
+        if let Some(replaced) = inner.entries.insert(key, fresh.clone()) {
+            inner.bytes -= replaced.bytes();
+        }
+        inner.bytes += size;
+        while inner.bytes > self.budget {
+            let (_, evicted) = inner.entries.pop_oldest().expect("bytes > 0 has an entry");
+            inner.bytes -= evicted.bytes();
+        }
+        rl_ccd_obs::gauge!("serve.cache.encode.bytes", inner.bytes);
+        fresh
+    }
+
+    /// Lifetime `(hits, misses)` and the bytes stored now.
+    pub fn stats(&self) -> (u64, u64, usize) {
+        let inner = self.inner.lock().expect("encode cache lock");
+        (inner.hits, inner.misses, inner.bytes)
+    }
+
+    /// Number of stored encodes.
+    pub fn len(&self) -> usize {
+        self.inner.lock().expect("encode cache lock").entries.len()
+    }
+
+    /// Whether nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +400,91 @@ mod tests {
             seed: 1,
         };
         assert!(cache.get_or_build(&key).is_err());
+    }
+
+    fn key(name: &str) -> DesignKey {
+        DesignKey {
+            name: name.into(),
+            cells: 360,
+            tech: "7nm".into(),
+            seed: 3,
+        }
+    }
+
+    #[test]
+    fn encode_cache_is_bounded_in_bytes_and_evicts_least_recently_used() {
+        let (model, params) = rl_ccd::RlCcd::init(rl_ccd::RlConfig::fast());
+        let env = EnvCache::new(1, 24).get_or_build(&key("enc")).expect("env");
+        let encode = rl_ccd::InferSession::new(&model, &params).encode(&env);
+        let size = encode.bytes();
+        // Room for two entries and a half.
+        let cache = EncodeCache::with_budget(2 * size + size / 2);
+        let fill = |name: &str| {
+            cache.get_or_encode(0xabc, &key(name), || encode.clone());
+            assert!(cache.stats().2 <= 2 * size + size / 2);
+        };
+        let stored = |fp: u64, name: &str| {
+            let mut missed = false;
+            cache.get_or_encode(fp, &key(name), || {
+                missed = true;
+                encode.clone()
+            });
+            !missed
+        };
+        fill("a");
+        fill("b");
+        assert_eq!((cache.len(), cache.stats().2), (2, 2 * size));
+        assert!(stored(0xabc, "a"), "refresh a; b is now oldest");
+        fill("c");
+        assert_eq!((cache.len(), cache.stats().2), (2, 2 * size));
+        assert!(stored(0xabc, "a") && stored(0xabc, "c"));
+        assert!(!stored(0xdef, "a"), "other weights share nothing");
+        // That miss stored (0xdef, a) and evicted the oldest again.
+        assert_eq!((cache.len(), cache.stats().2), (2, 2 * size));
+        assert!(!stored(0xabc, "b"), "b was the least recently used");
+        let (hits, misses, _) = cache.stats();
+        assert_eq!((hits, misses), (3, 5));
+
+        // An entry larger than the whole budget is handed back unstored.
+        let small = EncodeCache::with_budget(size - 1);
+        let got = small.get_or_encode(0xabc, &key("a"), || encode.clone());
+        assert_eq!(got.bytes(), size);
+        assert_eq!((small.len(), small.stats()), (0, (0, 1, 0)));
+    }
+
+    #[test]
+    fn two_threads_missing_one_key_both_answer_and_one_entry_remains() {
+        let (model, params) = rl_ccd::RlCcd::init(rl_ccd::RlConfig::fast());
+        let design = key("race");
+        let env = EnvCache::new(1, 24).get_or_build(&design).expect("env");
+        let want = rl_ccd::select_endpoints(&model, &params, &env);
+        let cache = EncodeCache::default();
+        // Both threads are inside `encode` — so both have missed — before
+        // either returns to insert.
+        let both_missed = std::sync::Barrier::new(2);
+        let answer = || {
+            let mut session = rl_ccd::InferSession::new(&model, &params);
+            let encode = cache.get_or_encode(7, &design, || {
+                both_missed.wait();
+                session.encode(&env)
+            });
+            session.hold(encode);
+            session.select(&env)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(answer);
+            let b = s.spawn(answer);
+            (a.join().expect("a"), b.join().expect("b"))
+        });
+        assert_eq!((&a, &b), (&want, &want));
+        let (hits, misses, bytes) = cache.stats();
+        assert_eq!((hits, misses, cache.len()), (0, 2, 1));
+        let mut session = rl_ccd::InferSession::new(&model, &params);
+        assert_eq!(
+            bytes,
+            session.encode(&env).bytes(),
+            "the replaced entry's bytes were returned"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! resolves its environment **once** through the LRU cache, computes each
 //! selection on the inference-only no-grad fast path, and sends every
 //! reply. Greedy results are memoized per (model fingerprint, design),
-//! sampled ones per (model fingerprint, design, seed).
+//! sampled ones per (model fingerprint, design, seed); a query that has to
+//! be computed starts from the step-0 EP-GNN encode stored per (model
+//! fingerprint, design), which only the first such query runs.
 //!
 //! Shutdown is a drain, never a drop: [`Server::shutdown`] flips the queue
 //! to draining (new submissions get `shutting_down`), wakes everything,
@@ -16,14 +18,16 @@
 //! [`DrainReport`] whose `dropped()` is zero exactly when every accepted
 //! request was answered.
 
-use crate::cache::{EnvCache, SelectionCache};
+use crate::cache::{EncodeCache, EnvCache, SelectionCache};
 use crate::experience::{ExperienceEvent, ExperienceHook};
-use crate::protocol::{HealthReply, Mode, QueryReply, QueryRequest, RejectKind, Request, Response};
-use crate::registry::ModelRegistry;
+use crate::protocol::{
+    DesignKey, HealthReply, Mode, QueryReply, QueryRequest, RejectKind, Request, Response,
+};
+use crate::registry::{ModelRegistry, ServeModel};
 use crate::scheduler::{Job, ReplySink, Scheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl_ccd::InferSession;
+use rl_ccd::{CcdEnv, InferSession};
 use rl_ccd_netlist::EndpointId;
 use rl_ccd_wire::front::{self, Front, FrontCounters, FrontOptions, Reply};
 use std::collections::BTreeMap;
@@ -137,6 +141,42 @@ pub struct ServeStats {
     pub reactor_events: u64,
     /// batch size → number of batches dispatched at that size.
     pub batches: BTreeMap<usize, u64>,
+    /// Computed query groups that started from a stored step-0 encode.
+    pub encode_hits: u64,
+    /// Computed query groups that ran the dense encode (and stored it):
+    /// `encode_hits + encode_misses` groups were computed, `encode_misses`
+    /// dense encodes were run for them.
+    pub encode_misses: u64,
+    /// Bytes of step-0 encodes stored now.
+    pub encode_bytes: usize,
+}
+
+impl std::fmt::Display for ServeStats {
+    /// One line: the lifetime counters, the batch-size census as
+    /// `size×count`, and the encode store.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} accepted, {} completed, {} busy-rejected, {} shed, {} evicted, \
+             {} deadline-expired, {} health-probed, batch p50 {} [",
+            self.accepted,
+            self.completed,
+            self.rejected_busy,
+            self.shed,
+            self.evicted,
+            self.deadline_expired,
+            self.health_probes,
+            self.batch_p50()
+        )?;
+        for (i, (size, count)) in self.batches.iter().enumerate() {
+            write!(f, "{}{size}×{count}", if i == 0 { "" } else { " " })?;
+        }
+        write!(
+            f,
+            "], encode store {} hit / {} miss / {} bytes",
+            self.encode_hits, self.encode_misses, self.encode_bytes
+        )
+    }
 }
 
 impl ServeStats {
@@ -179,6 +219,7 @@ pub(crate) struct Shared {
     scheduler: Scheduler,
     envs: EnvCache,
     selections: SelectionCache,
+    encodes: EncodeCache,
     stats: Stats,
     /// The TCP port's counters (all zero until [`Server::bind`]).
     front: Arc<FrontCounters>,
@@ -222,11 +263,22 @@ impl Server {
     /// the calling thread) is captured and re-attached inside every
     /// worker and connection thread.
     pub fn start(registry: ModelRegistry, config: ServeConfig) -> Self {
+        Self::start_with(registry, config, EncodeCache::default())
+    }
+
+    /// [`Server::start`] over a given encode store (tests shrink its
+    /// budget).
+    pub(crate) fn start_with(
+        registry: ModelRegistry,
+        config: ServeConfig,
+        encodes: EncodeCache,
+    ) -> Self {
         let shared = Arc::new(Shared {
             registry,
             scheduler: Scheduler::new(config.queue_capacity),
             envs: EnvCache::new(config.env_cache, config.fanout_cap),
             selections: SelectionCache::new(config.selection_cache),
+            encodes,
             stats: Stats::default(),
             front: Arc::default(),
             draining: AtomicBool::new(false),
@@ -435,6 +487,7 @@ impl Shared {
     }
 
     fn snapshot(&self) -> ServeStats {
+        let (encode_hits, encode_misses, encode_bytes) = self.encodes.stats();
         ServeStats {
             accepted: self.stats.accepted.load(Ordering::SeqCst),
             completed: self.stats.completed.load(Ordering::SeqCst),
@@ -452,7 +505,30 @@ impl Shared {
                 .lock()
                 .expect("batch census lock")
                 .clone(),
+            encode_hits,
+            encode_misses,
+            encode_bytes,
         }
+    }
+
+    /// A session for one (model, design) group of a batch, holding the
+    /// group's step-0 encode: the stored one, or — for the first computed
+    /// query on this (fingerprint, design) — one run here and stored.
+    fn open_session<'m>(
+        &self,
+        model: &'m ServeModel,
+        design: &DesignKey,
+        env: &CcdEnv,
+    ) -> InferSession<'m> {
+        let mut session = InferSession::new(&model.model, &model.params);
+        // An empty pool is answered before anything is encoded.
+        if !env.pool().is_empty() {
+            let encode = self
+                .encodes
+                .get_or_encode(model.fingerprint, design, || session.encode(env));
+            session.hold(encode);
+        }
+        session
     }
 }
 
@@ -521,7 +597,10 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
         };
         // Bind the model's parameters once for the whole group: every job
         // in it executes through the same no-grad tape, whose buffers are
-        // recycled between requests (the batched no-grad path).
+        // recycled between requests (the batched no-grad path), from the
+        // same step-0 encode.
+        let design = jobs[0].request.design.clone();
+        let bind = || shared.open_session(&model, &design, &env);
         let mut session: Option<InferSession<'_>> = None;
         let mut greedy: Option<Arc<Vec<EndpointId>>> = None;
         let mut greedy_was_cached = false;
@@ -534,13 +613,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                             greedy = Some(hit);
                             greedy_was_cached = true;
                         } else {
-                            let fresh = Arc::new(
-                                session
-                                    .get_or_insert_with(|| {
-                                        InferSession::new(&model.model, &model.params)
-                                    })
-                                    .select(&env),
-                            );
+                            let fresh = Arc::new(session.get_or_insert_with(bind).select(&env));
                             shared
                                 .selections
                                 .insert(model.fingerprint, key, fresh.clone());
@@ -555,7 +628,6 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 Mode::Sample(seed) => {
                     let key = &job.request.design;
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let bind = || InferSession::new(&model.model, &model.params);
                     if let Some(hook) = &shared.experience {
                         // Every logged query is computed: its event needs
                         // the log-probs, which the memo does not keep. The
@@ -924,6 +996,113 @@ mod tests {
         assert_eq!(b.selection, first.selection);
         assert_eq!(logged.shutdown().dropped(), 0);
         assert_eq!(hook.0.load(Ordering::SeqCst), 2);
+    }
+
+    fn ok(response: Response) -> QueryReply {
+        match response {
+            Response::Ok(reply) => reply,
+            other => panic!("query was not answered: {other:?}"),
+        }
+    }
+
+    fn indices(selection: &[EndpointId]) -> Vec<usize> {
+        selection.iter().map(|e| e.index()).collect()
+    }
+
+    #[test]
+    fn a_re_registered_model_never_reads_the_old_models_encode() {
+        let server = Server::start(registry(), ServeConfig::default());
+        let handle = server.handle();
+        let key = design("reload", 9);
+        // The old parameters warm the store (and both memos).
+        ok(handle.query(query("default", key.clone(), Mode::Greedy)));
+        ok(handle.query(query("default", key.clone(), Mode::Sample(5))));
+        assert_eq!(handle.stats().encode_misses, 1);
+        // Same name, same design (so the same shapes), other weights.
+        let (model, params) = RlCcd::init(RlConfig {
+            seed: 99,
+            ..RlConfig::fast()
+        });
+        server
+            .registry()
+            .insert_params("default", params.clone(), 0.3)
+            .expect("re-register");
+        let env = EnvCache::new(1, ServeConfig::default().fanout_cap)
+            .get_or_build(&key)
+            .expect("env");
+        let greedy = ok(handle.query(query("default", key.clone(), Mode::Greedy)));
+        assert!(!greedy.cached);
+        assert_eq!(
+            greedy.selection,
+            indices(&rl_ccd::select_endpoints(&model, &params, &env))
+        );
+        let sampled = ok(handle.query(query("default", key, Mode::Sample(5))));
+        assert!(!sampled.cached);
+        let want = rl_ccd::sample_endpoints(&model, &params, &env, &mut StdRng::seed_from_u64(5));
+        assert_eq!(sampled.selection, indices(&want));
+        let stats = server.shutdown().stats;
+        assert_eq!(
+            (stats.encode_misses, stats.encode_hits),
+            (2, 2),
+            "one dense encode per fingerprint: {stats}"
+        );
+    }
+
+    #[test]
+    fn an_encode_larger_than_the_budget_is_answered_and_not_stored() {
+        let server = Server::start_with(
+            registry(),
+            ServeConfig::default(),
+            EncodeCache::with_budget(1),
+        );
+        let handle = server.handle();
+        let key = design("oversize", 3);
+        let (model, params) = RlCcd::init(RlConfig::fast());
+        let env = EnvCache::new(1, ServeConfig::default().fanout_cap)
+            .get_or_build(&key)
+            .expect("env");
+        let greedy = ok(handle.query(query("default", key.clone(), Mode::Greedy)));
+        assert_eq!(
+            greedy.selection,
+            indices(&rl_ccd::select_endpoints(&model, &params, &env))
+        );
+        let sampled = ok(handle.query(query("default", key, Mode::Sample(8))));
+        let want = rl_ccd::sample_endpoints(&model, &params, &env, &mut StdRng::seed_from_u64(8));
+        assert_eq!(sampled.selection, indices(&want));
+        let stats = server.shutdown().stats;
+        assert_eq!(
+            (stats.encode_hits, stats.encode_misses, stats.encode_bytes),
+            (0, 2, 0),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn an_empty_pool_stores_nothing_and_answers_with_an_empty_selection() {
+        // No DesignKey names a clean design (generation calibrates the
+        // period to violate), so relax one by hand and open the group's
+        // session the way a batch does.
+        let mut clean = rl_ccd_netlist::generate(&rl_ccd_netlist::DesignSpec::new(
+            "clean",
+            300,
+            rl_ccd_netlist::TechNode::N7,
+            5,
+        ));
+        clean.period_ps *= 8.0;
+        let env = CcdEnv::new(clean, rl_ccd_flow::FlowRecipe::default(), 24);
+        assert!(env.pool().is_empty());
+        let server = Server::start(registry(), ServeConfig::default());
+        let model = server.registry().get("default").expect("registered");
+        let mut session = server
+            .shared
+            .open_session(&model, &design("clean", 5), &env);
+        assert!(session.select(&env).is_empty());
+        assert!(session
+            .sample(&env, &mut StdRng::seed_from_u64(1))
+            .is_empty());
+        assert!(server.shared.encodes.is_empty());
+        let stats = server.shutdown().stats;
+        assert_eq!((stats.encode_hits, stats.encode_misses), (0, 0));
     }
 
     #[test]

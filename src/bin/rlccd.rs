@@ -715,18 +715,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     let report = server.shutdown();
-    println!(
-        "drained: {} accepted, {} completed, {} busy-rejected, {} shed, {} evicted, \
-         {} deadline-expired, {} health-probed, batch p50 {}",
-        report.stats.accepted,
-        report.stats.completed,
-        report.stats.rejected_busy,
-        report.stats.shed,
-        report.stats.evicted,
-        report.stats.deadline_expired,
-        report.stats.health_probes,
-        report.stats.batch_p50()
-    );
+    println!("drained: {}", report.stats);
     if let Some(t) = &trace {
         t.finish()?;
     }
@@ -1078,12 +1067,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), Error> {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     let report = daemon.shutdown();
-    println!(
-        "drained: {} accepted, {} completed, batch p50 {}",
-        report.drain.stats.accepted,
-        report.drain.stats.completed,
-        report.drain.stats.batch_p50()
-    );
+    println!("drained: {}", report.drain.stats);
     for t in &report.tenants {
         println!(
             "tenant {}: {} accepted, {} denied, {} throttled, {}/{} of quota used",

@@ -6,7 +6,10 @@
 //! gradient tape, fast and scalar-reference kernels), the one-shot
 //! inference functions and a reused [`InferSession`] (incremental encode on
 //! a no-grad tape, both kernel modes), a query through an in-process
-//! server, and a teacher-forced replay of the result. The pairwise pins
+//! server — computed cold (the query that runs and stores the step-0
+//! encode) and warm (a later one that starts from the stored copy), with
+//! the log-probabilities the experience hook saw — and a teacher-forced
+//! replay of the result. The pairwise pins
 //! live beside each path (`infer.rs`, `tests/serve_parity.rs`,
 //! `agent.rs`); this is the one place where a change to any of them has to
 //! agree with all the others at once. Distributed training runs the
@@ -18,7 +21,11 @@ use rl_ccd::{sample_endpoints, select_endpoints, CcdEnv, InferSession, RlCcd, Rl
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, Library};
 use rl_ccd_nn::Tape;
-use rl_ccd_serve::{DesignKey, Mode, ModelRegistry, QueryRequest, Response, ServeConfig, Server};
+use rl_ccd_serve::{
+    DesignKey, ExperienceEvent, ExperienceHook, Mode, ModelRegistry, QueryRequest, Response,
+    ServeConfig, Server,
+};
+use std::sync::{Arc, Mutex};
 
 const MODEL: &str = "oracle";
 const SEED: u64 = 20_230_709;
@@ -59,6 +66,69 @@ fn served(server: &Server, mode: Mode) -> Vec<EndpointId> {
     match server.handle().query(request) {
         Response::Ok(reply) => reply.selection.into_iter().map(EndpointId::new).collect(),
         other => panic!("query was not answered: {other:?}"),
+    }
+}
+
+/// Keeps every event the server hands the experience hook.
+#[derive(Debug, Default)]
+struct Capture(Mutex<Vec<ExperienceEvent>>);
+
+impl ExperienceHook for Capture {
+    fn on_sample(&self, event: ExperienceEvent) {
+        self.0.lock().expect("capture lock").push(event);
+    }
+}
+
+/// The store leg: one logging server asked the same sampled query and the
+/// same greedy query twice each. The first sampled query runs the dense
+/// encode and stores it; every later computed one starts from the stored
+/// copy. All of them must give the routes' one selection, and both logged
+/// trajectories the session's per-step log-prob bits.
+fn cold_then_warm(
+    registry: ModelRegistry,
+    fanout_cap: usize,
+    sampled: (&[EndpointId], &[f32]),
+    greedy: &[EndpointId],
+) {
+    let hook = Arc::new(Capture::default());
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            fanout_cap,
+            experience: Some(hook.clone() as Arc<dyn ExperienceHook>),
+            ..ServeConfig::default()
+        },
+    );
+    for temperature in ["cold", "warm"] {
+        assert_eq!(
+            served(&server, Mode::Sample(SEED)),
+            sampled.0,
+            "{temperature} served sample"
+        );
+    }
+    for temperature in ["warm", "memoized"] {
+        assert_eq!(
+            served(&server, Mode::Greedy),
+            greedy,
+            "{temperature} served greedy"
+        );
+    }
+    let stats = server.shutdown().stats;
+    assert_eq!(
+        (stats.encode_misses, stats.encode_hits),
+        (1, 2),
+        "one dense encode under three computed queries: {stats}"
+    );
+    let bits = |lp: &[f32]| lp.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let events = hook.0.lock().expect("capture lock");
+    assert_eq!(events.len(), 2, "one event per sampled query");
+    for (event, temperature) in events.iter().zip(["cold", "warm"]) {
+        assert_eq!(event.selection, sampled.0, "{temperature} event");
+        assert_eq!(
+            bits(&event.log_probs),
+            bits(sampled.1),
+            "{temperature} event log-probs"
+        );
     }
 }
 
@@ -142,4 +212,20 @@ fn every_path_gives_one_selection_and_one_log_prob() {
     );
 
     assert_eq!(server.shutdown().dropped(), 0);
+
+    // Cold and warm through the encode store, against everything above.
+    let (sampled, log_probs) = InferSession::new(&model, &params).sample_logged(&env, &mut rng());
+    let folded = log_probs
+        .iter()
+        .copied()
+        .reduce(|a, b| a + b)
+        .expect("steps");
+    let reference = model.rollout(&params, &env, &mut rng());
+    assert_eq!(sampled, reference.selected);
+    assert_eq!(folded.to_bits(), total_bits(&reference));
+    let registry = ModelRegistry::new();
+    registry
+        .insert_params(MODEL, params.clone(), rho)
+        .expect("register");
+    cold_then_warm(registry, fanout_cap, (&sampled, &log_probs), want);
 }
