@@ -21,6 +21,7 @@ pub use cli::Cli;
 use rl_ccd::{Error, RlConfig, Session, TrainOutcome, TrainSession};
 use rl_ccd_flow::FlowResult;
 use rl_ccd_netlist::{block_suite, generate, DesignSpec, GeneratedDesign};
+use rl_ccd_obs::escape_json;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
@@ -191,11 +192,10 @@ pub fn table2_summary(rows: &[BlockRow]) -> String {
     )
 }
 
-/// A minimal JSON value for the machine-readable `BENCH_*.json` artifacts
-/// the load benches emit alongside their CSV — enough structure for a
-/// dashboard to ingest without pulling a serializer into the workspace.
-/// Numbers render through Rust's shortest-roundtrip `Display`, so written
-/// values parse back bit-exact.
+/// A minimal JSON value for machine-readable benchmark results — enough
+/// structure for a dashboard to ingest without pulling a serializer into
+/// the workspace. Numbers render through Rust's shortest-roundtrip
+/// `Display`, so written values parse back bit-exact.
 #[derive(Clone, Debug)]
 pub enum Json {
     /// A finite number (integers render without a fraction).
@@ -235,21 +235,7 @@ impl Json {
                 }
             }
             Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+                let _ = write!(out, "\"{}\"", escape_json(s));
             }
             Json::Arr(items) => {
                 out.push('[');
@@ -279,8 +265,8 @@ impl Json {
 
 /// Writes a [`Json`] value to `path` with a trailing newline,
 /// **atomically**: the text lands in a `.tmp` sibling first and is renamed
-/// into place, so a bench killed mid-write can never leave a torn
-/// `BENCH_*.json` for the CI regression gate to choke on.
+/// into place, so a run killed mid-write can never leave a torn file for
+/// its reader to choke on.
 ///
 /// # Errors
 /// Propagates I/O errors.
@@ -290,18 +276,11 @@ pub fn write_json(path: &str, value: &Json) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Sorts latencies/metrics ascending with a total order — NaN sorts last
-/// instead of panicking a finished bench run at the report step.
-pub fn sort_metrics(values: &mut [f64]) {
-    values.sort_by(f64::total_cmp);
-}
-
 impl Json {
     /// Parses compact or whitespace-separated JSON text (the subset
     /// [`Json::render`] emits: objects, arrays, strings with the standard
     /// escapes, numbers, `null` → NaN, plus `true`/`false` rendered as 1/0
-    /// for completeness). Used by the `bench_regress` gate to compare a
-    /// fresh run against the committed `BENCH_*.json` baselines.
+    /// for completeness).
     ///
     /// # Errors
     /// Returns a message describing the first malformed construct.
@@ -314,21 +293,6 @@ impl Json {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
-    }
-
-    /// Looks up a dotted path (`"fleets.0.throughput_rps"`): object steps
-    /// match keys, array steps parse as indices. Returns `None` on any
-    /// missing step.
-    pub fn get_path(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for step in path.split('.') {
-            cur = match cur {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == step).map(|(_, v)| v)?,
-                Json::Arr(items) => items.get(step.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
     }
 
     /// The numeric value, if this is a number.
@@ -486,15 +450,6 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (`p` in `0..=1`).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Writes rows as a CSV file.
 ///
 /// # Errors
@@ -584,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn json_parse_roundtrips_render_and_walks_paths() {
+    fn json_parse_roundtrips_render() {
         let v = Json::Obj(vec![
             Json::field("bench", Json::Str("serve \"load\"\n".into())),
             Json::field("count", Json::Num(4.0)),
@@ -599,21 +554,12 @@ mod tests {
         ]);
         let parsed = Json::parse(&v.render()).expect("roundtrip");
         assert_eq!(parsed.render(), v.render());
-        assert_eq!(
-            parsed
-                .get_path("fleets.0.throughput_rps")
-                .and_then(Json::as_num),
-            Some(123.5)
-        );
-        assert_eq!(parsed.get_path("count").and_then(Json::as_num), Some(4.0));
+        let Json::Obj(fields) = &parsed else {
+            panic!("an object parses to an object: {parsed:?}")
+        };
+        assert_eq!(fields[1].1.as_num(), Some(4.0));
         // null renders from NaN and parses back to NaN.
-        assert!(parsed
-            .get_path("bad")
-            .and_then(Json::as_num)
-            .expect("num")
-            .is_nan());
-        assert!(parsed.get_path("fleets.1.x").is_none());
-        assert!(parsed.get_path("nope").is_none());
+        assert!(fields[2].1.as_num().expect("num").is_nan());
         assert!(Json::parse("{\"a\":1,}").is_err());
         assert!(Json::parse("[1 2]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
@@ -631,26 +577,6 @@ mod tests {
             "tmp file must be renamed away"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sort_metrics_tolerates_nan() {
-        // Regression: latency sorts used `partial_cmp(..).expect(..)` and
-        // panicked at the report step if a single sample went non-finite.
-        let mut v = vec![3.0, f64::NAN, 1.0, 2.0];
-        sort_metrics(&mut v);
-        assert_eq!(&v[..3], &[1.0, 2.0, 3.0]);
-        assert!(v[3].is_nan(), "NaN sorts last, run still reports");
-        assert_eq!(percentile(&v, 0.5), 3.0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 0.5), 3.0);
-        assert_eq!(percentile(&sorted, 1.0), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

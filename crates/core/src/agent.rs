@@ -74,10 +74,8 @@ impl RlCcd {
     }
 
     /// Like [`RlCcd::rollout`] but recording onto a caller-provided tape —
-    /// typically one recycled across trajectories via [`Tape::reset`], so
-    /// sequential rollouts reuse the same value buffers instead of
-    /// reallocating, or a [`Tape::scalar_reference`] tape to run the whole
-    /// trajectory through the pinned scalar kernels.
+    /// a [`Tape::scalar_reference`] tape runs the whole trajectory, and
+    /// its backward pass, through the pinned scalar kernels.
     pub fn rollout_with_tape(
         &self,
         params: &ParamSet,

@@ -88,8 +88,8 @@ impl<'a> InferSession<'a> {
     }
 
     /// Like [`InferSession::new`] but executing through the pinned scalar
-    /// reference kernels — the baseline the `nn_kernels` bench compares
-    /// against.
+    /// reference kernels — the oracle the fast kernels are held
+    /// bit-identical to.
     pub fn scalar_reference(model: &'a RlCcd, params: &ParamSet) -> Self {
         Self::with_tape(model, params, NoGradTape::scalar_reference())
     }

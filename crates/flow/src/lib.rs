@@ -24,16 +24,12 @@
 
 pub mod datapath;
 pub mod flow;
-pub mod holdfix;
 pub mod margin;
 pub mod metrics;
-pub mod sensitivity;
 pub mod useful_skew;
 
 pub use datapath::{optimize_datapath, recover_power, DatapathOpts, OpStats};
 pub use flow::{FlowRecipe, FlowTrace, StageSnapshot};
-pub use holdfix::{fix_hold, HoldFixOpts};
 pub use margin::{prioritization_margins, MarginMode};
 pub use metrics::{FlowResult, Qor};
-pub use sensitivity::{endpoint_sensitivities, EndpointSensitivity};
 pub use useful_skew::{run_useful_skew, skew_histogram, SkewOutcome, UsefulSkewOpts};

@@ -10,9 +10,9 @@
 //!   steady-state rollout allocates nothing per step.
 //! * [`KernelMode::Scalar`] — the original textbook loops, kept verbatim
 //!   as the pinned reference implementation (fresh allocation per op,
-//!   `Tensor`-level helpers). The `nn_kernels` bench times the fast
-//!   executor against this mode; the parity proptests assert the two
-//!   modes agree **bit-for-bit**.
+//!   `Tensor`-level helpers). `crates/core/tests/kernel_speedup.rs` times
+//!   the fast executor against this mode; the parity proptests assert the
+//!   two modes agree **bit-for-bit**.
 //!
 //! Bit-parity is by construction, not by tolerance: every fast kernel
 //! accumulates each output element in exactly the same order as its
@@ -45,10 +45,10 @@ pub enum KernelMode {
 
 /// A free-list of `Vec<f32>` buffers recycled across tape operations.
 ///
-/// [`crate::Tape::reset`] and [`crate::NoGradTape::truncate`] return the
-/// storage of dropped values here; fast kernels draw their output buffers
-/// from it, so after the first step of a selection loop the steady state
-/// performs no heap allocation at all.
+/// [`crate::NoGradTape::truncate`] returns the storage of dropped values
+/// here; fast kernels draw their output buffers from it, so a session
+/// serving request after request reaches a steady state with no heap
+/// allocation per op.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f32>>,

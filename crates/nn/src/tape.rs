@@ -19,9 +19,9 @@
 //!
 //! Each executor runs in a [`KernelMode`]: `Fast` (the default) executes
 //! the blocked kernels over buffers recycled through an internal
-//! [`BufferPool`] — [`Tape::reset`] and [`NoGradTape::truncate`] return
-//! dropped values to the pool, so steady-state rollouts allocate nothing
-//! per step. [`Tape::scalar_reference`] / [`NoGradTape::scalar_reference`]
+//! [`BufferPool`] — [`NoGradTape::truncate`] returns dropped values to the
+//! pool, so a session serving request after request allocates nothing per
+//! op. [`Tape::scalar_reference`] / [`NoGradTape::scalar_reference`]
 //! select the original scalar loops (per-op allocation, fused ops recorded
 //! as their multi-op decompositions) as a pinned baseline; the two modes
 //! agree bit-for-bit on every value and gradient, which the kernel parity
@@ -153,18 +153,6 @@ impl Tape {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Clears the tape for reuse, recycling every node's storage through
-    /// the internal buffer pool (fast mode). A rollout loop that resets
-    /// one tape per trajectory reaches a steady state where forward ops
-    /// allocate nothing.
-    pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
-            if self.mode == KernelMode::Fast {
-                self.pool.give_tensor(node.value);
-            }
-        }
     }
 
     /// Records an input/parameter tensor.
@@ -1380,21 +1368,6 @@ mod tests {
         }
         assert_eq!(t.value(carry).data()[0], 32.0);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn reset_reuses_buffers_across_rollouts() {
-        let mut tape = Tape::new();
-        for round in 0..3 {
-            let x = tape.leaf(Tensor::from_vec(4, 4, vec![0.1; 16]));
-            let w = tape.leaf(Tensor::from_vec(4, 4, vec![0.2; 16]));
-            let h = tape.matmul(x, w);
-            let h = tape.tanh(h);
-            let got = tape.value(h).data()[0];
-            assert!((got - f32::tanh(0.08)).abs() < 1e-6, "round {round}");
-            tape.reset();
-            assert!(tape.is_empty());
-        }
     }
 
     #[test]

@@ -1140,5 +1140,12 @@ mod tests {
             sized, report.stats.completed,
             "every reply came out of a batch"
         );
+        // Six concurrent queries inside one 30 ms window: dynamic batching
+        // engaged at least once.
+        assert!(
+            report.stats.batches.keys().any(|&size| size >= 2),
+            "no batch held two requests: {:?}",
+            report.stats.batches
+        );
     }
 }

@@ -13,8 +13,8 @@
 //! * [`sta`] — slew-aware static timing analysis: arrivals, required times,
 //!   per-register clock schedules, margins, WNS/TNS/NVE.
 //! * [`flow`] — the "commercial tool" substrate: the useful-skew engine,
-//!   the budgeted data-path optimizer, hold fixing, and the full placement
-//!   optimization flow of the paper's Fig. 1.
+//!   the budgeted data-path optimizer, and the full placement optimization
+//!   flow of the paper's Fig. 1.
 //! * [`nn`] — tape-based autodiff, Linear/LSTM/GRU, Adam, serialization.
 //! * [`agent`] — the paper's contribution: EP-GNN, LSTM encoder, pointer
 //!   attention, cone-overlap masking, REINFORCE training, transfer
