@@ -11,7 +11,7 @@ use crate::masking::SelectionMask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_ccd_netlist::{CellId, EndpointId};
-use rl_ccd_nn::{NoGradTape, ParamBinding, ParamSet, Tape, TapeOps, Var};
+use rl_ccd_nn::{GradSet, NoGradTape, ParamBinding, ParamSet, Tape, TapeOps, Tensor, Var};
 use std::sync::Arc;
 
 /// The assembled RL-CCD model: EP-GNN + LSTM encoder + attention decoder.
@@ -61,50 +61,76 @@ impl RlCcd {
     /// lines 3–13): EP-GNN re-encodes the netlist each step (the masked
     /// flags changed), the LSTM encodes past actions, the attention decoder
     /// samples the next endpoint, and cone-overlap masking prunes the pool
-    /// until nothing is selectable.
+    /// until nothing is selectable. An empty pool yields a zero-step
+    /// trajectory whose `total_log_prob` is a constant 0.
     pub fn rollout(&self, params: &ParamSet, env: &CcdEnv, rng: &mut StdRng) -> Rollout {
-        self.run_trajectory(params, env, Some(rng), Tape::new())
+        self.rollout_with_tape(params, env, Some(rng), Tape::new())
     }
 
     /// Runs the deterministic greedy trajectory (argmax at every step).
     /// Used for policy evaluation: unlike sampled rollouts it reflects what
     /// the policy has actually learned.
     pub fn rollout_greedy(&self, params: &ParamSet, env: &CcdEnv) -> Rollout {
-        self.run_trajectory(params, env, None, Tape::new())
+        self.rollout_with_tape(params, env, None, Tape::new())
     }
 
-    /// Like [`RlCcd::rollout`] but recording onto a caller-provided tape —
-    /// a [`Tape::scalar_reference`] tape runs the whole trajectory, and
-    /// its backward pass, through the pinned scalar kernels.
+    /// [`RlCcd::rollout`] with `Some(rng)`, [`RlCcd::rollout_greedy`] with
+    /// `None`, recording onto a caller-provided tape — a
+    /// [`Tape::scalar_reference`] tape runs the whole trajectory, and its
+    /// backward pass, through the pinned scalar kernels.
     pub fn rollout_with_tape(
         &self,
         params: &ParamSet,
         env: &CcdEnv,
-        rng: &mut StdRng,
+        rng: Option<&mut StdRng>,
         tape: Tape,
     ) -> Rollout {
-        self.run_trajectory(params, env, Some(rng), tape)
+        let actions = match rng {
+            Some(rng) => Actions::Sample(rng),
+            None => Actions::Greedy,
+        };
+        self.trajectory(params, env, actions, tape)
+            .expect("only a replayed trajectory can be rejected")
     }
 
-    /// Greedy variant of [`RlCcd::rollout_with_tape`].
-    pub fn rollout_greedy_with_tape(&self, params: &ParamSet, env: &CcdEnv, tape: Tape) -> Rollout {
-        self.run_trajectory(params, env, None, tape)
-    }
-
-    fn run_trajectory(
+    /// The dense training trajectory behind [`RlCcd::rollout_with_tape`]
+    /// and [`RlCcd::replay_trajectory`]: every step re-encodes EP-GNN with
+    /// the current flags, steps the past-actions encoder, and decodes one
+    /// action from `actions`. A policy runs until nothing is selectable; a
+    /// replay runs until its actions are spent, rejecting each one that is
+    /// not in the pool or is masked before that step records anything.
+    fn trajectory(
         &self,
         params: &ParamSet,
         env: &CcdEnv,
-        mut rng: Option<&mut StdRng>,
+        mut actions: Actions<'_>,
         mut tape: Tape,
-    ) -> Rollout {
+    ) -> Result<Rollout, ReplayError> {
         let binding = params.bind(&mut tape);
         let pool = env.pool();
         let mut mask = SelectionMask::new(pool.len(), self.config.rho);
         let (mut state, mut prev_embed) = self.encoder.start(&mut tape);
         let mut selected = Vec::new();
         let mut total_log_prob: Option<Var> = None;
-        while mask.any_valid() {
+        loop {
+            let forced = match &mut actions {
+                Actions::Replay(rest) => {
+                    let Some((&endpoint, tail)) = rest.split_first() else {
+                        break;
+                    };
+                    *rest = tail;
+                    let local = pool
+                        .iter()
+                        .position(|&e| e == endpoint)
+                        .ok_or(ReplayError::UnknownEndpoint(endpoint))?;
+                    if !mask.valid_mask()[local] {
+                        return Err(ReplayError::MaskedAction(endpoint));
+                    }
+                    Some(local)
+                }
+                _ if mask.any_valid() => None,
+                _ => break,
+            };
             // State s_t: endpoint embeddings with current masked flags.
             let flag_cells: Vec<CellId> = mask
                 .flagged()
@@ -120,11 +146,14 @@ impl RlCcd {
             let query = state.query();
             // Action a_t.
             let valid = mask.valid_mask();
-            let step = match rng.as_deref_mut() {
-                Some(rng) => self
+            let step = match (&mut actions, forced) {
+                (_, Some(local)) => self
+                    .decoder
+                    .decode_forced(&mut tape, &binding, embeddings, query, &valid, local),
+                (Actions::Sample(rng), None) => self
                     .decoder
                     .decode(&mut tape, &binding, embeddings, query, &valid, rng),
-                None => self
+                (_, None) => self
                     .decoder
                     .decode_greedy(&mut tape, &binding, embeddings, query, &valid),
             };
@@ -136,13 +165,13 @@ impl RlCcd {
                 None => step.action_log_prob,
             });
         }
-        let total_log_prob = total_log_prob.expect("pool is never empty when rolling out");
-        Rollout {
+        let total_log_prob = total_log_prob.unwrap_or_else(|| tape.leaf(Tensor::zeros(1, 1)));
+        Ok(Rollout {
             selected,
             tape,
             binding,
             total_log_prob,
-        }
+        })
     }
 
     /// Inference-only trajectory: the forward pass of [`RlCcd::rollout`] /
@@ -151,9 +180,9 @@ impl RlCcd {
     /// each selection by [`IncrementalEncoder`], which yields the dense
     /// re-encode's embeddings bit for bit. With `Some(rng)` it samples
     /// (consuming exactly one draw per step, identical to `rollout`); with
-    /// `None` it is greedy. Unlike the training rollout, an empty endpoint
-    /// pool yields an empty selection instead of panicking, so a server
-    /// can answer queries on already-clean designs.
+    /// `None` it is greedy. As in the training rollout, an empty endpoint
+    /// pool yields an empty selection, so a server can answer queries on
+    /// already-clean designs.
     pub(crate) fn infer_trajectory(
         &self,
         params: &ParamSet,
@@ -270,52 +299,18 @@ impl RlCcd {
         if actions.is_empty() {
             return Err(ReplayError::Empty);
         }
-        let mut tape = Tape::new();
-        let binding = params.bind(&mut tape);
-        let pool = env.pool();
-        let mut mask = SelectionMask::new(pool.len(), self.config.rho);
-        let (mut state, mut prev_embed) = self.encoder.start(&mut tape);
-        let mut selected = Vec::new();
-        let mut total_log_prob: Option<Var> = None;
-        for &endpoint in actions {
-            let local = pool
-                .iter()
-                .position(|&e| e == endpoint)
-                .ok_or(ReplayError::UnknownEndpoint(endpoint))?;
-            if !mask.valid_mask()[local] {
-                return Err(ReplayError::MaskedAction(endpoint));
-            }
-            let flag_cells: Vec<CellId> = mask
-                .flagged()
-                .iter()
-                .map(|&i| env.pool_cells()[i])
-                .collect();
-            let x = tape.leaf(env.features().with_flags(&flag_cells));
-            let embeddings =
-                self.gnn
-                    .forward(&mut tape, &binding, x, env.adjacency(), env.readout());
-            state = self.encoder.step(&mut tape, &binding, prev_embed, state);
-            let query = state.query();
-            let valid = mask.valid_mask();
-            let step = self
-                .decoder
-                .decode_forced(&mut tape, &binding, embeddings, query, &valid, local);
-            mask.select(step.action, env.cones());
-            selected.push(pool[step.action]);
-            prev_embed = tape.gather_rows(embeddings, Arc::new(vec![step.action as u32]));
-            total_log_prob = Some(match total_log_prob {
-                Some(acc) => tape.add(acc, step.action_log_prob),
-                None => step.action_log_prob,
-            });
-        }
-        let total_log_prob = total_log_prob.expect("actions checked non-empty above");
-        Ok(Rollout {
-            selected,
-            tape,
-            binding,
-            total_log_prob,
-        })
+        self.trajectory(params, env, Actions::Replay(actions), Tape::new())
     }
+}
+
+/// Where a training trajectory's actions come from.
+enum Actions<'a> {
+    /// Sampled from the policy: one draw of the rng per step.
+    Sample(&'a mut StdRng),
+    /// The policy's argmax at every step.
+    Greedy,
+    /// Teacher-forced: the logged endpoints still to replay, in order.
+    Replay(&'a [EndpointId]),
 }
 
 /// Why a logged trajectory could not be replayed against a rebuilt
@@ -367,6 +362,16 @@ impl Rollout {
     /// Number of selection steps taken.
     pub fn steps(&self) -> usize {
         self.selected.len()
+    }
+
+    /// `∇ Σ_t log π(a_t | s_t)` for every parameter: the backward pass of
+    /// `total_log_prob`, accumulated per bound parameter. The tape is freed
+    /// on return.
+    pub fn log_prob_grads(self) -> GradSet {
+        let mut grads = self.tape.backward(self.total_log_prob);
+        let mut set = GradSet::new();
+        set.accumulate(&self.binding, &mut grads);
+        set
     }
 }
 

@@ -47,19 +47,11 @@ pub struct RlConfig {
     pub seed: u64,
     /// Past-actions encoder architecture.
     pub encoder: EncoderKind,
-    /// Memory budget (bytes) the rollout phase may occupy with concurrent
-    /// trajectory tapes. Defaults to 6 GiB; lower it on small-RAM CI
-    /// machines, raise it on big servers. Values are clamped to
-    /// [256 MiB, 1 TiB] by [`crate::parallel::max_concurrent_tapes`].
-    pub tape_memory_budget: usize,
     /// Minimum surviving rollouts an iteration needs after quarantine.
     /// `None` (the default) means half the workers, rounded up; `Some(0)`
     /// disables the quorum entirely (an all-fault iteration becomes a
     /// logged no-op instead of an error).
     pub quorum: Option<usize>,
-    /// Learning-rate decay applied after a divergent (non-finite) update
-    /// is rolled back to the last good snapshot.
-    pub divergence_lr_decay: f32,
 }
 
 impl Default for RlConfig {
@@ -78,9 +70,7 @@ impl Default for RlConfig {
             fanout_cap: 24,
             seed: 0xCCD,
             encoder: EncoderKind::Lstm,
-            tape_memory_budget: 6 << 30,
             quorum: None,
-            divergence_lr_decay: 0.5,
         }
     }
 }

@@ -22,11 +22,13 @@
 use crate::agent::RlCcd;
 use crate::config::RlConfig;
 use crate::env::CcdEnv;
-use crate::fault::{FaultPlan, RolloutFault};
-use crate::parallel::run_rollouts_assigned;
+use crate::fault::{FaultKind, FaultPlan, InjectedFault, RolloutFault};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rl_ccd_netlist::EndpointId;
 use rl_ccd_nn::{GradSet, ParamSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One iteration's worth of rollout work, as handed to an executor.
 #[derive(Debug)]
@@ -46,7 +48,7 @@ pub struct RolloutRequest<'a> {
     /// The environment (remote workers hold their own copy built from the
     /// same design and recipe).
     pub env: &'a CcdEnv,
-    /// The RL configuration (tape memory budget, quorum, …).
+    /// The RL configuration (remote workers rebuild the model from it).
     pub config: &'a RlConfig,
     /// Deterministic fault injection; [`FaultPlan::none`] outside tests.
     pub plan: &'a FaultPlan,
@@ -91,44 +93,186 @@ pub trait RolloutExecutor: Send + fmt::Debug {
     fn run_batch(&mut self, req: &RolloutRequest<'_>) -> ExecutorBatch;
 }
 
-/// The in-process executor: rollouts fan out over scoped threads, chunked
-/// by the tape memory model — exactly the paper's single-machine setting.
+/// Rough bytes-per-(cell·step) of a trajectory tape plus its transient
+/// backward buffers, calibrated against observed peaks.
+const TAPE_BYTES_PER_CELL_STEP: usize = 6000;
+
+/// Memory the rollout phase may occupy with concurrent tapes.
+const TAPE_BUDGET_BYTES: usize = 6 << 30;
+
+/// How many trajectory tapes can safely coexist for `env` under
+/// [`TAPE_BUDGET_BYTES`]: between 1 and 16.
+fn max_concurrent_tapes(env: &CcdEnv) -> usize {
+    let cells = env.design().netlist.cell_count();
+    let steps = env.pool().len().clamp(4, 80);
+    let per_tape = cells * steps * TAPE_BYTES_PER_CELL_STEP;
+    (TAPE_BUDGET_BYTES / per_tape.max(1)).clamp(1, 16)
+}
+
+/// The in-process executor (paper §IV-A: 8 parallel processes per design,
+/// CPU only), and the one rollout runner: `rl-ccd-dist` workers call it
+/// for their share of the slots.
+///
+/// Each `(slot, seed)` runs on a scoped thread, at most
+/// `max_concurrent_tapes` at a time — a tape over a large design costs
+/// hundreds of MB, and more concurrent tapes than memory allows is how
+/// training runs die. A rollout backpropagates `∇ Σ_t log π(a_t)` on its
+/// own thread, so its tape is freed before the flow scores the selection;
+/// REINFORCE gradients are linear in the advantage, so the trainer scales
+/// the returned gradient afterwards.
+///
+/// Every rollout is supervised: a panic is caught with `catch_unwind`, and
+/// a non-finite reward or gradient element fails validation. Either way
+/// the rollout is *quarantined* — dropped from the batch and recorded as a
+/// [`RolloutFault`] tagged with its slot — and the trainer decides whether
+/// enough survived (the quorum rule in [`crate::reinforce`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalExecutor;
 
 impl RolloutExecutor for LocalExecutor {
     fn run_batch(&mut self, req: &RolloutRequest<'_>) -> ExecutorBatch {
-        let batch = run_rollouts_assigned(
-            req.model,
-            req.params,
-            req.env,
-            req.pairs,
-            req.iteration,
-            req.config.tape_memory_budget,
-            req.plan,
-        );
-        let seed_of = |slot: usize| {
-            req.pairs
-                .iter()
-                .find(|(s, _)| *s == slot)
-                .map(|&(_, seed)| seed)
-                .unwrap_or_default()
-        };
-        ExecutorBatch {
-            rollouts: batch
-                .survivors
-                .into_iter()
-                .map(|(slot, r)| ExecutedRollout {
-                    slot,
-                    seed: seed_of(slot),
-                    reward: r.reward(),
-                    selected: r.selected,
-                    steps: r.steps,
-                    log_prob_grads: r.log_prob_grads,
-                })
-                .collect(),
-            faults: batch.faults,
+        // Hand the driver's recorder (if any) to every rollout thread: each
+        // attaches its own clone, records into its thread-local span
+        // buffer, and merges back when its rollout span closes.
+        let recorder = rl_ccd_obs::current();
+        let mut batch = ExecutorBatch::default();
+        for group in req.pairs.chunks(max_concurrent_tapes(req.env)) {
+            let results: Vec<Result<ExecutedRollout, RolloutFault>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = group
+                    .iter()
+                    .map(|&(slot, seed)| {
+                        let recorder = recorder.clone();
+                        scope.spawn(move || {
+                            let _obs = recorder.as_ref().map(rl_ccd_obs::attach);
+                            supervised(req, slot, seed)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .expect("supervised rollout cannot panic past catch_unwind")
+                    })
+                    .collect()
+            });
+            for result in results {
+                match result {
+                    Ok(rollout) => batch.rollouts.push(rollout),
+                    Err(fault) => batch.faults.push(fault),
+                }
+            }
         }
+        batch
+    }
+}
+
+/// One rollout under supervision: its span, `catch_unwind`, and the
+/// finiteness checks.
+fn supervised(
+    req: &RolloutRequest<'_>,
+    slot: usize,
+    seed: u64,
+) -> Result<ExecutedRollout, RolloutFault> {
+    let iteration = req.iteration;
+    let mut span = rl_ccd_obs::span!(
+        "train.rollout",
+        iteration = iteration,
+        worker = slot,
+        seed = seed,
+    );
+    let fault = |kind, detail| RolloutFault {
+        iteration,
+        worker: slot,
+        seed,
+        kind,
+        detail,
+    };
+    let result = match catch_unwind(AssertUnwindSafe(|| run_one(req, slot, seed))) {
+        Err(payload) => Err(fault(
+            FaultKind::WorkerPanic,
+            panic_message(payload.as_ref()),
+        )),
+        Ok(r) if !r.reward.is_finite() => Err(fault(
+            FaultKind::NonFiniteReward,
+            format!("reward {}", r.reward),
+        )),
+        Ok(r) if !r.log_prob_grads.all_finite() => {
+            let bad = r
+                .log_prob_grads
+                .iter()
+                .find(|(_, t)| !t.all_finite())
+                .map(|(n, _)| n.to_string())
+                .unwrap_or_default();
+            Err(fault(
+                FaultKind::NonFiniteGradient,
+                format!("non-finite gradient in {bad}"),
+            ))
+        }
+        Ok(r) => Ok(r),
+    };
+    match &result {
+        Ok(r) => {
+            span.record("reward", r.reward);
+            span.record("steps", r.steps);
+            rl_ccd_obs::observe!("train.rollout.reward", r.reward);
+        }
+        Err(f) => {
+            span.record("fault", format!("{:?}", f.kind));
+            rl_ccd_obs::counter!("train.fault.quarantined", 1);
+        }
+    }
+    result
+}
+
+/// The rollout body: one sampled trajectory, its backward pass, and the
+/// flow evaluation — with the test-only fault hooks applied at the exact
+/// points real faults would strike.
+fn run_one(req: &RolloutRequest<'_>, slot: usize, seed: u64) -> ExecutedRollout {
+    let (iteration, plan) = (req.iteration, req.plan);
+    if plan.injects(iteration, slot, InjectedFault::WorkerPanic) {
+        panic!("injected worker panic (fault plan, iter {iteration} worker {slot})");
+    }
+    let rollout = req
+        .model
+        .rollout(req.params, req.env, &mut StdRng::seed_from_u64(seed));
+    let selected = rollout.selected.clone();
+    // Backward while the tape is hot; the tape goes with the rollout.
+    let mut log_prob_grads = rollout.log_prob_grads();
+    let mut reward = req.env.reward(&selected);
+    if plan.injects(iteration, slot, InjectedFault::NanReward) {
+        reward = f64::NAN;
+    }
+    if plan.injects(iteration, slot, InjectedFault::PoisonedGradient) {
+        poison_first_element(&mut log_prob_grads);
+    }
+    ExecutedRollout {
+        slot,
+        seed,
+        steps: selected.len(),
+        selected,
+        reward,
+        log_prob_grads,
+    }
+}
+
+/// Replaces the first gradient element with NaN (fault-plan support).
+fn poison_first_element(grads: &mut GradSet) {
+    let first = grads.iter().next().map(|(n, t)| (n.to_string(), t.clone()));
+    if let Some((name, mut t)) = first {
+        t.data_mut()[0] = f32::NAN;
+        grads.set(name, t);
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
     }
 }
 
@@ -161,8 +305,7 @@ mod tests {
     #[test]
     fn gradient_reduction_order_is_fixed_by_slot_not_completion() {
         use crate::reinforce::{try_train_with, TrainSession};
-        let d = generate(&DesignSpec::new("exec-order", 450, TechNode::N7, 62));
-        let env = CcdEnv::new(d, FlowRecipe::default(), 24);
+        let env = env("exec-order", 450, 62);
         let config = RlConfig {
             workers: 4,
             ..RlConfig::fast()
@@ -187,33 +330,96 @@ mod tests {
         );
     }
 
-    #[test]
-    fn local_executor_matches_supervised_runner() {
-        let d = generate(&DesignSpec::new("exec", 450, TechNode::N7, 61));
-        let env = CcdEnv::new(d, FlowRecipe::default(), 24);
+    fn env(name: &str, cells: usize, seed: u64) -> CcdEnv {
+        let d = generate(&DesignSpec::new(name, cells, TechNode::N7, seed));
+        CcdEnv::new(d, FlowRecipe::default(), 24)
+    }
+
+    /// One [`LocalExecutor`] batch of `seeds` (slot = position) under a
+    /// fresh `RlConfig::fast()` model.
+    fn run(env: &CcdEnv, iteration: usize, seeds: &[u64], plan: &FaultPlan) -> ExecutorBatch {
         let config = RlConfig::fast();
         let (model, params) = RlCcd::init(config.clone());
-        let pairs = [(0usize, 500u64), (1, 501)];
-        let plan = FaultPlan::none();
-        let req = RolloutRequest {
-            iteration: 0,
+        let pairs: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
+        LocalExecutor.run_batch(&RolloutRequest {
+            iteration,
             pairs: &pairs,
             params: &params,
             model: &model,
-            env: &env,
+            env,
             config: &config,
-            plan: &plan,
-        };
-        let batch = LocalExecutor.run_batch(&req);
-        assert_eq!(batch.rollouts.len(), 2);
+            plan,
+        })
+    }
+
+    #[test]
+    fn local_executor_matches_serial_rollouts() {
+        let env = env("par", 500, 55);
+        let batch = run(&env, 0, &[100, 101], &FaultPlan::none());
         assert!(batch.faults.is_empty());
-        let direct = crate::parallel::run_rollouts(&model, &params, &env, &[500, 501]);
-        for (got, want) in batch.rollouts.iter().zip(&direct) {
-            assert_eq!(got.selected, want.selected);
-            assert_eq!(got.reward, want.reward());
-            assert_eq!(got.steps, want.steps);
+        assert_eq!(batch.rollouts.len(), 2);
+        let (model, params) = RlCcd::init(RlConfig::fast());
+        for (r, (slot, seed)) in batch.rollouts.iter().zip([(0, 100), (1, 101)]) {
+            assert_eq!((r.slot, r.seed), (slot, seed));
+            // Rerun the slot serially: identical trajectory, reward, gradient.
+            let serial = model.rollout(&params, &env, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(serial.selected, r.selected);
+            assert_eq!(serial.steps(), r.steps);
+            assert!(r.steps >= 1);
+            assert_eq!(env.reward(&serial.selected), r.reward);
+            assert!(r.reward <= 0.0 && r.reward.is_finite());
+            let grads = serial.log_prob_grads();
+            for (name, g) in grads.iter() {
+                let other = r.log_prob_grads.get(name).expect("same params");
+                assert_eq!(g.data(), other.data(), "gradient mismatch for {name}");
+            }
         }
-        assert_eq!(batch.rollouts[0].seed, 500);
-        assert_eq!(batch.rollouts[1].seed, 501);
+    }
+
+    #[test]
+    fn chunking_respects_memory_model() {
+        let env = env("mem", 500, 56);
+        assert!((1..=16).contains(&max_concurrent_tapes(&env)));
+        // Chunked execution still returns everything, in slot order.
+        let seeds: Vec<u64> = (0..5).collect();
+        let batch = run(&env, 0, &seeds, &FaultPlan::none());
+        let slots: Vec<usize> = batch.rollouts.iter().map(|r| r.slot).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn injected_panic_is_quarantined_not_fatal() {
+        let env = env("panic", 450, 57);
+        let plan = FaultPlan::none().with_worker_panic(3, 1);
+        let batch = run(&env, 3, &[10, 11, 12], &plan);
+        assert_eq!(batch.rollouts.len(), 2);
+        assert_eq!(batch.faults.len(), 1);
+        let f = &batch.faults[0];
+        assert_eq!((f.iteration, f.worker, f.seed), (3, 1, 11));
+        assert_eq!(f.kind, FaultKind::WorkerPanic);
+        assert!(f.detail.contains("injected"), "{}", f.detail);
+        // Survivors keep their slots and seeds.
+        let kept: Vec<(usize, u64)> = batch.rollouts.iter().map(|r| (r.slot, r.seed)).collect();
+        assert_eq!(kept, vec![(0, 10), (2, 12)]);
+    }
+
+    #[test]
+    fn injected_nan_reward_and_gradient_are_quarantined() {
+        let env = env("nanq", 450, 58);
+        let plan = FaultPlan::none()
+            .with_nan_reward(0, 0)
+            .with_poisoned_gradient(0, 2);
+        let batch = run(&env, 0, &[20, 21, 22], &plan);
+        assert_eq!(batch.rollouts.len(), 1);
+        assert_eq!(batch.rollouts[0].slot, 1);
+        let kinds: Vec<FaultKind> = batch.faults.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![FaultKind::NonFiniteReward, FaultKind::NonFiniteGradient]
+        );
+        for r in &batch.rollouts {
+            assert!(r.reward.is_finite());
+            assert!(r.log_prob_grads.all_finite());
+        }
     }
 }

@@ -61,7 +61,6 @@ pub mod gate;
 pub mod incremental;
 pub mod infer;
 pub mod masking;
-pub mod parallel;
 pub mod reinforce;
 pub mod session;
 pub mod transfer;
@@ -89,14 +88,9 @@ pub use gate::{run_eval_gate, DesignScore, GateSpec, GateVerdict};
 pub use incremental::{EpGraph, Frontier, IncrementalEncoder, StoredEncode};
 pub use infer::{sample_endpoints, select_endpoints, InferSession};
 pub use masking::{EndpointStatus, SelectionMask};
-pub use parallel::{
-    max_concurrent_tapes, run_rollouts, run_rollouts_assigned, run_rollouts_supervised,
-    RolloutBatch, ScoredRollout, DEFAULT_TAPE_MEMORY_BUDGET, MAX_TAPE_MEMORY_BUDGET,
-    MIN_TAPE_MEMORY_BUDGET,
-};
 pub use reinforce::{
-    resume_train_with, train_or_resume_with, try_train, try_train_with, IterationStats, TrainError,
-    TrainOutcome, TrainSession,
+    reinforce_update, resume_train_with, train_or_resume_with, try_train, try_train_with,
+    IterationStats, TrainError, TrainOutcome, TrainSession, UpdateOutcome,
 };
 pub use session::{Session, SessionBuilder};
 pub use transfer::{load_params, save_params, with_pretrained_gnn, zero_shot_selection};

@@ -14,16 +14,16 @@
 //! The paper trains on an 8-worker CPU farm where long runs must survive
 //! worker failures. Three layers make that true here:
 //!
-//! 1. **Rollout supervision** — workers run under
-//!    [`run_rollouts_supervised`](crate::parallel::run_rollouts_supervised);
-//!    a panicked or non-finite rollout is
+//! 1. **Rollout supervision** — rollouts run under
+//!    [`LocalExecutor`]'s supervision (in-process, or inside each
+//!    `rl-ccd-dist` worker); a panicked or non-finite rollout is
 //!    quarantined with a [`RolloutFault`] record and the iteration
 //!    proceeds if at least [`RlConfig::effective_quorum`] workers survive,
 //!    aborting with [`TrainError::QuorumLost`] otherwise.
-//! 2. **Update guards + soft restart** — the merged gradient and the
-//!    post-step parameters/optimizer moments are validated for
-//!    finiteness; a divergent step is rolled back to the pre-step
-//!    snapshot (kept in memory) and the learning rate is decayed, so one
+//! 2. **Update guards + soft restart** — [`reinforce_update`] validates
+//!    the merged gradient and the post-step parameters/optimizer moments
+//!    for finiteness; a divergent step is rolled back to the pre-step
+//!    snapshot (kept in memory) and the learning rate is halved, so one
 //!    bad batch can never destroy a run.
 //! 3. **Atomic resumable checkpoints** — every `checkpoint_every`
 //!    iterations the full [`TrainingState`] is committed via temp file +
@@ -329,6 +329,72 @@ pub fn train_or_resume_with(
     }
 }
 
+/// Learning-rate factor applied after a divergent update is rolled back.
+const DIVERGENCE_LR_DECAY: f32 = 0.5;
+
+/// What [`reinforce_update`] did with one batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UpdateOutcome {
+    /// The rewards' population std was ≤ 1e-9 (or undefined): there is no
+    /// advantage, so no gradient was drawn and nothing moved.
+    Degenerate,
+    /// The merged gradient was non-finite — every input was finite, so an
+    /// overflow in the merge or clip arithmetic — and the step was skipped.
+    NonFiniteGradient,
+    /// Adam's step left non-finite parameters or moments: both were
+    /// restored from the pre-step snapshot and the learning rate halved, so
+    /// a pathological batch cannot repeatedly diverge the run.
+    Diverged,
+    /// Adam stepped.
+    Stepped,
+}
+
+/// One REINFORCE step (Eq. 7 with a standardized batch-mean baseline):
+/// the update both online training and offline retraining take.
+///
+/// `rewards[i]` pairs with the `i`-th item of `grads`: that trajectory's
+/// unscaled `∇ Σ_t log π(a_t|s_t)` and its weight (1 online, the clamped
+/// importance weight offline). Advantages use the population std; each
+/// gradient is scaled by `−(advantage · weight)` and merged in order, then
+/// averaged, clipped to `grad_clip` in global norm, and handed to Adam
+/// behind the two non-finite guards of [`UpdateOutcome`]. `grads` is
+/// iterated only when the batch is not degenerate, so a lazy iterator runs
+/// no backward pass for a batch that cannot learn.
+pub fn reinforce_update(
+    params: &mut ParamSet,
+    adam: &mut Adam,
+    grad_clip: f32,
+    rewards: &[f64],
+    grads: impl IntoIterator<Item = (GradSet, f32)>,
+) -> UpdateOutcome {
+    let n = rewards.len() as f64;
+    let mean = rewards.iter().sum::<f64>() / n;
+    let std = (rewards.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / n).sqrt();
+    if std.is_nan() || std <= 1e-9 {
+        return UpdateOutcome::Degenerate;
+    }
+    let mut merged = GradSet::new();
+    for (&reward, (mut g, weight)) in rewards.iter().zip(grads) {
+        let advantage = ((reward - mean) / std) as f32;
+        g.scale(-(advantage * weight));
+        merged.merge(g);
+    }
+    merged.average();
+    rl_ccd_obs::gauge!("train.update.grad_norm", merged.global_norm());
+    merged.clip_global_norm(grad_clip);
+    if !merged.all_finite() {
+        return UpdateOutcome::NonFiniteGradient;
+    }
+    let last_good = (params.clone(), adam.clone());
+    adam.step(params, &merged);
+    if !params.all_finite() || !adam.state_is_finite() {
+        (*params, *adam) = last_good;
+        adam.decay_lr(DIVERGENCE_LR_DECAY);
+        return UpdateOutcome::Diverged;
+    }
+    UpdateOutcome::Stepped
+}
+
 /// The supervised training loop shared by fresh and resumed runs, and by
 /// every executor. Gradient reduction iterates survivors sorted by slot,
 /// so the merged update is fixed by seed index — never by the order an
@@ -412,9 +478,6 @@ fn run_training(
         } else {
             let rewards: Vec<f64> = survivors.iter().map(|r| r.reward).collect();
             let mean = rewards.iter().sum::<f64>() / rewards.len() as f64;
-            let var =
-                rewards.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rewards.len() as f64;
-            let std = var.sqrt();
             let batch_best = rewards.iter().copied().fold(f64::NEG_INFINITY, f64::max);
 
             // Track the champion selection. Executed rollouts carry only
@@ -434,58 +497,37 @@ fn run_training(
                 s.best_selection = r.selected.clone();
                 s.best_result = env.evaluate(&s.best_selection);
             }
-
-            // Policy-gradient update (skip degenerate batches). Workers
-            // already computed ∇Σlogπ; REINFORCE's gradient is that,
-            // scaled by −advantage (Eq. 7 with a standardized baseline).
-            if std > 1e-9 {
-                let mut grads = GradSet::new();
-                for r in survivors.iter() {
-                    let advantage = ((r.reward - mean) / std) as f32;
-                    let mut local = GradSet::new();
-                    local.merge(r.log_prob_grads.clone());
-                    local.scale(-advantage);
-                    grads.merge(local);
-                }
-                grads.average();
-                rl_ccd_obs::gauge!("train.update.grad_norm", grads.global_norm());
-                grads.clip_global_norm(config.grad_clip);
-                if !grads.all_finite() {
-                    // Per-rollout gradients were finite, so this is an
-                    // overflow in merge/clip arithmetic: skip the step.
-                    rl_ccd_obs::counter!("train.update.guarded", 1);
-                    s.faults.push(RolloutFault {
-                        iteration,
-                        worker: 0,
-                        seed: 0,
-                        kind: FaultKind::NonFiniteUpdate,
-                        detail: "merged gradient non-finite; step skipped".into(),
-                    });
-                } else {
-                    let last_good = (s.params.clone(), s.adam.clone());
-                    s.adam.step(&mut s.params, &grads);
-                    if !s.params.all_finite() || !s.adam.state_is_finite() {
-                        // Soft restart: restore the last good snapshot and
-                        // decay the LR so a pathological batch cannot
-                        // repeatedly diverge the run.
-                        s.params = last_good.0;
-                        s.adam = last_good.1;
-                        s.adam.decay_lr(config.divergence_lr_decay);
-                        rl_ccd_obs::counter!("train.update.guarded", 1);
-                        s.faults.push(RolloutFault {
-                            iteration,
-                            worker: 0,
-                            seed: 0,
-                            kind: FaultKind::NonFiniteUpdate,
-                            detail: format!(
-                                "post-step state non-finite; restored snapshot, lr -> {}",
-                                s.adam.lr
-                            ),
-                        });
-                    }
-                }
-            }
             let steps = survivors.iter().map(|r| r.steps).collect();
+
+            // Workers already computed ∇Σlogπ; each enters the update at
+            // weight 1.
+            let update = reinforce_update(
+                &mut s.params,
+                &mut s.adam,
+                config.grad_clip,
+                &rewards,
+                survivors.into_iter().map(|r| (r.log_prob_grads, 1.0)),
+            );
+            let guarded = match update {
+                UpdateOutcome::NonFiniteGradient => {
+                    Some("merged gradient non-finite; step skipped".to_string())
+                }
+                UpdateOutcome::Diverged => Some(format!(
+                    "post-step state non-finite; restored snapshot, lr -> {}",
+                    s.adam.lr
+                )),
+                UpdateOutcome::Degenerate | UpdateOutcome::Stepped => None,
+            };
+            if let Some(detail) = guarded {
+                rl_ccd_obs::counter!("train.update.guarded", 1);
+                s.faults.push(RolloutFault {
+                    iteration,
+                    worker: 0,
+                    seed: 0,
+                    kind: FaultKind::NonFiniteUpdate,
+                    detail,
+                });
+            }
             (mean, batch_best, steps, rewards)
         };
 
@@ -564,6 +606,7 @@ mod tests {
     use super::*;
     use rl_ccd_flow::FlowRecipe;
     use rl_ccd_netlist::{generate, DesignSpec, TechNode};
+    use rl_ccd_nn::Tensor;
 
     fn env() -> CcdEnv {
         let d = generate(&DesignSpec::new("train", 500, TechNode::N7, 77));
@@ -651,6 +694,85 @@ mod tests {
             .iter()
             .any(|f| f.kind == FaultKind::EmptyBatch && f.iteration == 0));
         assert!(out.params.all_finite());
+    }
+
+    fn one_param(value: f32) -> ParamSet {
+        let mut params = ParamSet::new();
+        params.insert("w", Tensor::from_vec(1, 1, vec![value]));
+        params
+    }
+
+    fn grad(value: f32) -> GradSet {
+        let mut g = GradSet::new();
+        g.set("w", Tensor::from_vec(1, 1, vec![value]));
+        g
+    }
+
+    fn param_bits(params: &ParamSet) -> Vec<u32> {
+        params
+            .iter()
+            .flat_map(|(_, t)| t.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn adam_bytes(adam: &Adam) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        adam.save(&mut bytes).expect("in-memory write");
+        bytes
+    }
+
+    #[test]
+    fn degenerate_batch_draws_no_gradient() {
+        let (mut params, mut adam) = (one_param(1.0), Adam::new(1e-3));
+        let untouched = |_: usize| -> (GradSet, f32) { panic!("gradient drawn") };
+        for rewards in [&[-3.0, -3.0][..], &[]] {
+            let update = reinforce_update(
+                &mut params,
+                &mut adam,
+                5.0,
+                rewards,
+                (0..rewards.len()).map(untouched),
+            );
+            assert_eq!(update, UpdateOutcome::Degenerate);
+        }
+        assert_eq!(adam.steps(), 0);
+    }
+
+    #[test]
+    fn overflowing_merge_skips_the_step_bit_for_bit() {
+        let (mut params, mut adam) = (one_param(1.0), Adam::new(1e-3));
+        let (params0, adam0) = (param_bits(&params), adam_bytes(&adam));
+        // Advantages are −1 and +1, so both scaled gradients are +f32::MAX
+        // and their sum overflows.
+        let update = reinforce_update(
+            &mut params,
+            &mut adam,
+            5.0,
+            &[0.0, 1.0],
+            [(grad(f32::MAX), 1.0), (grad(-f32::MAX), 1.0)],
+        );
+        assert_eq!(update, UpdateOutcome::NonFiniteGradient);
+        assert_eq!(param_bits(&params), params0);
+        assert_eq!(adam_bytes(&adam), adam0);
+    }
+
+    #[test]
+    fn divergent_step_restores_params_and_moments_and_halves_the_lr() {
+        let (mut params, mut adam) = (one_param(1.0e38), Adam::new(1e-3));
+        // A merged gradient of −1 raises `w`; the first step gives Adam
+        // non-zero moments to restore.
+        let batch = || [(grad(-1.0), 1.0), (grad(1.0), 1.0)];
+        let rewards = [0.0, 1.0];
+        let first = reinforce_update(&mut params, &mut adam, 5.0, &rewards, batch());
+        assert_eq!(first, UpdateOutcome::Stepped);
+        adam.lr = f32::MAX;
+        let (params0, mut expected) = (param_bits(&params), adam.clone());
+        expected.lr = f32::MAX / 2.0;
+        let update = reinforce_update(&mut params, &mut adam, 5.0, &rewards, batch());
+        assert_eq!(update, UpdateOutcome::Diverged);
+        assert_eq!(param_bits(&params), params0);
+        assert_eq!(adam_bytes(&adam), adam_bytes(&expected));
+        assert_eq!(adam.lr.to_bits(), (f32::MAX / 2.0).to_bits());
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct InitRequest {
     /// The flow recipe every rollout evaluation runs.
     pub recipe: FlowRecipe,
     /// The RL configuration (the worker rebuilds the model from its seed
-    /// and widths, and honors its tape memory budget).
+    /// and widths).
     pub config: RlConfig,
     /// The design netlist in [`rl_ccd_netlist::write_netlist`] text form.
     pub netlist_text: String,
@@ -317,13 +317,11 @@ fn encode_config(w: Writer, c: &RlConfig) -> Writer {
         .kv("cfg.patience", c.patience)
         .kv("cfg.fanout_cap", c.fanout_cap)
         .kv("cfg.seed", c.seed)
-        .kv("cfg.encoder", enc)
-        .kv("cfg.tape_budget", c.tape_memory_budget);
-    let w = match c.quorum {
+        .kv("cfg.encoder", enc);
+    match c.quorum {
         Some(q) => w.kv("cfg.quorum", q),
         None => w.kv("cfg.quorum", "none"),
-    };
-    w.kv("cfg.div_lr_decay", c.divergence_lr_decay)
+    }
 }
 
 fn decode_config(f: &Fields<'_>) -> Result<RlConfig, String> {
@@ -346,12 +344,10 @@ fn decode_config(f: &Fields<'_>) -> Result<RlConfig, String> {
             "none" => EncoderKind::None,
             other => return Err(format!("unknown encoder {}", quote(other))),
         },
-        tape_memory_budget: f.parse("cfg.tape_budget")?,
         quorum: match f.get("cfg.quorum")? {
             "none" => None,
             _ => Some(f.parse("cfg.quorum")?),
         },
-        divergence_lr_decay: f.parse("cfg.div_lr_decay")?,
     })
 }
 

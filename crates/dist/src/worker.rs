@@ -7,9 +7,8 @@
 //! setup (STA, endpoint pool, GNN graphs, features) is paid exactly once
 //! per training run, not per iteration.
 //!
-//! Each [`Request::Run`] then fans its `(slot, seed)` pairs over the
-//! shared in-process rollout runner
-//! ([`rl_ccd::run_rollouts_assigned`]) — the *identical* code path a
+//! Each [`Request::Run`] then hands its `(slot, seed)` pairs to
+//! [`LocalExecutor::run_batch`] — the *identical* code path a
 //! single-process run takes, which is what makes distributed training
 //! bit-identical to local training.
 //!
@@ -27,7 +26,7 @@ use crate::protocol::{
     decode_request, encode_response, BatchResponse, Inject, Request, Response, RolloutItem,
     DIST_MAX_FRAME_LEN,
 };
-use rl_ccd::{run_rollouts_assigned, CcdEnv, FaultPlan, RlCcd, RlConfig};
+use rl_ccd::{CcdEnv, FaultPlan, LocalExecutor, RlCcd, RlConfig, RolloutExecutor, RolloutRequest};
 use rl_ccd_netlist::{read_netlist, ClusterClass, DesignSpec, GeneratedDesign};
 use rl_ccd_obs as obs;
 use rl_ccd_wire::reactor::Interest;
@@ -372,32 +371,25 @@ fn run_batch(
             _ => plan,
         };
     }
-    let batch = run_rollouts_assigned(
-        &st.model,
-        params,
-        &st.env,
-        pairs,
+    let batch = LocalExecutor.run_batch(&RolloutRequest {
         iteration,
-        st.config.tape_memory_budget,
-        &plan,
-    );
-    let seed_of = |slot: usize| {
-        pairs
-            .iter()
-            .find(|(s, _)| *s == slot)
-            .map(|&(_, seed)| seed)
-            .unwrap_or_default()
-    };
-    obs::counter!("dist.worker.rollouts", batch.survivors.len() as u64);
+        pairs,
+        params,
+        model: &st.model,
+        env: &st.env,
+        config: &st.config,
+        plan: &plan,
+    });
+    obs::counter!("dist.worker.rollouts", batch.rollouts.len() as u64);
     BatchResponse {
         items: batch
-            .survivors
+            .rollouts
             .into_iter()
-            .map(|(slot, r)| RolloutItem {
-                slot,
-                seed: seed_of(slot),
+            .map(|r| RolloutItem {
+                slot: r.slot,
+                seed: r.seed,
                 steps: r.steps,
-                reward: r.reward(),
+                reward: r.reward,
                 selection: r.selected.iter().map(|e| e.index()).collect(),
                 grads: r.log_prob_grads,
             })

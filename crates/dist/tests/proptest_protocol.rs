@@ -94,13 +94,11 @@ fn random_config(rng: &mut StdRng) -> RlConfig {
             1 => EncoderKind::Gru,
             _ => EncoderKind::None,
         },
-        tape_memory_budget: rng.gen_range(1usize..1 << 40),
         quorum: if rng.gen_bool(0.5) {
             None
         } else {
             Some(rng.gen_range(0usize..16))
         },
-        divergence_lr_decay: wild_f32(rng),
     }
 }
 
@@ -324,7 +322,7 @@ fn golden_bytes() {
                 config: RlConfig::fast(),
                 netlist_text: "netlist body line 1\nline 2 without newline".into(),
             }),
-            "rl-ccd-dist v1\ninit period_ps=812.25 skew.sweeps=12 skew.rate=0.9 skew.hold_floor=2 skew.launch_floor=12 skew.tolerance=0.05 skew.move_budget=0.7 skew.serves=0.15 touchup.sweeps=2 touchup.rate=0.9 touchup.hold_floor=2 touchup.launch_floor=12 touchup.tolerance=0.05 touchup.move_budget=0.02 touchup.serves=0.15 pre.passes=1 pre.ops_per_pass=0 pre.ops_per_kcell=80 pre.ops_per_ep=3 pre.buffer_min_len=30 pre.min_gain=0.5 main.passes=5 main.ops_per_pass=0 main.ops_per_kcell=160 main.ops_per_ep=6 main.buffer_min_len=30 main.min_gain=0.5 recovery_slack=40 margin_mode=overfix clock_insertion=0.1 clock_variation=0.015 skew_bound=0.45 legalize_disp=1 flow_seed=3856 cfg.gnn_hidden=8 cfg.embed_dim=4 cfg.lstm_hidden=8 cfg.attn_dim=8 cfg.rho=0.3 cfg.lr=0.003 cfg.grad_clip=5 cfg.workers=2 cfg.max_iterations=3 cfg.patience=3 cfg.fanout_cap=24 cfg.seed=3277 cfg.encoder=lstm cfg.tape_budget=6442450944 cfg.quorum=none cfg.div_lr_decay=0.5\nnetlist body line 1\nline 2 without newline",
+            "rl-ccd-dist v1\ninit period_ps=812.25 skew.sweeps=12 skew.rate=0.9 skew.hold_floor=2 skew.launch_floor=12 skew.tolerance=0.05 skew.move_budget=0.7 skew.serves=0.15 touchup.sweeps=2 touchup.rate=0.9 touchup.hold_floor=2 touchup.launch_floor=12 touchup.tolerance=0.05 touchup.move_budget=0.02 touchup.serves=0.15 pre.passes=1 pre.ops_per_pass=0 pre.ops_per_kcell=80 pre.ops_per_ep=3 pre.buffer_min_len=30 pre.min_gain=0.5 main.passes=5 main.ops_per_pass=0 main.ops_per_kcell=160 main.ops_per_ep=6 main.buffer_min_len=30 main.min_gain=0.5 recovery_slack=40 margin_mode=overfix clock_insertion=0.1 clock_variation=0.015 skew_bound=0.45 legalize_disp=1 flow_seed=3856 cfg.gnn_hidden=8 cfg.embed_dim=4 cfg.lstm_hidden=8 cfg.attn_dim=8 cfg.rho=0.3 cfg.lr=0.003 cfg.grad_clip=5 cfg.workers=2 cfg.max_iterations=3 cfg.patience=3 cfg.fanout_cap=24 cfg.seed=3277 cfg.encoder=lstm cfg.quorum=none\nnetlist body line 1\nline 2 without newline",
         ),
         (
             Request::Run(RunRequest {
@@ -424,6 +422,28 @@ fn golden_bytes() {
         let decoded = decode_response(bytes.as_bytes()).unwrap();
         assert_eq!(String::from_utf8(encode_response(&decoded)).unwrap(), bytes);
     }
+}
+
+/// An `init` from a coordinator that still sends the retired
+/// `cfg.tape_budget` and `cfg.div_lr_decay` keys decodes to the same
+/// request: the field layer ignores keys a schema does not ask for, so the
+/// protocol version did not move when they went.
+#[test]
+fn init_with_retired_config_keys_still_decodes() {
+    let req = Request::Init(InitRequest {
+        period_ps: 812.25,
+        recipe: FlowRecipe::default(),
+        config: RlConfig::fast(),
+        netlist_text: "netlist body\n".into(),
+    });
+    let current = String::from_utf8(encode_request(&req)).unwrap();
+    let old = current.replacen(
+        " cfg.quorum=none\n",
+        " cfg.tape_budget=6442450944 cfg.quorum=none cfg.div_lr_decay=0.5\n",
+        1,
+    );
+    assert_ne!(old, current, "the config line moved");
+    assert_eq!(decode_request(old.as_bytes()), Ok(req));
 }
 
 /// The malformed lines every protocol on the field layer rejects alike —

@@ -14,21 +14,22 @@
 //! log-probs were captured at serve time, so the importance weight is
 //! `w = exp(Σ log π_θ − Σ log π_b)`, clamped to `w_max` to bound the
 //! variance of stale records. Rewards are standardized across the batch
-//! exactly as the online trainer does (population std, update skipped
-//! when the batch is degenerate), and each record contributes
-//! `−(w · advantage) · ∇ Σ_t log π_θ`. Everything downstream of the
-//! gradient — averaging, global-norm clipping, Adam, the non-finite
-//! guards with snapshot-restore and learning-rate decay — mirrors
-//! `rl_ccd::reinforce` line for line, so an offline step is the online
-//! step with `w ≡ 1` when the data is fresh.
+//! and each record contributes `−(w · advantage) · ∇ Σ_t log π_θ`: the
+//! step is [`rl_ccd::reinforce_update`], the function the online trainer
+//! calls with `w ≡ 1` — population-std advantages, no update (and no
+//! backward pass) for a degenerate batch, averaging, global-norm
+//! clipping, Adam, and the non-finite guards with snapshot-restore and
+//! learning-rate decay.
 
 use crate::buffer::ReplayBuffer;
 use crate::rebuild::{build_env, feature_fingerprint};
 use crate::record::ExpRecord;
 use crate::ExpError;
-use rl_ccd::{load_training_state, save_training_state, CcdEnv, IterationStats, TrainingState};
+use rl_ccd::{
+    load_training_state, reinforce_update, save_training_state, CcdEnv, IterationStats,
+    TrainingState, UpdateOutcome,
+};
 use rl_ccd_netlist::EndpointId;
-use rl_ccd_nn::GradSet;
 use rl_ccd_serve::{DesignKey, ModelRegistry};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -263,40 +264,26 @@ pub fn retrain(
             continue;
         }
         let mean = rewards.iter().sum::<f64>() / rewards.len() as f64;
-        let var = rewards.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rewards.len() as f64;
-        let std = var.sqrt();
         let batch_best = rewards.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        // The update mirrors rl_ccd::reinforce exactly: standardized
-        // advantage, importance weight folded into the per-record scale,
-        // average, clip, and the two non-finite guards.
-        if std > 1e-9 {
-            let mut grads = GradSet::new();
-            for (record, rollout, weight) in &replays {
-                let advantage = ((record.reward_tns_ps - mean) / std) as f32;
-                let mut gradients = rollout.tape.backward(rollout.total_log_prob);
-                let mut local = GradSet::new();
-                local.accumulate(&rollout.binding, &mut gradients);
-                local.scale(-(advantage * weight));
-                grads.merge(local);
-            }
-            grads.average();
-            grads.clip_global_norm(cfg.grad_clip);
-            if !grads.all_finite() {
+        let steps = replays.iter().map(|(r, _, _)| r.selection.len()).collect();
+        // The online update, with the importance weight as each record's
+        // weight; a degenerate batch runs no backward pass.
+        let update = reinforce_update(
+            &mut params,
+            &mut adam,
+            cfg.grad_clip,
+            &rewards,
+            replays
+                .into_iter()
+                .map(|(_, rollout, weight)| (rollout.log_prob_grads(), weight)),
+        );
+        match update {
+            UpdateOutcome::Stepped => report.steps_taken += 1,
+            UpdateOutcome::NonFiniteGradient | UpdateOutcome::Diverged => {
                 report.guarded_steps += 1;
                 rl_ccd_obs::counter!("exp.retrain.guarded", 1);
-            } else {
-                let last_good = (params.clone(), adam.clone());
-                adam.step(&mut params, &grads);
-                if !params.all_finite() || !adam.state_is_finite() {
-                    params = last_good.0;
-                    adam = last_good.1;
-                    adam.decay_lr(0.5);
-                    report.guarded_steps += 1;
-                    rl_ccd_obs::counter!("exp.retrain.guarded", 1);
-                } else {
-                    report.steps_taken += 1;
-                }
             }
+            UpdateOutcome::Degenerate => {}
         }
         history.push(IterationStats {
             iteration,
@@ -304,7 +291,7 @@ pub fn retrain(
             batch_best,
             greedy_reward: batch_best,
             best_so_far: best_reward,
-            steps: replays.iter().map(|(r, _, _)| r.selection.len()).collect(),
+            steps,
             rewards,
         });
     }

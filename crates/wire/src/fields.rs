@@ -24,7 +24,7 @@ use std::str::FromStr;
 /// Most bytes of offending input an error message quotes.
 pub const QUOTE_MAX: usize = 64;
 
-/// Most fields one line may carry. The widest schema (dist `init`) has 50;
+/// Most fields one line may carry. The widest schema (dist `init`) has 48;
 /// the cap keeps the repeated-key check, and so a junk frame read on the
 /// reactor thread, linear in the line's length.
 pub const MAX_FIELDS: usize = 128;

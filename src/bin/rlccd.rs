@@ -6,7 +6,7 @@
 //! rlccd flow     --in design.nl [--period <ps>] [--trace-out run.jsonl]
 //! rlccd train    --in design.nl [--iters 12] [--workers 8] [--params out.txt]
 //!                [--checkpoint DIR] [--checkpoint-every K] [--resume DIR]
-//!                [--tape-budget-gib G] [--trace-out run.jsonl]
+//!                [--trace-out run.jsonl]
 //! rlccd train    --in design.nl --workers host:port,host:port [--slots 8]
 //!                [--deadline-s S] [--retries N] [--chaos-plan SPEC]
 //!                [--inject-worker-drop IT:PROC] …
@@ -137,7 +137,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
         "train",
         "train    --in FILE [--period PS] [--iters N] [--workers N] [--params FILE]\n\
          \u{20}         [--checkpoint DIR] [--checkpoint-every K] [--resume DIR]\n\
-         \u{20}         [--tape-budget-gib G] [--trace-out FILE]\n\
+         \u{20}         [--trace-out FILE]\n\
          \u{20}         [--workers HOST:PORT,HOST:PORT [--slots N] [--deadline-s S]\n\
          \u{20}         [--retries N] [--chaos-plan SPEC] [--inject-worker-drop IT:PROC]]",
     ),
@@ -394,19 +394,11 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
         ),
         None => (8, None),
     };
-    let mut config = RlConfig {
+    let config = RlConfig {
         max_iterations: arg(args, "--iters")?.unwrap_or(12),
         workers: slots,
         ..RlConfig::default()
     };
-    if let Some(gib) = arg::<f64>(args, "--tape-budget-gib")? {
-        if !gib.is_finite() || gib <= 0.0 {
-            return Err(Error::Config(format!(
-                "--tape-budget-gib must be positive, got {gib}"
-            )));
-        }
-        config.tape_memory_budget = (gib * (1u64 << 30) as f64) as usize;
-    }
     let trace = trace_from(args)?;
     // --resume DIR continues an interrupted run (or starts one that
     // checkpoints into DIR); --checkpoint DIR starts fresh but writes

@@ -156,7 +156,7 @@ fn every_path_gives_one_selection_and_one_log_prob() {
     let reference = model.rollout(&params, &env, &mut rng());
     assert!(reference.steps() >= 2, "a one-step trajectory pins little");
     let want = &reference.selected;
-    let scalar = model.rollout_with_tape(&params, &env, &mut rng(), Tape::scalar_reference());
+    let scalar = model.rollout_with_tape(&params, &env, Some(&mut rng()), Tape::scalar_reference());
     assert_eq!(&scalar.selected, want, "scalar-reference rollout");
     assert_eq!(total_bits(&scalar), total_bits(&reference));
     assert_eq!(
@@ -188,7 +188,7 @@ fn every_path_gives_one_selection_and_one_log_prob() {
     // Greedy.
     let reference = model.rollout_greedy(&params, &env);
     let want = &reference.selected;
-    let scalar = model.rollout_greedy_with_tape(&params, &env, Tape::scalar_reference());
+    let scalar = model.rollout_with_tape(&params, &env, None, Tape::scalar_reference());
     assert_eq!(&scalar.selected, want, "scalar-reference greedy rollout");
     assert_eq!(total_bits(&scalar), total_bits(&reference));
     assert_eq!(

@@ -135,6 +135,52 @@ fn distributed_training_is_bit_identical_for_any_worker_count() {
     }
 }
 
+/// A design with no violating endpoint trains to the default flow, in
+/// process and through a worker alike: every rollout is a zero-step
+/// trajectory (an empty gradient crosses the wire), the batch is
+/// degenerate, and the default-flow champion stands.
+#[test]
+fn a_design_with_no_violations_reports_the_default_flow() {
+    let mut clean = generate(&DesignSpec::new("clean", 400, TechNode::N7, 5));
+    clean.period_ps *= 50.0;
+    let cfg = RlConfig::fast();
+    let session = |executor: Option<DistExecutor>| {
+        let mut builder = Session::builder()
+            .design(clean.clone())
+            .rl_config(cfg.clone());
+        if let Some(executor) = executor {
+            builder = builder.executor(Box::new(executor));
+        }
+        builder.build().expect("session builds")
+    };
+    let local = session(None);
+    assert!(local.env().pool().is_empty(), "the design must be clean");
+    let default = local.env().default_flow().final_qor;
+    let fleet = WorkerFleet::spawn(1);
+    let dist = session(Some(
+        DistExecutor::connect(&fleet.addrs).expect("connect to workers"),
+    ));
+    for (name, session) in [("local", &local), ("dist", &dist)] {
+        let out = session
+            .train()
+            .unwrap_or_else(|e| panic!("{name} training on a clean design: {e}"));
+        assert!(out.faults.is_empty(), "{name}: {:?}", out.faults);
+        assert!(out.best_selection.is_empty(), "{name}");
+        let best = out.best_result.final_qor;
+        assert_eq!(best.wns_ps.to_bits(), default.wns_ps.to_bits(), "{name}");
+        assert_eq!(best.tns_ps.to_bits(), default.tns_ps.to_bits(), "{name}");
+        assert_eq!(
+            best.power_mw.to_bits(),
+            default.power_mw.to_bits(),
+            "{name}"
+        );
+        assert_eq!(best.nve, default.nve, "{name}");
+        assert!(out.history.iter().all(|h| h.steps.iter().all(|&s| s == 0)));
+    }
+    drop(dist);
+    fleet.stop();
+}
+
 #[test]
 fn worker_kill_mid_iteration_is_requeued_and_stays_bit_identical() {
     let cfg = config();

@@ -22,7 +22,7 @@ use rl_ccd::{
 use rl_ccd_exp::{build_env, feature_fingerprint, retrain, ExpRecord, RetrainConfig};
 use rl_ccd_flow::{FlowRecipe, Qor};
 use rl_ccd_netlist::{block_suite, generate, EndpointId};
-use rl_ccd_nn::{Adam, GradSet, ParamSet, Tape};
+use rl_ccd_nn::{Adam, ParamSet, Tape};
 use rl_ccd_serve::DesignKey;
 use std::fmt::Write as _;
 
@@ -91,19 +91,16 @@ impl RolloutExecutor for ScalarKernels {
                 let rollout = req.model.rollout_with_tape(
                     req.params,
                     req.env,
-                    &mut StdRng::seed_from_u64(seed),
+                    Some(&mut StdRng::seed_from_u64(seed)),
                     Tape::scalar_reference(),
                 );
-                let mut grads = rollout.tape.backward(rollout.total_log_prob);
-                let mut log_prob_grads = GradSet::new();
-                log_prob_grads.accumulate(&rollout.binding, &mut grads);
                 ExecutedRollout {
                     slot,
                     seed,
                     reward: req.env.reward(&rollout.selected),
                     steps: rollout.steps(),
                     selected: rollout.selected.clone(),
-                    log_prob_grads,
+                    log_prob_grads: rollout.log_prob_grads(),
                 }
             })
             .collect();
