@@ -7,9 +7,9 @@
 //!   the same FNV-1a manifest gate as training resume;
 //! * [`protocol`] — a length-prefixed framed TCP protocol with a version
 //!   token and typed rejections;
-//! * [`Server`] — a std-only worker pool with **cross-request dynamic
-//!   batching** (configurable batch size and batching window), bounded
-//!   queues with `busy`/`deadline` backpressure, and graceful drain;
+//! * [`Server`] — a std-only worker pool with **cross-request backlog
+//!   batching** (configurable batch size), bounded queues with
+//!   `busy`/`deadline` backpressure, and graceful drain;
 //! * [`EnvCache`] / [`SelectionCache`] — LRU memoization of per-design
 //!   feature extraction, cone-overlap masks, and greedy selections;
 //! * [`ServeHandle`] (in-process) and [`ServeClient`] (TCP) clients.

@@ -1,21 +1,13 @@
-//! Bounded request queue with cross-request dynamic batching.
+//! Bounded request queue with cross-request backlog batching.
 //!
 //! Submissions land in one `Mutex<VecDeque>` guarded by a `Condvar`. A
-//! worker asking for work blocks until a first job arrives, then keeps
-//! collecting until either the batch is full (`max_batch`) or the batching
-//! window has elapsed since the first job was picked up — the classic
-//! latency/throughput dial: window 0 still batches whatever is already
-//! queued (pure backlog batching), larger windows trade a bounded delay
-//! for bigger batches.
-//!
-//! Under sustained traffic the windows tile: a batch opened less than one
-//! window after the previous one closed ends one window after *that
-//! close*, not after its own pickup. No job waits longer for it, batches
-//! leave on a fixed cadence of one per window, and a closed-loop client's
-//! cycle is the window itself — not the window plus however long its
-//! reply and next request take to cross the threads in between, which
-//! varies with the machine's wake-up latencies. A queue idle for longer
-//! than a window gives its first job a full window.
+//! worker asking for work blocks until a first job arrives, then takes up
+//! to `max_batch` jobs that are already queued and returns at once: it
+//! never waits for more to arrive. Batches form from the backlog that
+//! builds while every worker is busy; an idle worker answers a lone query
+//! without delay. The work a batch shares (environment, step-0 encode,
+//! memoized selections) lives in caches that outlast the batch, so a
+//! smaller batch costs no repeated work.
 //!
 //! Backpressure is typed, not silent: a full queue rejects with
 //! [`RejectKind::Busy`] at submit time, a draining queue with
@@ -27,7 +19,7 @@
 use crate::protocol::{QueryRequest, RejectKind, Response};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a finished job's response goes: a one-shot callback run on the
 /// thread that has the answer (a batch worker, or the submitter itself on
@@ -66,9 +58,6 @@ pub(crate) struct Job {
 struct QueueState {
     queue: VecDeque<Job>,
     draining: bool,
-    /// When the last batch closed (its window's scheduled end when it
-    /// timed out, so the cadence does not drift with wake-up latency).
-    last_close: Option<Instant>,
 }
 
 /// The shared submission queue.
@@ -103,52 +92,20 @@ impl Scheduler {
         }
         st.queue.push_back(job);
         rl_ccd_obs::gauge!("serve.queue.depth", st.queue.len() as f64);
-        // notify_all: a worker sleeping inside its batching window must
-        // also wake to absorb the new job into its batch.
-        self.available.notify_all();
+        self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks until work is available and returns up to `max_batch` jobs
-    /// collected within `window` of the first one; `None` once the queue
-    /// is drained and no more work will ever arrive (worker exit signal).
-    pub(crate) fn next_batch(&self, max_batch: usize, window: Duration) -> Option<Vec<Job>> {
-        let max_batch = max_batch.max(1);
+    /// Blocks until work is available and returns up to `max_batch` of
+    /// the jobs queued at that moment; `None` once the queue is drained
+    /// and no more work will ever arrive (worker exit signal).
+    pub(crate) fn next_batch(&self, max_batch: usize) -> Option<Vec<Job>> {
         let mut st = self.state.lock().expect("scheduler lock");
         loop {
-            if let Some(first) = st.queue.pop_front() {
-                let mut batch = vec![first];
-                let now = Instant::now();
-                // Tile with the previous window when this batch opens
-                // inside what would have been the next one.
-                let close_at = match st.last_close {
-                    Some(last) if now < last + window => last + window,
-                    _ => now + window,
-                };
-                while batch.len() < max_batch {
-                    if let Some(job) = st.queue.pop_front() {
-                        batch.push(job);
-                        continue;
-                    }
-                    if st.draining {
-                        break; // nothing more will ever arrive
-                    }
-                    let now = Instant::now();
-                    if now >= close_at {
-                        break;
-                    }
-                    let (guard, timeout) = self
-                        .available
-                        .wait_timeout(st, close_at - now)
-                        .expect("scheduler lock");
-                    st = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
+            if !st.queue.is_empty() {
+                let take = st.queue.len().min(max_batch.max(1));
+                let batch: Vec<Job> = st.queue.drain(..take).collect();
                 rl_ccd_obs::gauge!("serve.queue.depth", st.queue.len() as f64);
-                let closed = close_at.min(Instant::now());
-                st.last_close = Some(st.last_close.map_or(closed, |last| last.max(closed)));
                 return Some(batch);
             }
             if st.draining {
@@ -176,6 +133,7 @@ mod tests {
     use super::*;
     use crate::protocol::{DesignKey, Mode};
     use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn job() -> (Job, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
@@ -216,68 +174,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_still_batches_the_backlog() {
-        let s = Scheduler::new(16);
-        for _ in 0..5 {
-            let (j, _r) = job();
-            std::mem::forget(_r); // keep senders alive without receivers
-            s.submit(j).unwrap();
-        }
-        let batch = s.next_batch(4, Duration::ZERO).unwrap();
-        assert_eq!(batch.len(), 4, "max_batch caps a zero-window batch");
-        let rest = s.next_batch(4, Duration::ZERO).unwrap();
-        assert_eq!(rest.len(), 1);
-    }
-
-    #[test]
-    fn window_absorbs_late_arrivals_into_the_batch() {
-        let s = Arc::new(Scheduler::new(16));
-        let (j, _r) = job();
-        s.submit(j).unwrap();
-        let producer = {
-            let s = s.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                let (j, r) = job();
-                std::mem::forget(r);
-                s.submit(j).unwrap();
-            })
-        };
-        let batch = s.next_batch(8, Duration::from_millis(400)).unwrap();
-        producer.join().unwrap();
-        assert_eq!(batch.len(), 2, "late arrival inside the window joined");
-    }
-
-    #[test]
-    fn windows_tile_under_sustained_traffic_and_restart_when_idle() {
-        let window = Duration::from_millis(200);
+    fn takes_the_queued_backlog_up_to_max_batch() {
         let s = Scheduler::new(16);
         let submit = || {
             let (j, r) = job();
-            std::mem::forget(r);
+            std::mem::forget(r); // keep senders alive without receivers
             s.submit(j).unwrap();
         };
+        for _ in 0..5 {
+            submit();
+        }
+        let batch = s.next_batch(4).unwrap();
+        assert_eq!(batch.len(), 4, "max_batch caps a batch");
+        let rest = s.next_batch(4).unwrap();
+        assert_eq!(rest.len(), 1, "the remainder goes out without company");
+        // A lone job is a batch of one: nothing holds it back for more.
         submit();
-        s.next_batch(8, window).unwrap();
-        let first_close = Instant::now();
-        // Half a window later: the batch ends with the tiled window, about
-        // half a window after its pickup, not a whole one.
-        std::thread::sleep(window / 2);
-        submit();
-        s.next_batch(8, window).unwrap();
-        let second_close = Instant::now();
-        let gap = second_close - first_close;
-        assert!(gap >= window * 9 / 10, "closed early: {gap:?}");
-        assert!(
-            gap < window * 14 / 10,
-            "window restarted at pickup: {gap:?}"
-        );
-        // More than a window of silence: a full window from pickup again.
-        std::thread::sleep(window * 3 / 2);
-        let picked = Instant::now();
-        submit();
-        s.next_batch(8, window).unwrap();
-        assert!(picked.elapsed() >= window * 9 / 10);
+        assert_eq!(s.next_batch(4).unwrap().len(), 1);
     }
 
     #[test]
@@ -285,7 +198,7 @@ mod tests {
         let s = Arc::new(Scheduler::new(4));
         let worker = {
             let s = s.clone();
-            std::thread::spawn(move || s.next_batch(4, Duration::from_millis(1)))
+            std::thread::spawn(move || s.next_batch(4))
         };
         std::thread::sleep(Duration::from_millis(20));
         s.drain();

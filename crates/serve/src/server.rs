@@ -4,13 +4,14 @@
 //! connection held by the shared [`rl_ccd_wire::front`]) submits a
 //! [`QueryRequest`] with a one-shot reply callback; the
 //! scheduler queues it (or rejects with typed backpressure); a worker
-//! collects a dynamic batch, groups it by (model, design) so each group
-//! resolves its environment **once** through the LRU cache, computes each
-//! selection on the inference-only no-grad fast path, and sends every
-//! reply. Greedy results are memoized per (model fingerprint, design),
-//! sampled ones per (model fingerprint, design, seed); a query that has to
-//! be computed starts from the step-0 EP-GNN encode stored per (model
-//! fingerprint, design), which only the first such query runs.
+//! takes what is queued as one batch, groups it by (model, design) so
+//! each group resolves its environment **once** through the LRU cache,
+//! computes each selection on the inference-only no-grad fast path, and
+//! sends every reply. Greedy results are memoized per (model
+//! fingerprint, design), sampled ones per (model fingerprint, design,
+//! seed); a query that has to be computed starts from the step-0 EP-GNN
+//! encode stored per (model fingerprint, design), which only the first
+//! such query runs.
 //!
 //! Shutdown is a drain, never a drop: [`Server::shutdown`] flips the queue
 //! to draining (new submissions get `shutting_down`), wakes everything,
@@ -37,13 +38,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Estimated time for one sweep of the worker pool over `workers ×
+/// max_batch` queued jobs, in ms: the unit of the shed backoff hint. An
+/// estimate of a warm batch, not a measurement of the running server.
+const SWEEP_MS_ESTIMATE: u64 = 2;
+
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Largest batch a worker dispatches at once.
     pub max_batch: usize,
-    /// How long a worker holds an open batch for more requests to arrive.
-    pub window: Duration,
     /// Bounded queue capacity; submissions beyond it get `busy`.
     pub queue_capacity: usize,
     /// Worker threads executing batches.
@@ -74,7 +78,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            window: Duration::from_millis(2),
             queue_capacity: 64,
             workers: 2,
             env_cache: 4,
@@ -89,12 +92,13 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The backoff hint attached to `Overloaded` sheds: the estimated
-    /// time to drain a full queue through the worker pool, floored at
-    /// 1 ms. Deterministic in the config, so tests can pin it.
+    /// time to drain a full queue through the worker pool, at an
+    /// estimated 2 ms per sweep of `workers × max_batch` jobs.
+    /// Deterministic in the config, so tests can pin it.
     pub fn shed_retry_after_ms(&self) -> u64 {
         let per_sweep = (self.workers.max(1) * self.max_batch.max(1)) as u64;
         let sweeps = (self.queue_capacity as u64).div_ceil(per_sweep).max(1);
-        (sweeps * self.window.as_millis() as u64).max(1)
+        sweeps * SWEEP_MS_ESTIMATE
     }
 }
 
@@ -181,7 +185,7 @@ impl std::fmt::Display for ServeStats {
 
 impl ServeStats {
     /// Weighted median batch size (0 when no batch was dispatched) — the
-    /// acceptance metric for "dynamic batching actually batches".
+    /// acceptance metric for "backlog batching actually batches".
     pub fn batch_p50(&self) -> usize {
         let total: u64 = self.batches.values().sum();
         if total == 0 {
@@ -294,10 +298,9 @@ impl Server {
             .map(|w| {
                 let shared = shared.clone();
                 let max_batch = config.max_batch;
-                let window = config.window;
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, max_batch, window))
+                    .spawn(move || worker_loop(&shared, max_batch))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -532,9 +535,9 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: &Shared, max_batch: usize, window: Duration) {
+fn worker_loop(shared: &Shared, max_batch: usize) {
     let _obs = shared.recorder.as_ref().map(rl_ccd_obs::attach);
-    while let Some(batch) = shared.scheduler.next_batch(max_batch, window) {
+    while let Some(batch) = shared.scheduler.next_batch(max_batch) {
         let _span = rl_ccd_obs::span!("serve.batch", size = batch.len() as u64);
         rl_ccd_obs::observe!("serve.batch.size", batch.len() as f64);
         *shared
@@ -825,25 +828,35 @@ mod tests {
         ));
     }
 
+    /// Occupies a single-worker server with a cold design (environment
+    /// build plus dense encode) and returns once the worker has taken it,
+    /// so whatever is submitted next queues behind it as a backlog.
+    fn occupy_the_worker(server: &Server) -> mpsc::Receiver<Response> {
+        let (tx, rx) = mpsc::channel();
+        let mut cold = design("cold", 99);
+        cold.cells = 4000;
+        server
+            .handle()
+            .submit(query("default", cold, Mode::Greedy), move |r| {
+                let _ = tx.send(r);
+            });
+        while server.shared.scheduler.depth() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rx
+    }
+
     #[test]
     fn expired_deadline_is_answered_not_dropped() {
-        // Window long enough that the job sits in the queue past its
-        // deadline before the worker dispatches it.
         let config = ServeConfig {
             workers: 1,
-            window: Duration::from_millis(50),
             ..ServeConfig::default()
         };
         let server = Server::start(registry(), config);
         let handle = server.handle();
-        // Occupy the worker with a cold-cache query, then submit one with
-        // an already-motionless deadline behind it.
-        let h2 = handle.clone();
-        let warm = std::thread::spawn(move || {
-            h2.query(query("default", design("busy", 11), Mode::Greedy))
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        // Deadline of 0 ms: already expired by the time a worker gets it.
+        // The job sits in the queue behind the busy worker past its
+        // deadline of 0 ms: already expired by the time a worker gets it.
+        let busy = occupy_the_worker(&server);
         let mut req = query("default", design("busy", 12), Mode::Greedy);
         req.deadline_ms = Some(0);
         let late = handle.query(req);
@@ -854,7 +867,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(warm.join().unwrap(), Response::Ok(_)));
+        assert!(matches!(busy.recv().unwrap(), Response::Ok(_)));
         let report = server.shutdown();
         assert_eq!(
             report.dropped(),
@@ -874,6 +887,8 @@ mod tests {
         };
         let hint = config.shed_retry_after_ms();
         assert!(hint >= 1);
+        // 64 queued jobs, 2 workers × 8 per batch: four sweeps of 2 ms.
+        assert_eq!(ServeConfig::default().shed_retry_after_ms(), 8);
         let server = Server::start(registry(), config);
         let handle = server.handle();
         let r = handle.query(query("default", design("shed", 1), Mode::Greedy));
@@ -1109,22 +1124,30 @@ mod tests {
     fn batch_census_tracks_dispatch_sizes() {
         let config = ServeConfig {
             workers: 1,
-            window: Duration::from_millis(30),
             ..ServeConfig::default()
         };
         let server = Server::start(registry(), config);
         let handle = server.handle();
-        // Warm the env cache so follow-up queries are fast and queue up.
+        // Warm the env cache so the backlog's queries are fast.
         let _ = handle.query(query("default", design("census", 2), Mode::Greedy));
-        let mut threads = Vec::new();
-        for seed in 0..6 {
-            let h = handle.clone();
-            threads.push(std::thread::spawn(move || {
-                h.query(query("default", design("census", 2), Mode::Sample(seed)))
-            }));
-        }
-        for t in threads {
-            assert!(matches!(t.join().unwrap(), Response::Ok(_)));
+        // Six queries submitted while the only worker is busy form a
+        // backlog, which goes out as batches once it is free.
+        let busy = occupy_the_worker(&server);
+        let replies: Vec<_> = (0..6)
+            .map(|seed| {
+                let (tx, rx) = mpsc::channel();
+                handle.submit(
+                    query("default", design("census", 2), Mode::Sample(seed)),
+                    move |r| {
+                        let _ = tx.send(r);
+                    },
+                );
+                rx
+            })
+            .collect();
+        assert!(matches!(busy.recv().unwrap(), Response::Ok(_)));
+        for rx in replies {
+            assert!(matches!(rx.recv().unwrap(), Response::Ok(_)));
         }
         let report = server.shutdown();
         assert_eq!(report.dropped(), 0);
@@ -1140,8 +1163,6 @@ mod tests {
             sized, report.stats.completed,
             "every reply came out of a batch"
         );
-        // Six concurrent queries inside one 30 ms window: dynamic batching
-        // engaged at least once.
         assert!(
             report.stats.batches.keys().any(|&size| size >= 2),
             "no batch held two requests: {:?}",

@@ -283,11 +283,24 @@ struct Conn {
     stall: Option<TimerId>,
     /// Close once the send buffer drains.
     closing: bool,
-    /// Whether the current epoll registration includes write interest.
-    writable_armed: bool,
+    /// The interest the connection is registered with now.
+    armed: Interest,
 }
 
 impl Conn {
+    /// What to wait for: frames until the peer's EOF, write readiness
+    /// while a response is unsent. After EOF only a hangup or an error is
+    /// reported, so a half-closed peer still owed a reply does not keep
+    /// the level-triggered poll returning.
+    fn interest(&self) -> Interest {
+        match (self.io.is_eof(), self.io.wants_write()) {
+            (false, false) => Interest::READABLE,
+            (false, true) => Interest::BOTH,
+            (true, false) => Interest::NONE,
+            (true, true) => Interest::WRITABLE,
+        }
+    }
+
     /// True when the connection has nothing left to do: a closing
     /// response flushed, or the peer closed and nothing is owed.
     fn done(&self) -> bool {
@@ -397,6 +410,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&ev.token) else {
             return;
         };
+        let was_eof = conn.io.is_eof();
         let mut dead = false;
         if ev.readable {
             dead = conn.io.on_readable().is_err();
@@ -422,8 +436,10 @@ impl Reactor {
         if !dead && ev.writable {
             dead = conn.io.flush().is_err();
         }
-        if !dead && ev.hangup && !conn.io.wants_write() && conn.inflight == 0 {
-            dead = true; // peer gone, nothing owed either way
+        // Past EOF the registration has no read interest, so a hangup is
+        // the peer gone both ways; before it, only one with nothing owed.
+        if !dead && ev.hangup && (was_eof || (!conn.io.wants_write() && conn.inflight == 0)) {
+            dead = true;
         }
         self.settle(ev.token, dead);
     }
@@ -454,7 +470,7 @@ impl Reactor {
                             inflight: 0,
                             stall: None,
                             closing: false,
-                            writable_armed: false,
+                            armed: Interest::READABLE,
                         },
                     );
                 }
@@ -477,22 +493,16 @@ impl Reactor {
             self.drop_conn(token);
             return;
         }
-        let wants = conn.io.wants_write();
-        if wants != conn.writable_armed {
-            let interest = if wants {
-                Interest::BOTH
-            } else {
-                Interest::READABLE
-            };
-            if self
+        let interest = conn.interest();
+        if interest != conn.armed
+            && self
                 .poller
                 .reregister(conn.io.stream(), token, interest)
                 .is_ok()
-            {
-                conn.writable_armed = wants;
-            }
+        {
+            conn.armed = interest;
         }
-        if wants {
+        if conn.io.wants_write() {
             if conn.stall.is_none() {
                 conn.stall = Some(self.wheel.schedule_after(self.options.write_timeout, token));
             }

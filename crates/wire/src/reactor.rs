@@ -18,8 +18,9 @@
 //! the libc std already links. On non-Linux targets [`Poller::new`]
 //! returns `Unsupported` and the blocking code paths remain available.
 
-/// Readiness interest for a registration: readable, writable, or both.
-/// Hangup/error conditions are always reported regardless of interest.
+/// Readiness interest for a registration: readable, writable, both, or
+/// neither. Read interest includes the peer's half-close; hangup and error
+/// conditions are always reported regardless of interest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
     readable: bool,
@@ -41,6 +42,11 @@ impl Interest {
     pub const BOTH: Interest = Interest {
         readable: true,
         writable: true,
+    };
+    /// Neither direction: only hangup and error conditions.
+    pub const NONE: Interest = Interest {
+        readable: false,
+        writable: false,
     };
 
     /// True when read-readiness is requested.
@@ -141,9 +147,9 @@ mod imp {
     }
 
     fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = sys::EPOLLRDHUP;
+        let mut bits = 0;
         if interest.is_readable() {
-            bits |= sys::EPOLLIN;
+            bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.is_writable() {
             bits |= sys::EPOLLOUT;

@@ -319,3 +319,34 @@ fn thousand_idle_connections_add_no_readiness_events() {
         port.front.shutdown();
     }
 }
+
+#[test]
+fn half_closed_client_gets_its_late_reply_without_a_poll_spin() {
+    // The client sends, shuts down its write side, and waits; the answer
+    // comes 200 ms later from another thread. The reactor must hold the
+    // connection for the reply without polling the half-close in a loop.
+    for (name, bind, _) in engines() {
+        let handler: Handler = Box::new(|payload, reply| {
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(200));
+                reply.send(payload);
+            });
+        });
+        let port = start(bind, options(), handler);
+        let mut stream = connect(port.addr);
+        let before = port.counters.polls();
+        write_frame(&mut stream, b"late").expect("send");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(read_frame(&mut stream).expect("reply"), b"late", "{name}");
+        assert!(
+            closed_by_server(&mut stream),
+            "{name}: closed after delivery"
+        );
+        let polls = port.counters.polls() - before;
+        assert!(
+            polls < 50,
+            "{name}: {polls} polls while a half-closed client waited 200 ms"
+        );
+        port.front.shutdown();
+    }
+}

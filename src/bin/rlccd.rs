@@ -17,7 +17,7 @@
 //! rlccd suite    [--scale 0.5]
 //! rlccd trace-validate --in run.jsonl
 //! rlccd serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]
-//!                [--window-ms MS] [--queue N] [--serve-workers N] [--rho R]
+//!                [--queue N] [--serve-workers N] [--rho R]
 //! rlccd query    --design name:cells:tech:seed [--addr HOST:PORT] [--model NAME]
 //!                [--mode greedy|sample] [--seed S] [--count N] [--threads T]
 //!                [--deadline-ms MS] [--retries N] [--chaos-plan SPEC]
@@ -159,7 +159,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
     (
         "serve",
         "serve    --checkpoint DIR [--model NAME] [--port P] [--max-batch N]\n\
-         \u{20}         [--window-ms MS] [--queue N] [--serve-workers N] [--env-cache N]\n\
+         \u{20}         [--queue N] [--serve-workers N] [--env-cache N]\n\
          \u{20}         [--rho R] [--fanout-cap N] [--trace-out FILE]",
     ),
     (
@@ -180,7 +180,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
         "daemon   --checkpoint DIR [--port P] [--admin-port P] [--tenants SPEC,SPEC]\n\
          \u{20}         [--rho R] [--admin-token T] [--audit-out FILE] [--usage-out FILE]\n\
          \u{20}         [--usage-flush-ms MS] [--exp-out FILE]\n\
-         \u{20}         [--gate-samples N] [--gate-seed S] [--max-batch N] [--window-ms MS]\n\
+         \u{20}         [--gate-samples N] [--gate-seed S] [--max-batch N]\n\
          \u{20}         [--queue N] [--serve-workers N] [--env-cache N] [--fanout-cap N]\n\
          \u{20}         [--trace-out FILE] (a tenant SPEC is id:token:rate:burst:quota)",
     ),
@@ -682,7 +682,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let rho: f32 = arg(args, "--rho")?.unwrap_or_else(|| RlConfig::default().rho);
     let config = ServeConfig {
         max_batch: arg(args, "--max-batch")?.unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms")?.unwrap_or(2)),
         queue_capacity: arg(args, "--queue")?.unwrap_or(64),
         workers: arg(args, "--serve-workers")?.unwrap_or(2),
         env_cache: arg(args, "--env-cache")?.unwrap_or(4),
@@ -1007,7 +1006,6 @@ fn cmd_daemon(args: &[String]) -> Result<(), Error> {
     let rho: f32 = arg(args, "--rho")?.unwrap_or_else(|| RlConfig::default().rho);
     let serve = ServeConfig {
         max_batch: arg(args, "--max-batch")?.unwrap_or(8),
-        window: std::time::Duration::from_millis(arg(args, "--window-ms")?.unwrap_or(2)),
         queue_capacity: arg(args, "--queue")?.unwrap_or(64),
         workers: arg(args, "--serve-workers")?.unwrap_or(2),
         env_cache: arg(args, "--env-cache")?.unwrap_or(4),
@@ -1216,6 +1214,55 @@ fn main() -> ExitCode {
                 usage_for(cmd);
             }
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `--flag` a usage line names.
+    fn named_flags(usage: &str) -> Vec<String> {
+        usage
+            .match_indices("--")
+            .map(|(at, _)| {
+                let name: String = usage[at + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                format!("--{name}")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_line_is_accepted_by_its_subcommand() {
+        for (cmd, usage) in USAGE_TABLE {
+            for flag in named_flags(usage) {
+                let args = [flag.clone(), "1".to_string()];
+                if let Err(e) = check_flags(cmd, &args) {
+                    panic!("{cmd} refuses its own {flag}: {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unnamed_flags_and_prefixes_of_named_ones_are_refused() {
+        for (cmd, flag) in [
+            ("serve", "--window-ms"),
+            ("daemon", "--window-ms"),
+            ("train", "--tape-budget-gib"),
+            ("train", "--iter"),
+            ("serve", "--reactor"),
+        ] {
+            let args = [flag.to_string(), "2".to_string()];
+            let err = check_flags(cmd, &args).expect_err(flag).to_string();
+            assert!(
+                err.contains(&format!("{cmd} has no flag {flag}")),
+                "{cmd} {flag}: {err}"
+            );
         }
     }
 }

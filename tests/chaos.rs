@@ -256,7 +256,6 @@ fn overloaded_server_sheds_typed_and_recovers() {
         .expect("register model");
     let serve_config = ServeConfig {
         max_batch: 1,
-        window: Duration::from_millis(5),
         queue_capacity: 2,
         workers: 1,
         ..ServeConfig::default()

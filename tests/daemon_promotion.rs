@@ -107,7 +107,6 @@ fn lax_gate() -> GateSpec {
 fn serve_config() -> ServeConfig {
     ServeConfig {
         max_batch: 2,
-        window: Duration::from_millis(1),
         workers: 2,
         fanout_cap: RlConfig::fast().fanout_cap,
         ..ServeConfig::default()

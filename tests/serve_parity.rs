@@ -1,8 +1,8 @@
 //! Serving parity: concurrent batched inference answers are bit-identical
 //! to the sequential offline path.
 //!
-//! The contract under test: for any batching window (including zero), any
-//! thread interleaving, and any cache state (including active eviction),
+//! The contract under test: for any batch makeup, any thread
+//! interleaving, and any cache state (including active eviction),
 //! a greedy query equals `evaluate_policy`'s `greedy_selection` and a
 //! seeded sample query equals `sample_endpoints` with the same seed — the
 //! server may batch and cache, but never change an answer. The suite also
@@ -13,8 +13,11 @@ use rand::SeedableRng;
 use rl_ccd::{evaluate_policy, sample_endpoints, CcdEnv, RlCcd, RlConfig};
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, Library};
-use rl_ccd_serve::{DesignKey, Mode, ModelRegistry, QueryRequest, Response, ServeConfig, Server};
+use rl_ccd_serve::{
+    DesignKey, Mode, ModelRegistry, QueryReply, QueryRequest, Response, ServeConfig, Server,
+};
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::Duration;
 
 const MODEL: &str = "default";
@@ -95,71 +98,125 @@ fn concurrent_batched_answers_match_sequential_inference() {
     };
     let expected = reference(&model, &params, &keys, serve_config.fanout_cap);
 
-    for window_ms in [0u64, 2, 10] {
-        let registry = ModelRegistry::new();
-        registry
-            .insert_params(MODEL, params.clone(), rho)
-            .expect("register");
-        let server = Server::start(
-            registry,
-            ServeConfig {
-                window: Duration::from_millis(window_ms),
-                ..serve_config.clone()
-            },
-        );
-
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let handle = server.handle();
-                let keys = keys.clone();
-                let expected = expected.clone();
-                std::thread::spawn(move || {
-                    for r in 0..6 {
-                        let key = &keys[(t + r) % keys.len()];
-                        let (mode, seed) = if (t + r) % 2 == 0 {
-                            (Mode::Greedy, None)
-                        } else {
-                            let s = SAMPLE_SEEDS[(t * 7 + r) % SAMPLE_SEEDS.len()];
-                            (Mode::Sample(s), Some(s))
-                        };
-                        let resp = handle.query(QueryRequest {
-                            model: MODEL.into(),
-                            design: key.clone(),
-                            mode,
-                            deadline_ms: None,
-                            auth: None,
-                        });
-                        let reply = match resp {
-                            Response::Ok(reply) => reply,
-                            Response::Err { kind, msg } => {
-                                panic!("window {window_ms}ms: rejected ({kind}): {msg}")
-                            }
-                            other => panic!("window {window_ms}ms: unexpected {other:?}"),
-                        };
-                        let want = &expected[&(key.to_string(), seed)];
-                        assert_eq!(
-                            &reply.selection, want,
-                            "window {window_ms}ms thread {t} req {r}: served selection \
-                             diverged from sequential inference on {key}"
-                        );
-                    }
-                })
+    let registry = ModelRegistry::new();
+    registry
+        .insert_params(MODEL, params.clone(), rho)
+        .expect("register");
+    let server = Server::start(registry, serve_config.clone());
+    let threads: Vec<_> = (0..8)
+        .map(|t| {
+            let handle = server.handle();
+            let keys = keys.clone();
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                for r in 0..6 {
+                    let key = &keys[(t + r) % keys.len()];
+                    let (mode, seed) = if (t + r) % 2 == 0 {
+                        (Mode::Greedy, None)
+                    } else {
+                        let s = SAMPLE_SEEDS[(t * 7 + r) % SAMPLE_SEEDS.len()];
+                        (Mode::Sample(s), Some(s))
+                    };
+                    let reply = expect_ok(handle.query(request(key, mode)));
+                    let want = &expected[&(key.to_string(), seed)];
+                    assert_eq!(
+                        &reply.selection, want,
+                        "thread {t} req {r}: served selection diverged from \
+                         sequential inference on {key}"
+                    );
+                }
             })
-            .collect();
-        for t in threads {
-            t.join().expect("client thread");
-        }
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    let report = server.shutdown();
+    assert_eq!(report.dropped(), 0, "drain left requests unanswered");
+    assert!(
+        report.stats.completed >= 48,
+        "expected all 48 requests answered"
+    );
 
-        let report = server.shutdown();
+    // Backlog leg: every query below is submitted while the only worker
+    // is busy on a cold design, so they leave the queue as multi-query
+    // batches (mixed designs, greedy and sampled) that must still answer
+    // exactly as sequential inference does.
+    let registry = ModelRegistry::new();
+    registry
+        .insert_params(MODEL, params.clone(), rho)
+        .expect("register");
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            workers: 1,
+            ..serve_config
+        },
+    );
+    let handle = server.handle();
+    let cold = DesignKey {
+        name: "parity_cold".into(),
+        cells: 4000,
+        tech: "7nm".into(),
+        seed: 5,
+    };
+    let (tx, busy) = mpsc::channel();
+    handle.submit(request(&cold, Mode::Greedy), move |r| {
+        let _ = tx.send(r);
+    });
+    while handle.health().queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut pending = Vec::new();
+    for key in &keys {
+        let modes = std::iter::once((Mode::Greedy, None))
+            .chain(SAMPLE_SEEDS.map(|s| (Mode::Sample(s), Some(s))));
+        for (mode, seed) in modes {
+            let (tx, rx) = mpsc::channel();
+            handle.submit(request(key, mode), move |r| {
+                let _ = tx.send(r);
+            });
+            pending.push((key.to_string(), seed, rx));
+        }
+    }
+    expect_ok(busy.recv().expect("cold reply"));
+    for (key, seed, rx) in pending {
+        let reply = expect_ok(rx.recv().expect("backlog reply"));
         assert_eq!(
-            report.dropped(),
-            0,
-            "window {window_ms}ms: drain left requests unanswered"
+            reply.selection,
+            expected[&(key.clone(), seed)],
+            "backlog: served selection diverged from sequential inference on \
+             {key} (seed {seed:?})"
         );
-        assert!(
-            report.stats.completed >= 48,
-            "window {window_ms}ms: expected all 48 requests answered"
-        );
+    }
+    let report = server.shutdown();
+    assert_eq!(
+        report.dropped(),
+        0,
+        "backlog: drain left requests unanswered"
+    );
+    assert!(
+        report.stats.batches.keys().any(|&size| size >= 2),
+        "backlog: no batch held two requests: {:?}",
+        report.stats.batches
+    );
+}
+
+fn request(key: &DesignKey, mode: Mode) -> QueryRequest {
+    QueryRequest {
+        model: MODEL.into(),
+        design: key.clone(),
+        mode,
+        deadline_ms: None,
+        auth: None,
+    }
+}
+
+fn expect_ok(response: Response) -> QueryReply {
+    match response {
+        Response::Ok(reply) => reply,
+        Response::Err { kind, msg } => panic!("rejected ({kind}): {msg}"),
+        other => panic!("unexpected {other:?}"),
     }
 }
 
@@ -181,7 +238,6 @@ fn cache_eviction_churn_preserves_greedy_answers() {
         registry,
         ServeConfig {
             max_batch: 1,
-            window: Duration::ZERO,
             env_cache: 1,
             selection_cache: 1,
             workers: 1,
