@@ -150,13 +150,8 @@ fn main() -> Result<(), rl_ccd::Error> {
         println!("{i:>5} {sg:>14.0} {s:>14.0} {tg:>14.0} {t:>14.0}");
         csv_rows.push(format!("{i},{sg:.1},{s:.1},{tg:.1},{t:.1}"));
     }
-    // Convergence speed: first iteration reaching within 2% of the final
-    // best, per curve.
     let first_hit = |hist: &[rl_ccd::IterationStats]| {
-        let best = hist.last().map(|h| h.best_so_far).unwrap_or(0.0);
-        hist.iter()
-            .position(|h| h.best_so_far <= best * 0.98 || h.best_so_far >= best)
-            .unwrap_or(hist.len())
+        first_within_two_percent(&hist.iter().map(|h| h.best_so_far).collect::<Vec<_>>())
     };
     println!(
         "\nscratch best {:.0} (reached ~iter {}), transfer best {:.0} (reached ~iter {})",
@@ -172,4 +167,33 @@ fn main() -> Result<(), rl_ccd::Error> {
     )?;
     println!("wrote {csv}");
     cli.finish()
+}
+
+/// Convergence speed: the first iteration whose best-so-far TNS is within
+/// 2 % of the curve's final best. TNS is negative and higher is better, so
+/// "within 2 %" is at least `best - 0.02·|best|`.
+fn first_within_two_percent(best_so_far: &[f64]) -> usize {
+    let Some(&best) = best_so_far.last() else {
+        return 0;
+    };
+    best_so_far
+        .iter()
+        .position(|&tns| tns >= best - 0.02 * best.abs())
+        .unwrap_or(best_so_far.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_within_two_percent;
+
+    #[test]
+    fn convergence_index_is_the_first_iteration_within_two_percent() {
+        // best −840: the bar is −856.8, first met by −850 at index 2.
+        assert_eq!(
+            first_within_two_percent(&[-1000.0, -900.0, -850.0, -840.0]),
+            2
+        );
+        assert_eq!(first_within_two_percent(&[-840.0, -840.0]), 0);
+        assert_eq!(first_within_two_percent(&[]), 0);
+    }
 }

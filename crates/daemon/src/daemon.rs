@@ -30,6 +30,7 @@ use rl_ccd_serve::{
     DrainReport, ModelRegistry, ModelVersion, RejectKind, Request, Response, ServeConfig,
     ServeHandle, Server,
 };
+use rl_ccd_wire::fields::quote;
 use rl_ccd_wire::front::{self, Front, FrontOptions, Reply, Threads};
 use std::io::Write as _;
 use std::net::SocketAddr;
@@ -529,7 +530,7 @@ fn run_admin_command(shared: &DaemonShared, request: AdminRequest) -> AdminReply
                 }
             } else {
                 AdminReply::Err {
-                    msg: format!("no tenant {id:?}"),
+                    msg: format!("no tenant {}", quote(&id)),
                 }
             }
         }

@@ -15,6 +15,7 @@
 
 use crate::clock::Clock;
 use rl_ccd_serve::Credentials;
+use rl_ccd_wire::fields::quote;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -22,6 +23,11 @@ use std::sync::{Arc, Mutex};
 
 /// Length of one quota window: 30 days in milliseconds.
 pub const QUOTA_WINDOW_MS: u64 = 30 * 24 * 60 * 60 * 1000;
+
+/// Longest tenant id a spec may carry, in bytes. Ids travel back in every
+/// `tenant_list` reply, so an unbounded one could make that reply too
+/// large to frame.
+const MAX_ID_LEN: usize = 64;
 
 /// Constant-time byte-string equality: scans both inputs fully whatever
 /// the outcome, so response timing does not leak how much of a token
@@ -40,7 +46,7 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// One tenant's declared identity and limits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantConfig {
-    /// Tenant identity (no `:` or whitespace).
+    /// Tenant identity (no `:` or whitespace, at most 64 bytes).
     pub id: String,
     /// Secret auth token (no `:` or whitespace).
     pub token: String,
@@ -66,29 +72,37 @@ impl fmt::Display for TenantConfig {
 impl FromStr for TenantConfig {
     type Err = String;
 
-    /// Parses the CLI/admin spec form `id:token:rate:burst:quota`.
+    /// Parses the CLI/admin spec form `id:token:rate:burst:quota`. Errors
+    /// quote at most [`rl_ccd_wire::fields::QUOTE_MAX`] bytes of any input.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split(':').collect();
         if parts.len() != 5 {
             return Err(format!(
-                "tenant spec {s:?} is not id:token:rate:burst:quota"
+                "tenant spec {} is not id:token:rate:burst:quota",
+                quote(s)
             ));
         }
         if parts[0].is_empty() || parts[0].contains(char::is_whitespace) {
-            return Err(format!("bad tenant id {:?}", parts[0]));
+            return Err(format!("bad tenant id {}", quote(parts[0])));
+        }
+        if parts[0].len() > MAX_ID_LEN {
+            return Err(format!(
+                "tenant id {} is longer than {MAX_ID_LEN} bytes",
+                quote(parts[0])
+            ));
         }
         if parts[1].is_empty() || parts[1].contains(char::is_whitespace) {
             return Err(format!("bad tenant token for {:?}", parts[0]));
         }
         let rate_per_sec: f64 = parts[2]
             .parse()
-            .map_err(|_| format!("bad rate {:?}", parts[2]))?;
+            .map_err(|_| format!("bad rate {}", quote(parts[2])))?;
         let burst: f64 = parts[3]
             .parse()
-            .map_err(|_| format!("bad burst {:?}", parts[3]))?;
+            .map_err(|_| format!("bad burst {}", quote(parts[3])))?;
         let monthly_quota = parts[4]
             .parse()
-            .map_err(|_| format!("bad quota {:?}", parts[4]))?;
+            .map_err(|_| format!("bad quota {}", quote(parts[4])))?;
         if !(rate_per_sec.is_finite() && rate_per_sec > 0.0) {
             return Err(format!("rate must be positive, got {rate_per_sec}"));
         }
@@ -313,9 +327,11 @@ mod tests {
         assert_eq!(spec.burst, 10.0);
         assert_eq!(spec.monthly_quota, 1000);
         assert_eq!(spec.to_string().parse::<TenantConfig>().unwrap(), spec);
+        let long_id = format!("{}:t:1:1:1", "a".repeat(65));
         for bad in [
             "acme:s3cret:2.5:10", // missing quota
             ":s3cret:1:1:1",      // empty id
+            long_id.as_str(),     // id over 64 bytes
             "acme::1:1:1",        // empty token
             "acme:t:0:1:1",       // zero rate
             "acme:t:1:0.5:1",     // burst below one request

@@ -12,15 +12,13 @@
 //! single-process run takes, which is what makes distributed training
 //! bit-identical to local training.
 //!
-//! Connections ride the unified [`rl_ccd_wire`] transport stack: accepted
-//! sockets come back as [`FramedTcp`] through a [`FramedListener`], so a
-//! [`NetFaultPlan`] can cover the worker's *accept* path ([`WorkerNet`]) —
-//! previously worker sockets were raw `TcpStream`s that chaos could never
-//! touch. On Linux the accept loop is readiness-multiplexed over the
-//! [`Poller`]: health probes answer while another connection is mid-batch,
-//! and a parked coordinator connection costs no wakeups. Frame operations
-//! themselves stay blocking, so chaos injection and framing are
-//! bit-identical to the sequential loop (the non-epoll fallback).
+//! Accepted sockets come back as [`FramedTcp`] through a
+//! [`FramedListener`], so a [`NetFaultPlan`] can cover the worker's
+//! *accept* path ([`WorkerNet`]). One epoll loop ([`Poller`]) holds the
+//! listener and every connection: health probes answer while another
+//! connection is mid-batch, and a parked coordinator connection costs no
+//! wakeups. Frame operations themselves stay blocking, so chaos
+//! injection wraps them exactly as it wraps a dialed [`FramedTcp`].
 
 use crate::protocol::{
     decode_request, encode_response, BatchResponse, Inject, Request, Response, RolloutItem,
@@ -95,39 +93,17 @@ pub fn serve_worker(listener: TcpListener) -> io::Result<()> {
 
 /// [`serve_worker`] with explicit network wrapping: accepted connections
 /// come through a [`FramedListener`], so `net.chaos` covers the worker's
-/// accept path. Multiplexes connections over the [`Poller`] where the
-/// platform supports it (health probes answer while a batch is in flight)
-/// and falls back to the sequential accept loop elsewhere.
+/// accept path. Multiplexes connections over the [`Poller`], so health
+/// probes answer while a batch is in flight.
 ///
 /// # Errors
-/// Same contract as [`serve_worker`].
+/// Same contract as [`serve_worker`], plus the epoll setup failure.
 pub fn serve_worker_with(listener: TcpListener, net: WorkerNet) -> io::Result<()> {
     let mut flistener = FramedListener::new(listener);
     if let Some(plan) = net.chaos {
         flistener = flistener.with_chaos(plan, net.conn_base);
     }
-    let mut session = WorkerSession::default();
-    match Poller::new() {
-        Ok(poller) => serve_multiplexed(&poller, flistener, &mut session),
-        Err(_) => serve_sequential(flistener, &mut session),
-    }
-}
-
-/// The sequential accept loop: one connection served at a time, exactly
-/// the pre-reactor behavior (and the non-epoll fallback).
-fn serve_sequential(mut listener: FramedListener, session: &mut WorkerSession) -> io::Result<()> {
-    loop {
-        let (mut conn, peer) = listener.accept()?;
-        obs::counter!("dist.worker.connections", 1);
-        let _span = obs::span!("dist.worker.serve", peer = peer.to_string());
-        loop {
-            match handle_message(&mut conn, session) {
-                Step::Served => continue,
-                Step::Close => break,
-                Step::Exit => return Ok(()),
-            }
-        }
-    }
+    serve_multiplexed(&Poller::new()?, flistener, &mut WorkerSession::default())
 }
 
 const LISTENER_TOKEN: u64 = 0;
@@ -137,8 +113,7 @@ const FIRST_CONN_TOKEN: u64 = 1;
 /// connection share one epoll set. A readable connection gets one
 /// blocking frame read + dispatch per event (level-triggered readiness
 /// re-reports buffered pipelined requests), so frame operations — and
-/// chaos injection — run the identical blocking code path as
-/// [`serve_sequential`].
+/// chaos injection — stay blocking.
 fn serve_multiplexed(
     poller: &Poller,
     mut listener: FramedListener,
@@ -206,8 +181,7 @@ fn serve_multiplexed(
 }
 
 /// Reads and answers one message on `conn`. Blocking: once the socket is
-/// readable (or the caller is the sequential loop), the frame is read to
-/// completion.
+/// readable, the frame is read to completion.
 fn handle_message(conn: &mut FramedTcp, session: &mut WorkerSession) -> Step {
     let payload = match conn.read_frame_limited(DIST_MAX_FRAME_LEN) {
         Ok(p) => p,

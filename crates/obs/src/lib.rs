@@ -20,8 +20,9 @@
 //! thread ([`attach`]). Every instrumentation macro first checks a single
 //! relaxed atomic (`enabled()`); when no recorder is attached anywhere in the
 //! process this is the entire cost — field expressions are not even
-//! evaluated. The `obs_overhead` criterion bench in `rl-ccd-bench` pins the
-//! disabled-path overhead of a full flow run below the noise floor.
+//! evaluated. `tests/obs_detach.rs` (at the workspace root) checks that a
+//! traced session leaves no recorder attached, so a later untraced run
+//! really takes this path.
 //!
 //! # Example
 //!

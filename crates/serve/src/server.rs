@@ -138,7 +138,7 @@ pub struct ServeStats {
     pub evicted: u64,
     /// Health probes answered.
     pub health_probes: u64,
-    /// Front-end event-loop poll returns (0 on the non-epoll fallback).
+    /// Front-end event-loop poll returns.
     pub reactor_polls: u64,
     /// Front-end readiness events processed. Stays proportional to
     /// *active* connections: idle sockets never produce an event.

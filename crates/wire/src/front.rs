@@ -8,13 +8,10 @@
 //! completing the `Reply` — inline, or later from any thread (a batch
 //! worker, a spawned admin job). Responses go out in completion order.
 //!
-//! [`bind`] picks the engine from what the platform reports and nothing
-//! else: where [`Poller::new`] works, one thread multiplexes every
-//! connection with epoll ([`FramedConn`] per socket, a [`TimerWheel`] for
-//! write stalls, a completion channel plus [`Waker`] to bring replies
-//! back onto the loop); where it returns `Unsupported`,
-//! [`bind_blocking`] runs a thread per connection over the blocking frame
-//! calls. Both honour the same contract:
+//! [`bind`] starts one thread that multiplexes every connection with
+//! epoll: a [`FramedConn`] per socket, a [`TimerWheel`] for write stalls,
+//! and a completion channel plus [`Waker`] to bring replies back onto the
+//! loop. Its contract:
 //!
 //! * an oversized length prefix or a torn frame closes that connection
 //!   and no other;
@@ -35,10 +32,9 @@
 use crate::frames::FramedConn;
 use crate::reactor::{set_backlog, set_send_buffer, Interest, PollEvent, Poller, Waker};
 use crate::timer::{TimerId, TimerWheel};
-use crate::{read_frame_limited, write_frame_limited};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -48,16 +44,10 @@ const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 const FIRST_CONN: u64 = 2;
 
-/// How often the blocking engine's threads look up from a quiet socket to
-/// re-check the drain flag.
-const BLOCKING_HEARTBEAT: Duration = Duration::from_millis(200);
-/// How often the blocking engine's accept thread polls its listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
 /// What a caller fixes about its port.
 #[derive(Clone, Debug)]
 pub struct FrontOptions {
-    /// Thread-name prefix (`"{name}-front"`, `"{name}-conn"`).
+    /// Thread-name prefix (`"{name}-front"`).
     pub name: &'static str,
     /// Frame cap in both directions.
     pub max_frame_len: usize,
@@ -78,13 +68,13 @@ pub struct FrontCounters {
 }
 
 impl FrontCounters {
-    /// Poll returns of the event loop (0 on the blocking engine).
+    /// Poll returns of the event loop.
     pub fn polls(&self) -> u64 {
         self.polls.load(Ordering::Relaxed)
     }
 
-    /// Readiness events processed (0 on the blocking engine). Idle
-    /// connections contribute nothing here.
+    /// Readiness events processed. Idle connections contribute nothing
+    /// here.
     pub fn events(&self) -> u64 {
         self.events.load(Ordering::Relaxed)
     }
@@ -112,7 +102,7 @@ pub struct Reply {
     /// Taken by the first completion; still present in `drop` means the
     /// handler never answered.
     done: Option<mpsc::Sender<Done>>,
-    waker: Option<Waker>,
+    waker: Waker,
 }
 
 impl Reply {
@@ -136,9 +126,7 @@ impl Reply {
             payload,
             close,
         });
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
     }
 }
 
@@ -150,8 +138,8 @@ impl Drop for Reply {
 
 /// Threads that get joined: the finished ones on every later spawn, the
 /// rest by [`Threads::join_all`]. The list tracks live threads, so a
-/// long-lived process that spawns one per connection (or per admin
-/// command) does not accumulate a handle for each one it ever started.
+/// long-lived process that spawns one per admin command does not
+/// accumulate a handle for each one it ever started.
 #[derive(Debug, Default)]
 pub struct Threads(Mutex<Vec<JoinHandle<()>>>);
 
@@ -185,8 +173,8 @@ impl Threads {
 #[derive(Debug)]
 struct Ctl {
     draining: AtomicBool,
-    /// Interrupts the reactor's poll; the blocking engine polls instead.
-    waker: Option<Waker>,
+    /// Interrupts the reactor's poll.
+    waker: Waker,
 }
 
 /// A bound, running front-end.
@@ -208,16 +196,12 @@ impl Front {
     /// the owed answers (a worker pool, admin jobs) must still be running.
     pub fn shutdown(self) {
         self.ctl.draining.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.ctl.waker {
-            waker.wake();
-        }
+        self.ctl.waker.wake();
         let _ = self.thread.join();
     }
 }
 
-/// Binds `addr` and serves it with `handler`, on the reactor where the
-/// platform has one and on [`bind_blocking`] where [`Poller::new`] says
-/// `Unsupported`.
+/// Binds `addr` and serves it with `handler` on one reactor thread.
 ///
 /// # Errors
 /// Bind and epoll/eventfd setup failures, reported here on the caller
@@ -231,13 +215,7 @@ pub fn bind<H>(
 where
     H: Fn(Vec<u8>, Reply) + Send + Sync + 'static,
 {
-    let poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-            return bind_blocking(addr, options, counters, handler)
-        }
-        Err(e) => return Err(e),
-    };
+    let poller = Poller::new()?;
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     // A connection burst beyond std's hardcoded backlog of 128 would see
@@ -249,7 +227,7 @@ where
     poller.register(&waker, WAKER, Interest::READABLE)?;
     let ctl = Arc::new(Ctl {
         draining: AtomicBool::new(false),
-        waker: Some(waker.clone()),
+        waker: waker.clone(),
     });
     let (done_tx, done_rx) = mpsc::channel();
     let reactor = Reactor {
@@ -422,7 +400,7 @@ impl Reactor {
                         let reply = Reply {
                             token: ev.token,
                             done: Some(self.done_tx.clone()),
-                            waker: Some(self.waker.clone()),
+                            waker: self.waker.clone(),
                         };
                         handler(payload, reply);
                     }
@@ -519,133 +497,4 @@ impl Reactor {
             let _ = self.poller.deregister(conn.io.stream());
         }
     }
-}
-
-/// The engine for platforms without epoll: an accept thread plus one
-/// thread per connection over the blocking frame calls, one request in
-/// flight per connection. [`bind`] selects it when [`Poller::new`]
-/// reports `Unsupported`; it is public so the contract tests drive it on
-/// Linux too.
-///
-/// # Errors
-/// Bind failures.
-pub fn bind_blocking<H>(
-    addr: &str,
-    options: FrontOptions,
-    counters: Arc<FrontCounters>,
-    handler: H,
-) -> io::Result<Front>
-where
-    H: Fn(Vec<u8>, Reply) + Send + Sync + 'static,
-{
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    // Non-blocking so the accept thread can notice the drain flag without
-    // anyone having to connect to it.
-    listener.set_nonblocking(true)?;
-    let ctl = Arc::new(Ctl {
-        draining: AtomicBool::new(false),
-        waker: None,
-    });
-    let handler = Arc::new(handler);
-    let accept_ctl = ctl.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("{}-front", options.name))
-        .spawn(move || {
-            let conns = Threads::default();
-            while !accept_ctl.draining.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let (ctl, options, counters, handler) = (
-                            accept_ctl.clone(),
-                            options.clone(),
-                            counters.clone(),
-                            handler.clone(),
-                        );
-                        let _ = conns.spawn(format!("{}-conn", options.name), move || {
-                            blocking_conn(&ctl, &options, &counters, &*handler, stream);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
-            conns.join_all();
-        })?;
-    Ok(Front {
-        addr: local,
-        ctl,
-        thread,
-    })
-}
-
-/// One blocking connection: framed requests in, framed responses out,
-/// until EOF, a fatal stream error, a slow-client eviction, or the drain.
-/// Memory is bounded by construction: one request frame and one response
-/// in flight.
-fn blocking_conn(
-    ctl: &Ctl,
-    options: &FrontOptions,
-    counters: &FrontCounters,
-    handler: &dyn Fn(Vec<u8>, Reply),
-    stream: TcpStream,
-) {
-    // Accepted sockets can inherit the listener's non-blocking mode.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    if let Some(bytes) = options.sock_send_buffer {
-        let _ = set_send_buffer(&stream, bytes);
-    }
-    let _ = stream.set_read_timeout(Some(BLOCKING_HEARTBEAT));
-    let _ = stream.set_write_timeout(Some(options.write_timeout));
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let (done_tx, done_rx) = mpsc::channel();
-    loop {
-        match read_frame_limited(&mut reader, options.max_frame_len) {
-            Ok(payload) => {
-                handler(
-                    payload,
-                    Reply {
-                        token: 0,
-                        done: Some(done_tx.clone()),
-                        waker: None,
-                    },
-                );
-                // The sender above is alive and every `Reply` reports in,
-                // answered or dropped, so this returns.
-                let Ok(Done { payload, close, .. }) = done_rx.recv() else {
-                    return;
-                };
-                let Some(payload) = payload else { return };
-                if let Err(e) = write_frame_limited(&mut writer, &payload, options.max_frame_len) {
-                    if timed_out(&e) {
-                        counters.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
-                if close {
-                    return;
-                }
-            }
-            Err(e) if timed_out(&e) => {
-                if ctl.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return, // EOF, torn frame, oversized prefix
-        }
-    }
-}
-
-/// A socket timeout, under either name the platform gives it.
-fn timed_out(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }

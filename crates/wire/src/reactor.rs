@@ -15,8 +15,19 @@
 //! Everything is std-only: the kernel interface is a thin `extern "C"`
 //! shim over the handful of syscalls std does not expose
 //! (`epoll_create1`/`epoll_ctl`/`epoll_wait`, `eventfd`, `listen`), using
-//! the libc std already links. On non-Linux targets [`Poller::new`]
-//! returns `Unsupported` and the blocking code paths remain available.
+//! the libc std already links. Linux is the one supported platform:
+//! building for any other target stops at the `compile_error!` below.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "rl-ccd-wire supports Linux only: its reactor is built on epoll and eventfd, \
+     and there is no other engine"
+);
+
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Readiness interest for a registration: readable, writable, both, or
 /// neither. Read interest includes the peer's half-close; hangup and error
@@ -76,403 +87,280 @@ pub struct PollEvent {
     pub hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::{Interest, PollEvent};
-    use std::io::{self, Read, Write};
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::sync::Arc;
-    use std::time::Duration;
+mod sys {
+    use std::os::raw::{c_int, c_uint};
 
-    mod sys {
-        use std::os::raw::{c_int, c_uint};
-
-        // The subset of the kernel interface std does not expose. std
-        // already links libc on Linux, so these resolve without any
-        // external crate.
-        extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
-            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            pub fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-            pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-            pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
-            pub fn setsockopt(
-                sockfd: c_int,
-                level: c_int,
-                optname: c_int,
-                optval: *const c_int,
-                optlen: u32,
-            ) -> c_int;
-        }
-
-        pub const SOL_SOCKET: c_int = 1;
-        pub const SO_SNDBUF: c_int = 7;
-
-        pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-
-        pub const EPOLLIN: u32 = 0x001;
-        pub const EPOLLOUT: u32 = 0x004;
-        pub const EPOLLERR: u32 = 0x008;
-        pub const EPOLLHUP: u32 = 0x010;
-        pub const EPOLLRDHUP: u32 = 0x2000;
-
-        pub const EFD_CLOEXEC: c_int = 0o2000000;
-        pub const EFD_NONBLOCK: c_int = 0o4000;
-
-        /// The kernel's `struct epoll_event`. Packed on x86, where the
-        /// kernel ABI has no padding between `events` and `data`.
-        #[repr(C)]
-        #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
+    // The subset of the kernel interface std does not expose. std
+    // already links libc on Linux, so these resolve without any
+    // external crate.
+    extern "C" {
+        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        pub fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
+        pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
+        pub fn setsockopt(
+            sockfd: c_int,
+            level: c_int,
+            optname: c_int,
+            optval: *const c_int,
+            optlen: u32,
+        ) -> c_int;
     }
 
-    fn cvt(ret: i32) -> io::Result<i32> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
+    pub const SOL_SOCKET: c_int = 1;
+    pub const SO_SNDBUF: c_int = 7;
 
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = 0;
-        if interest.is_readable() {
-            bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
-        }
-        if interest.is_writable() {
-            bits |= sys::EPOLLOUT;
-        }
-        bits
-    }
+    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub const EPOLL_CTL_ADD: c_int = 1;
+    pub const EPOLL_CTL_DEL: c_int = 2;
+    pub const EPOLL_CTL_MOD: c_int = 3;
 
-    /// A level-triggered epoll instance. See the module docs for the
-    /// intended loop shape.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: OwnedFd,
-    }
+    pub const EPOLLIN: u32 = 0x001;
+    pub const EPOLLOUT: u32 = 0x004;
+    pub const EPOLLERR: u32 = 0x008;
+    pub const EPOLLHUP: u32 = 0x010;
+    pub const EPOLLRDHUP: u32 = 0x2000;
 
-    impl Poller {
-        /// Creates the epoll instance (close-on-exec).
-        ///
-        /// # Errors
-        /// The `epoll_create1` failure, or `Unsupported` off Linux.
-        pub fn new() -> io::Result<Self> {
-            let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-            // SAFETY: epoll_create1 returned a fresh descriptor we own.
-            Ok(Poller {
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-            })
-        }
+    pub const EFD_CLOEXEC: c_int = 0o2000000;
+    pub const EFD_NONBLOCK: c_int = 0o4000;
 
-        fn ctl(&self, op: i32, fd: RawFd, event: Option<sys::EpollEvent>) -> io::Result<()> {
-            let mut ev = event.unwrap_or(sys::EpollEvent { events: 0, data: 0 });
-            cvt(unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
-            Ok(())
-        }
-
-        /// Registers `fd` under `token` with the given interest.
-        ///
-        /// # Errors
-        /// The underlying `epoll_ctl` failure (e.g. an already-registered
-        /// descriptor).
-        pub fn register(
-            &self,
-            fd: &impl AsRawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.ctl(
-                sys::EPOLL_CTL_ADD,
-                fd.as_raw_fd(),
-                Some(sys::EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        /// Changes the interest (and token) of an already-registered `fd`.
-        ///
-        /// # Errors
-        /// The underlying `epoll_ctl` failure.
-        pub fn reregister(
-            &self,
-            fd: &impl AsRawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.ctl(
-                sys::EPOLL_CTL_MOD,
-                fd.as_raw_fd(),
-                Some(sys::EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        /// Removes `fd` from the instance. Dropping the last duplicate of
-        /// a descriptor removes it implicitly; this is for removing an fd
-        /// that stays open.
-        ///
-        /// # Errors
-        /// The underlying `epoll_ctl` failure.
-        pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_DEL, fd.as_raw_fd(), None)
-        }
-
-        /// Blocks until readiness or `timeout` (forever when `None`),
-        /// appending up to 1024 events to `events` (cleared first).
-        /// Returns the number of events delivered; 0 means the timeout
-        /// elapsed. `EINTR` is retried internally.
-        ///
-        /// # Errors
-        /// The underlying `epoll_wait` failure.
-        pub fn poll(
-            &self,
-            events: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            const CAP: usize = 1024;
-            let mut raw = [sys::EpollEvent { events: 0, data: 0 }; CAP];
-            // Round sub-millisecond timeouts up so a near deadline does
-            // not spin at timeout 0.
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d
-                    .as_millis()
-                    .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0))
-                    .min(i32::MAX as u128) as i32,
-            };
-            let n = loop {
-                let ret = unsafe {
-                    sys::epoll_wait(
-                        self.epfd.as_raw_fd(),
-                        raw.as_mut_ptr(),
-                        CAP as i32,
-                        timeout_ms,
-                    )
-                };
-                match cvt(ret) {
-                    Ok(n) => break n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            };
-            for ev in &raw[..n] {
-                let bits = ev.events;
-                events.push(PollEvent {
-                    token: ev.data,
-                    readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                    writable: bits & sys::EPOLLOUT != 0,
-                    hangup: bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    /// A cross-thread wake handle for a [`Poller`]: an `eventfd`
-    /// registered like any other readable descriptor. Clone freely; all
-    /// clones share the one descriptor.
-    #[derive(Clone, Debug)]
-    pub struct Waker {
-        fd: Arc<std::fs::File>,
-    }
-
-    impl Waker {
-        /// Creates the eventfd (non-blocking, close-on-exec).
-        ///
-        /// # Errors
-        /// The `eventfd` failure, or `Unsupported` off Linux.
-        pub fn new() -> io::Result<Self> {
-            let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
-            // SAFETY: eventfd returned a fresh descriptor we own.
-            let owned = unsafe { OwnedFd::from_raw_fd(fd) };
-            Ok(Waker {
-                fd: Arc::new(std::fs::File::from(owned)),
-            })
-        }
-
-        /// Makes the next (or current) [`Poller::poll`] return with a
-        /// readable event on this waker's token. Coalesces: any number of
-        /// wakes before the drain produce one event.
-        pub fn wake(&self) {
-            // A full counter (EAGAIN) already guarantees a wakeup.
-            let _ = (&*self.fd).write_all(&1u64.to_ne_bytes());
-        }
-
-        /// Clears the wake signal; call when the waker's token polls
-        /// readable, before processing whatever the wake announced.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            let _ = (&*self.fd).read(&mut buf);
-        }
-    }
-
-    impl AsRawFd for Waker {
-        fn as_raw_fd(&self) -> RawFd {
-            self.fd.as_raw_fd()
-        }
-    }
-
-    /// Re-arms `listener`'s accept backlog to `backlog` (Linux allows
-    /// re-calling `listen` on a listening socket). std hardcodes 128,
-    /// which a multi-thousand-connection burst overflows.
-    ///
-    /// # Errors
-    /// The underlying `listen` failure.
-    pub fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
-        cvt(unsafe { sys::listen(listener.as_raw_fd(), backlog) })?;
-        Ok(())
-    }
-
-    /// Caps the socket's kernel send buffer (`SO_SNDBUF`; the kernel
-    /// doubles the value for bookkeeping and enforces a floor). Bounding
-    /// it keeps per-connection kernel memory predictable on a server
-    /// holding thousands of sockets, and makes a stalled reader surface
-    /// as write backpressure instead of disappearing into autotuned
-    /// buffers.
-    ///
-    /// # Errors
-    /// The underlying `setsockopt` failure.
-    pub fn set_send_buffer(socket: &impl AsRawFd, bytes: usize) -> io::Result<()> {
-        let val = bytes.min(i32::MAX as usize) as i32;
-        cvt(unsafe {
-            sys::setsockopt(
-                socket.as_raw_fd(),
-                sys::SOL_SOCKET,
-                sys::SO_SNDBUF,
-                &val,
-                std::mem::size_of::<i32>() as u32,
-            )
-        })?;
-        Ok(())
+    /// The kernel's `struct epoll_event`. Packed on x86, where the
+    /// kernel ABI has no padding between `events` and `data`.
+    #[repr(C)]
+    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
+    #[derive(Clone, Copy)]
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use super::{Interest, PollEvent};
-    use std::io;
-    use std::time::Duration;
+fn cvt(ret: i32) -> io::Result<i32> {
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(ret)
+    }
+}
 
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the readiness reactor requires Linux epoll; use the blocking transports",
+fn interest_bits(interest: Interest) -> u32 {
+    let mut bits = 0;
+    if interest.is_readable() {
+        bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
+    }
+    if interest.is_writable() {
+        bits |= sys::EPOLLOUT;
+    }
+    bits
+}
+
+/// A level-triggered epoll instance. See the module docs for the
+/// intended loop shape.
+#[derive(Debug)]
+pub struct Poller {
+    epfd: OwnedFd,
+}
+
+impl Poller {
+    /// Creates the epoll instance (close-on-exec).
+    ///
+    /// # Errors
+    /// The `epoll_create1` failure.
+    pub fn new() -> io::Result<Self> {
+        let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
+        // SAFETY: epoll_create1 returned a fresh descriptor we own.
+        Ok(Poller {
+            epfd: unsafe { OwnedFd::from_raw_fd(fd) },
+        })
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, event: Option<sys::EpollEvent>) -> io::Result<()> {
+        let mut ev = event.unwrap_or(sys::EpollEvent { events: 0, data: 0 });
+        cvt(unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
+        Ok(())
+    }
+
+    /// Registers `fd` under `token` with the given interest.
+    ///
+    /// # Errors
+    /// The underlying `epoll_ctl` failure (e.g. an already-registered
+    /// descriptor).
+    pub fn register(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(
+            sys::EPOLL_CTL_ADD,
+            fd.as_raw_fd(),
+            Some(sys::EpollEvent {
+                events: interest_bits(interest),
+                data: token,
+            }),
         )
     }
 
-    /// Stub poller for non-Linux targets: construction fails with
-    /// `Unsupported`, so the methods are unreachable by construction.
-    #[derive(Debug)]
-    pub struct Poller {}
-
-    impl Poller {
-        /// Always fails off Linux.
-        ///
-        /// # Errors
-        /// `Unsupported`.
-        pub fn new() -> io::Result<Self> {
-            Err(unsupported())
-        }
-
-        /// Unreachable: [`Poller::new`] never succeeds off Linux.
-        pub fn register(
-            &self,
-            _fd: &impl std::fmt::Debug,
-            _token: u64,
-            _interest: Interest,
-        ) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable: [`Poller::new`] never succeeds off Linux.
-        pub fn reregister(
-            &self,
-            _fd: &impl std::fmt::Debug,
-            _token: u64,
-            _interest: Interest,
-        ) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable: [`Poller::new`] never succeeds off Linux.
-        pub fn deregister(&self, _fd: &impl std::fmt::Debug) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable: [`Poller::new`] never succeeds off Linux.
-        pub fn poll(
-            &self,
-            _events: &mut Vec<PollEvent>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            Err(unsupported())
-        }
-    }
-
-    /// Stub waker for non-Linux targets.
-    #[derive(Clone, Debug)]
-    pub struct Waker {}
-
-    impl Waker {
-        /// Always fails off Linux.
-        ///
-        /// # Errors
-        /// `Unsupported`.
-        pub fn new() -> io::Result<Self> {
-            Err(unsupported())
-        }
-
-        /// Unreachable: [`Waker::new`] never succeeds off Linux.
-        pub fn wake(&self) {}
-
-        /// Unreachable: [`Waker::new`] never succeeds off Linux.
-        pub fn drain(&self) {}
-    }
-
-    /// No-op off Linux (the blocking paths keep std's default backlog).
+    /// Changes the interest (and token) of an already-registered `fd`.
     ///
     /// # Errors
-    /// None; accepted for signature parity.
-    pub fn set_backlog(_listener: &std::net::TcpListener, _backlog: i32) -> io::Result<()> {
-        Ok(())
+    /// The underlying `epoll_ctl` failure.
+    pub fn reregister(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(
+            sys::EPOLL_CTL_MOD,
+            fd.as_raw_fd(),
+            Some(sys::EpollEvent {
+                events: interest_bits(interest),
+                data: token,
+            }),
+        )
     }
 
-    /// No-op off Linux (kernel buffers keep their defaults).
+    /// Removes `fd` from the instance. Dropping the last duplicate of
+    /// a descriptor removes it implicitly; this is for removing an fd
+    /// that stays open.
     ///
     /// # Errors
-    /// None; accepted for signature parity.
-    pub fn set_send_buffer(_socket: &impl std::fmt::Debug, _bytes: usize) -> io::Result<()> {
-        Ok(())
+    /// The underlying `epoll_ctl` failure.
+    pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd.as_raw_fd(), None)
+    }
+
+    /// Blocks until readiness or `timeout` (forever when `None`),
+    /// appending up to 1024 events to `events` (cleared first).
+    /// Returns the number of events delivered; 0 means the timeout
+    /// elapsed. `EINTR` is retried internally.
+    ///
+    /// # Errors
+    /// The underlying `epoll_wait` failure.
+    pub fn poll(
+        &self,
+        events: &mut Vec<PollEvent>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
+        events.clear();
+        const CAP: usize = 1024;
+        let mut raw = [sys::EpollEvent { events: 0, data: 0 }; CAP];
+        // Round sub-millisecond timeouts up so a near deadline does
+        // not spin at timeout 0.
+        let timeout_ms: i32 = match timeout {
+            None => -1,
+            Some(d) => d
+                .as_millis()
+                .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0))
+                .min(i32::MAX as u128) as i32,
+        };
+        let n = loop {
+            let ret = unsafe {
+                sys::epoll_wait(
+                    self.epfd.as_raw_fd(),
+                    raw.as_mut_ptr(),
+                    CAP as i32,
+                    timeout_ms,
+                )
+            };
+            match cvt(ret) {
+                Ok(n) => break n as usize,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        for ev in &raw[..n] {
+            let bits = ev.events;
+            events.push(PollEvent {
+                token: ev.data,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+                hangup: bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(n)
     }
 }
 
-pub use imp::{set_backlog, set_send_buffer, Poller, Waker};
+/// A cross-thread wake handle for a [`Poller`]: an `eventfd`
+/// registered like any other readable descriptor. Clone freely; all
+/// clones share the one descriptor.
+#[derive(Clone, Debug)]
+pub struct Waker {
+    fd: Arc<std::fs::File>,
+}
 
-#[cfg(all(test, target_os = "linux"))]
+impl Waker {
+    /// Creates the eventfd (non-blocking, close-on-exec).
+    ///
+    /// # Errors
+    /// The `eventfd` failure.
+    pub fn new() -> io::Result<Self> {
+        let fd = cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
+        // SAFETY: eventfd returned a fresh descriptor we own.
+        let owned = unsafe { OwnedFd::from_raw_fd(fd) };
+        Ok(Waker {
+            fd: Arc::new(std::fs::File::from(owned)),
+        })
+    }
+
+    /// Makes the next (or current) [`Poller::poll`] return with a
+    /// readable event on this waker's token. Coalesces: any number of
+    /// wakes before the drain produce one event.
+    pub fn wake(&self) {
+        // A full counter (EAGAIN) already guarantees a wakeup.
+        let _ = (&*self.fd).write_all(&1u64.to_ne_bytes());
+    }
+
+    /// Clears the wake signal; call when the waker's token polls
+    /// readable, before processing whatever the wake announced.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 8];
+        let _ = (&*self.fd).read(&mut buf);
+    }
+}
+
+impl AsRawFd for Waker {
+    fn as_raw_fd(&self) -> RawFd {
+        self.fd.as_raw_fd()
+    }
+}
+
+/// Re-arms `listener`'s accept backlog to `backlog` (Linux allows
+/// re-calling `listen` on a listening socket). std hardcodes 128,
+/// which a multi-thousand-connection burst overflows.
+///
+/// # Errors
+/// The underlying `listen` failure.
+pub fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
+    cvt(unsafe { sys::listen(listener.as_raw_fd(), backlog) })?;
+    Ok(())
+}
+
+/// Caps the socket's kernel send buffer (`SO_SNDBUF`; the kernel
+/// doubles the value for bookkeeping and enforces a floor). Bounding
+/// it keeps per-connection kernel memory predictable on a server
+/// holding thousands of sockets, and makes a stalled reader surface
+/// as write backpressure instead of disappearing into autotuned
+/// buffers.
+///
+/// # Errors
+/// The underlying `setsockopt` failure.
+pub fn set_send_buffer(socket: &impl AsRawFd, bytes: usize) -> io::Result<()> {
+    let val = bytes.min(i32::MAX as usize) as i32;
+    cvt(unsafe {
+        sys::setsockopt(
+            socket.as_raw_fd(),
+            sys::SOL_SOCKET,
+            sys::SO_SNDBUF,
+            &val,
+            std::mem::size_of::<i32>() as u32,
+        )
+    })?;
+    Ok(())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd as _;
-    use std::time::Duration;
 
     #[test]
     fn poll_reports_accept_and_data_readiness() {

@@ -7,11 +7,17 @@
 //! asserted exactly.
 
 use rl_ccd::{RlCcd, RlConfig};
-use rl_ccd_daemon::{Daemon, DaemonConfig, ManualClock, CHALLENGER, CHAMPION, QUOTA_WINDOW_MS};
+use rl_ccd_daemon::{
+    AdminReply, AdminRequest, Daemon, DaemonConfig, ManualClock, CHALLENGER, CHAMPION,
+    QUOTA_WINDOW_MS,
+};
 use rl_ccd_serve::{
     Credentials, DesignKey, Mode, ModelRegistry, QueryRequest, Response, ServeClient,
 };
+use rl_ccd_wire::{read_frame, write_frame, MAX_FRAME_LEN};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn registry(slots: &[&str]) -> ModelRegistry {
     let (_, params) = RlCcd::init(RlConfig::fast());
@@ -187,4 +193,43 @@ fn canary_zero_and_one_route_nobody_and_everybody() {
     assert_eq!(report.drain.dropped(), 0);
     let accepted: u64 = report.tenants.iter().map(|t| t.usage.accepted).sum();
     assert_eq!(accepted, 15, "three rounds across five tenants");
+}
+
+/// Tenant specs reach the admin port up to a frame long. A 600 KB id, and
+/// a malformed spec that fills the frame, each get a short typed `err`,
+/// and the same connection answers the next command. Ids ride back in
+/// every `tenant_list` reply, where two ids that size would not fit a
+/// frame.
+#[test]
+fn oversized_tenant_specs_get_a_typed_error_on_a_live_connection() {
+    let mut daemon = Daemon::start(
+        registry(&[CHAMPION]),
+        DaemonConfig::default(),
+        Arc::new(ManualClock::at(0)),
+    );
+    let addr = daemon.bind_admin("127.0.0.1:0").expect("bind admin");
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut call = |request: &AdminRequest| {
+        write_frame(&mut conn, &request.encode(None)).expect("send");
+        let payload = read_frame(&mut conn).expect("answered on the same connection");
+        AdminReply::decode(&payload).expect("admin reply")
+    };
+    let long_id = format!("{}:tok:1:1:1", "x".repeat(600 * 1024));
+    let malformed = "y".repeat(MAX_FRAME_LEN - 1024);
+    for spec in [long_id, malformed] {
+        let len = spec.len();
+        let reply = call(&AdminRequest::TenantAdd { spec });
+        assert!(
+            matches!(&reply, AdminReply::Err { msg } if msg.len() < 256),
+            "a {len}-byte spec must be refused with a short error: {reply:?}"
+        );
+    }
+    let reply = call(&AdminRequest::TenantList);
+    assert!(
+        matches!(&reply, AdminReply::Tenants(list) if list.is_empty()),
+        "{reply:?}"
+    );
+    daemon.shutdown();
 }
