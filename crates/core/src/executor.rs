@@ -3,8 +3,8 @@
 //! The trainer ([`crate::reinforce`]) decides *what* to run each
 //! iteration: one `(slot, seed)` pair per configured worker, with seeds a
 //! pure function of the config seed and the iteration index. An executor
-//! decides *where* those rollouts run: [`LocalExecutor`] fans them out
-//! over in-process threads (the paper's single-machine setting), while
+//! decides *where* those rollouts run: [`LocalExecutor`] runs them on one
+//! in-process thread per core (the paper's single-machine setting), while
 //! `rl-ccd-dist` ships them to worker processes over TCP.
 //!
 //! # The determinism contract
@@ -29,6 +29,7 @@ use rl_ccd_netlist::EndpointId;
 use rl_ccd_nn::{GradSet, ParamSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One iteration's worth of rollout work, as handed to an executor.
 #[derive(Debug)]
@@ -93,39 +94,25 @@ pub trait RolloutExecutor: Send + fmt::Debug {
     fn run_batch(&mut self, req: &RolloutRequest<'_>) -> ExecutorBatch;
 }
 
-/// Rough bytes-per-(cell·step) of a trajectory tape plus its transient
-/// backward buffers, calibrated against observed peaks.
-const TAPE_BYTES_PER_CELL_STEP: usize = 6000;
-
-/// Memory the rollout phase may occupy with concurrent tapes.
-const TAPE_BUDGET_BYTES: usize = 6 << 30;
-
-/// How many trajectory tapes can safely coexist for `env` under
-/// [`TAPE_BUDGET_BYTES`]: between 1 and 16.
-fn max_concurrent_tapes(env: &CcdEnv) -> usize {
-    let cells = env.design().netlist.cell_count();
-    let steps = env.pool().len().clamp(4, 80);
-    let per_tape = cells * steps * TAPE_BYTES_PER_CELL_STEP;
-    (TAPE_BUDGET_BYTES / per_tape.max(1)).clamp(1, 16)
-}
-
 /// The in-process executor (paper §IV-A: 8 parallel processes per design,
 /// CPU only), and the one rollout runner: `rl-ccd-dist` workers call it
 /// for their share of the slots.
 ///
-/// Each `(slot, seed)` runs on a scoped thread, at most
-/// `max_concurrent_tapes` at a time — a tape over a large design costs
-/// hundreds of MB, and more concurrent tapes than memory allows is how
-/// training runs die. A rollout backpropagates `∇ Σ_t log π(a_t)` on its
-/// own thread, so its tape is freed before the flow scores the selection;
-/// REINFORCE gradients are linear in the advantage, so the trainer scales
-/// the returned gradient afterwards.
+/// The pairs run on `min(pairs, available_parallelism())` scoped threads,
+/// each taking the next pair from a shared index — so at most one tape per
+/// core is alive at a time, however many slots an iteration has. A rollout
+/// backpropagates `∇ Σ_t log π(a_t)` on its own thread, so its tape is
+/// freed before the flow scores the selection; REINFORCE gradients are
+/// linear in the advantage, so the trainer scales the returned gradient
+/// afterwards. Results are stored by pair position, so the batch comes
+/// back in pair order whichever thread ran what.
 ///
 /// Every rollout is supervised: a panic is caught with `catch_unwind`, and
 /// a non-finite reward or gradient element fails validation. Either way
 /// the rollout is *quarantined* — dropped from the batch and recorded as a
 /// [`RolloutFault`] tagged with its slot — and the trainer decides whether
-/// enough survived (the quorum rule in [`crate::reinforce`]).
+/// enough survived (the quorum rule in [`crate::reinforce`]). The thread
+/// that ran it goes on to its next pair.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalExecutor;
 
@@ -135,32 +122,42 @@ impl RolloutExecutor for LocalExecutor {
         // attaches its own clone, records into its thread-local span
         // buffer, and merges back when its rollout span closes.
         let recorder = rl_ccd_obs::current();
-        let mut batch = ExecutorBatch::default();
-        for group in req.pairs.chunks(max_concurrent_tapes(req.env)) {
-            let results: Vec<Result<ExecutedRollout, RolloutFault>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = group
-                    .iter()
-                    .map(|&(slot, seed)| {
-                        let recorder = recorder.clone();
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(req.pairs.len());
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<(usize, Result<ExecutedRollout, RolloutFault>)> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let (recorder, next) = (recorder.clone(), &next);
                         scope.spawn(move || {
                             let _obs = recorder.as_ref().map(rl_ccd_obs::attach);
-                            supervised(req, slot, seed)
+                            let mut done = Vec::new();
+                            loop {
+                                let at = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(&(slot, seed)) = req.pairs.get(at) else {
+                                    break done;
+                                };
+                                done.push((at, supervised(req, slot, seed)));
+                            }
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| {
+                    .flat_map(|h| {
                         h.join()
-                            .expect("supervised rollout cannot panic past catch_unwind")
+                            .expect("supervised rollouts cannot panic past catch_unwind")
                     })
                     .collect()
             });
-            for result in results {
-                match result {
-                    Ok(rollout) => batch.rollouts.push(rollout),
-                    Err(fault) => batch.faults.push(fault),
-                }
+        results.sort_unstable_by_key(|&(at, _)| at);
+        let mut batch = ExecutorBatch::default();
+        for (_, result) in results {
+            match result {
+                Ok(rollout) => batch.rollouts.push(rollout),
+                Err(fault) => batch.faults.push(fault),
             }
         }
         batch
@@ -377,14 +374,29 @@ mod tests {
     }
 
     #[test]
-    fn chunking_respects_memory_model() {
-        let env = env("mem", 500, 56);
-        assert!((1..=16).contains(&max_concurrent_tapes(&env)));
-        // Chunked execution still returns everything, in slot order.
-        let seeds: Vec<u64> = (0..5).collect();
+    fn more_pairs_than_threads_all_come_back_in_order() {
+        let env = env("pool", 500, 56);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let seeds: Vec<u64> = (0..threads as u64 + 3).collect();
         let batch = run(&env, 0, &seeds, &FaultPlan::none());
-        let slots: Vec<usize> = batch.rollouts.iter().map(|r| r.slot).collect();
-        assert_eq!(slots, vec![0, 1, 2, 3, 4]);
+        assert!(batch.faults.is_empty());
+        let got: Vec<(usize, u64)> = batch.rollouts.iter().map(|r| (r.slot, r.seed)).collect();
+        let want: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_panic_quarantines_only_its_own_slot() {
+        let env = env("panic5", 450, 59);
+        let plan = FaultPlan::none().with_worker_panic(0, 1);
+        let seeds = [30, 31, 32, 33, 34];
+        let batch = run(&env, 0, &seeds, &plan);
+        let faulted: Vec<(usize, FaultKind)> =
+            batch.faults.iter().map(|f| (f.worker, f.kind)).collect();
+        assert_eq!(faulted, vec![(1, FaultKind::WorkerPanic)]);
+        // The thread that caught the panic went on: every other slot ran.
+        let kept: Vec<usize> = batch.rollouts.iter().map(|r| r.slot).collect();
+        assert_eq!(kept, vec![0, 2, 3, 4]);
     }
 
     #[test]

@@ -567,10 +567,14 @@ fn run_admin_command(shared: &DaemonShared, request: AdminRequest) -> AdminReply
                         );
                         AdminReply::Ok {
                             info: format!(
-                                "retrained and staged {identity}: {} records, {} offline steps, mean importance weight {:.3}",
+                                "retrained and staged {identity}: {} records, {} offline steps, \
+                                 mean importance weight {:.3}, effective sample size {:.2}, \
+                                 clamped share {:.3}",
                                 report.records_loaded,
                                 report.steps_taken,
-                                report.mean_importance_weight
+                                report.mean_importance_weight,
+                                report.effective_sample_size,
+                                report.clamped_share
                             ),
                         }
                     }

@@ -100,6 +100,44 @@ pub struct RetrainReport {
     pub guarded_steps: usize,
     /// Mean clamped importance weight over every replayed record.
     pub mean_importance_weight: f64,
+    /// Effective sample size of those weights, `(Σw)² / Σw²`: how many
+    /// equally weighted records the weighted batch is worth.
+    pub effective_sample_size: f64,
+    /// Share of replayed records whose raw weight exceeded `w_max` and was
+    /// clamped.
+    pub clamped_share: f64,
+}
+
+/// Running sums over the clamped importance weights of every replay.
+#[derive(Debug, Default)]
+struct WeightStats {
+    sum: f64,
+    sum_sq: f64,
+    count: u64,
+    clamped: u64,
+}
+
+impl WeightStats {
+    fn record(&mut self, weight: f32, clamped: bool) {
+        let w = f64::from(weight);
+        self.sum += w;
+        self.sum_sq += w * w;
+        self.count += 1;
+        self.clamped += u64::from(clamped);
+    }
+
+    /// Writes the mean, the effective sample size and the clamped share
+    /// (all left at zero when nothing was replayed).
+    fn report_into(&self, report: &mut RetrainReport) {
+        if self.count == 0 {
+            return;
+        }
+        report.mean_importance_weight = self.sum / self.count as f64;
+        if self.sum_sq > 0.0 {
+            report.effective_sample_size = self.sum * self.sum / self.sum_sq;
+        }
+        report.clamped_share = self.clamped as f64 / self.count as f64;
+    }
 }
 
 /// Retrains the checkpoint in `base_dir` from the experience log at
@@ -199,8 +237,7 @@ pub fn retrain(
     let mut best_reward = state.best_reward;
     let mut best_selection = state.best_selection.clone();
     let mut history = state.history.clone();
-    let mut weight_sum = 0.0f64;
-    let mut weight_count = 0u64;
+    let mut weights = WeightStats::default();
 
     for step in 0..cfg.steps {
         let _span = rl_ccd_obs::span!("exp.retrain.step", iteration = step as u64);
@@ -234,14 +271,14 @@ pub fn retrain(
                 }
             };
             let lp_theta = rollout.tape.value(rollout.total_log_prob).data()[0];
-            let weight = (lp_theta - record.behavior_log_prob()).exp().min(cfg.w_max);
+            let raw = (lp_theta - record.behavior_log_prob()).exp();
+            let weight = raw.min(cfg.w_max);
             if !weight.is_finite() {
                 report.replay_failures += 1;
                 rl_ccd_obs::counter!("exp.retrain.replay_failed", 1);
                 continue;
             }
-            weight_sum += weight as f64;
-            weight_count += 1;
+            weights.record(weight, raw > cfg.w_max);
             if record.reward_tns_ps > best_reward {
                 best_reward = record.reward_tns_ps;
                 best_selection = actions.clone();
@@ -296,9 +333,7 @@ pub fn retrain(
         });
     }
 
-    if weight_count > 0 {
-        report.mean_importance_weight = weight_sum / weight_count as f64;
-    }
+    weights.report_into(&mut report);
     let new_state = TrainingState {
         next_iteration: state.next_iteration + cfg.steps,
         seed_base: state.seed_base,
@@ -383,6 +418,35 @@ mod tests {
             writeln!(log, "{}", record.to_jsonl()).expect("write record");
         }
         (dir, log_path, config)
+    }
+
+    /// The report's weight statistics for raw weights `raw`, clamped at
+    /// `w_max` the way [`retrain`] clamps them.
+    fn weight_report(raw: &[f32], w_max: f32) -> RetrainReport {
+        let mut stats = WeightStats::default();
+        for &w in raw {
+            stats.record(w.min(w_max), w > w_max);
+        }
+        let mut report = RetrainReport::default();
+        stats.report_into(&mut report);
+        report
+    }
+
+    #[test]
+    fn effective_sample_size_and_clamped_share() {
+        let equal = weight_report(&[0.5; 4], 10.0);
+        assert_eq!(equal.effective_sample_size, 4.0);
+        assert_eq!(equal.clamped_share, 0.0);
+        assert_eq!(equal.mean_importance_weight, 0.5);
+        // One weight over the clamp: w = [1, 1, 1, 2] after clamping.
+        let clamped = weight_report(&[1.0, 1.0, 30.0, 1.0], 2.0);
+        assert_eq!(clamped.clamped_share, 0.25);
+        assert_eq!(clamped.effective_sample_size, 25.0 / 7.0);
+        // One weight dominating: the batch is worth barely one record.
+        let skewed = weight_report(&[1e-3, 1e-3, 1e-3, 1.0], 10.0);
+        assert!(skewed.effective_sample_size < 1.01);
+        // Nothing replayed: everything stays zero.
+        assert_eq!(weight_report(&[], 10.0), RetrainReport::default());
     }
 
     #[test]

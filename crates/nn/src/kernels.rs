@@ -21,7 +21,9 @@
 //! same `a == 0.0` skip the scalar loops use. Only memory traffic and
 //! instruction-level parallelism differ, never float rounding — which is
 //! why swapping the fast kernels in changed no training trajectory, no
-//! serve selection, and no checkpoint digest.
+//! serve selection, and no checkpoint digest. The backward products
+//! also skip the rows of the incoming gradient that are all ±0
+//! ([`live_rows`]); that skip is exact too (DESIGN §14).
 
 use crate::sparse::SharedCsr;
 use crate::tensor::Tensor;
@@ -289,21 +291,82 @@ fn row_quad(
     }
 }
 
-/// Writes `a · bᵀ` into `out` (`a.rows()*b.rows()` long, `scratch` holds
-/// the transposed `b`). [`Tensor::matmul_t`] is the dot-product loop,
-/// whose per-output accumulator chain cannot use SIMD lanes without
-/// reassociating the sum. Instead `b` is transposed once into `scratch`
-/// and the product runs in vectorized axpy form — per output element the
-/// k-terms still accumulate in ascending order, and **no** zero-skip is
-/// applied (the scalar dot product has none), so the result is
-/// bit-identical to the reference.
-pub fn matmul_t_into(out: &mut [f32], scratch: &mut Vec<f32>, a: &Tensor, b: &Tensor) {
+/// The live rows of a gradient `g`: the indices of its rows that hold at
+/// least one nonzero element, ascending, written into `rows`.
+///
+/// The tape's `Linear` / `Spmm` / `mix` backward runs the `*_rows`
+/// products over these rows only, and the result is still exact: every
+/// term a dead row contributes is a finite value times ±0, which is ±0,
+/// and adding ±0 to an accumulator that starts at +0 and never holds −0
+/// changes no bit (DESIGN §14).
+pub fn live_rows(g: &Tensor, rows: &mut Vec<u32>) {
+    rows.clear();
+    if g.cols() == 0 {
+        return;
+    }
+    for (i, grow) in g.data().chunks_exact(g.cols()).enumerate() {
+        // OR of the bits below the sign: nonzero unless every element is
+        // ±0. Branch-free, so the scan vectorizes.
+        if grow.iter().fold(0u32, |acc, v| acc | (v.to_bits() << 1)) != 0 {
+            rows.push(i as u32);
+        }
+    }
+}
+
+/// The rows a backward product runs over, ascending: a [`live_rows`]
+/// list, or [`AllRows`]. Generic rather than a slice so that the
+/// dispatchers ([`matmul_t`], [`t_matmul`], [`col_sum`], [`spmm_t`]) run
+/// the same loops over every row with no index list to build.
+pub trait RowSet: Copy {
+    /// Number of rows in the set.
+    fn count(self) -> usize;
+    /// The `i`-th row of the set.
+    fn at(self, i: usize) -> usize;
+}
+
+impl RowSet for &[u32] {
+    fn count(self) -> usize {
+        self.len()
+    }
+    fn at(self, i: usize) -> usize {
+        self[i] as usize
+    }
+}
+
+/// Every row of an operand with this many rows.
+#[derive(Clone, Copy, Debug)]
+pub struct AllRows(pub usize);
+
+impl RowSet for AllRows {
+    fn count(self) -> usize {
+        self.0
+    }
+    fn at(self, i: usize) -> usize {
+        i
+    }
+}
+
+/// `a · bᵀ` computed for the listed rows of `a` (ascending, as
+/// [`live_rows`] gives them); every other output row is +0.
+///
+/// [`Tensor::matmul_t`] is the dot-product loop, whose per-output
+/// accumulator chain cannot use SIMD lanes without reassociating the sum.
+/// Instead `b` is transposed once into a scratch buffer and the product
+/// runs in vectorized axpy form — per output element the k-terms still
+/// accumulate in ascending order, and **no** zero-skip is applied (the
+/// scalar dot product has none), so each computed row is bit-identical to
+/// the reference, and a skipped (all-±0) row of `a` leaves the +0 row the
+/// reference computes.
+pub fn matmul_t_rows(pool: &mut BufferPool, a: &Tensor, b: &Tensor, rows: impl RowSet) -> Tensor {
     let (m, kk) = a.shape();
     let n = b.rows();
     assert_eq!(kk, b.cols(), "matmul_t col mismatch");
-    assert_eq!(out.len(), m * n, "matmul_t output length");
-    scratch.clear();
-    scratch.resize(kk * n, 0.0);
+    debug_assert!(
+        rows.count() == m || b.all_finite(),
+        "matmul_t: a skipped row needs a finite b"
+    );
+    let mut out = pool.take_zeroed(m * n);
+    let mut scratch = pool.take_zeroed(kk * n);
     let bd = b.data();
     for j in 0..n {
         for (k, bt) in scratch.chunks_exact_mut(n).enumerate() {
@@ -312,11 +375,15 @@ pub fn matmul_t_into(out: &mut [f32], scratch: &mut Vec<f32>, a: &Tensor, b: &Te
     }
     let ad = a.data();
     let bt = &scratch[..];
-    let mut i = 0;
-    while i + 2 <= m {
-        let (orow0, orow1) = out[i * n..(i + 2) * n].split_at_mut(n);
-        let arow0 = &ad[i * kk..(i + 1) * kk];
-        let arow1 = &ad[(i + 1) * kk..(i + 2) * kk];
+    // Two output rows at a time share each loaded quad of `bᵀ` rows.
+    let mut p = 0;
+    while p + 2 <= rows.count() {
+        let (i0, i1) = (rows.at(p), rows.at(p + 1));
+        p += 2;
+        let (lo, hi) = out.split_at_mut(i1 * n);
+        let (orow0, orow1) = (&mut lo[i0 * n..(i0 + 1) * n], &mut hi[..n]);
+        let arow0 = &ad[i0 * kk..(i0 + 1) * kk];
+        let arow1 = &ad[i1 * kk..(i1 + 1) * kk];
         let mut k = 0;
         while k + 4 <= kk {
             let a4_0 = [arow0[k], arow0[k + 1], arow0[k + 2], arow0[k + 3]];
@@ -339,9 +406,9 @@ pub fn matmul_t_into(out: &mut [f32], scratch: &mut Vec<f32>, a: &Tensor, b: &Te
             axpy(orow1, arow1[k], brow);
             k += 1;
         }
-        i += 2;
     }
-    if i < m {
+    if p < rows.count() {
+        let i = rows.at(p);
         let arow = &ad[i * kk..(i + 1) * kk];
         let orow = &mut out[i * n..(i + 1) * n];
         let mut k = 0;
@@ -361,31 +428,40 @@ pub fn matmul_t_into(out: &mut [f32], scratch: &mut Vec<f32>, a: &Tensor, b: &Te
             k += 1;
         }
     }
+    pool.give(scratch);
+    Tensor::from_vec(m, n, out)
 }
 
-/// Writes `aᵀ · b` into `out` (must be zeroed, `a.cols()*b.cols()` long).
-/// Same rik order and zero-skip as [`Tensor::t_matmul`] — per output
-/// element the r-terms accumulate in ascending order.
-pub fn t_matmul_into(out: &mut [f32], a: &Tensor, b: &Tensor) {
+/// `aᵀ · b` summed over the listed rows `r` of both operands (ascending,
+/// as [`live_rows`] of `b` gives them). Same rik order and zero-skip as
+/// [`Tensor::t_matmul`] — per output element the r-terms accumulate in
+/// ascending order.
+pub fn t_matmul_rows(pool: &mut BufferPool, a: &Tensor, b: &Tensor, rows: impl RowSet) -> Tensor {
     let (rr, m) = a.shape();
     let n = b.cols();
     assert_eq!(rr, b.rows(), "t_matmul row mismatch");
-    assert_eq!(out.len(), m * n, "t_matmul output length");
+    debug_assert!(
+        rows.count() == rr || a.all_finite(),
+        "t_matmul: a skipped row needs a finite a"
+    );
+    let mut out = pool.take_zeroed(m * n);
     let ad = a.data();
     let bd = b.data();
     // Four r-terms per pass over each output row (r-ascending inside the
     // quad — bit-identical to four sequential passes); the per-coefficient
     // nonzero test preserves the scalar reference's `a == 0.0` skip.
-    let mut r = 0;
-    while r + 4 <= rr {
-        let a0 = &ad[r * m..(r + 1) * m];
-        let a1 = &ad[(r + 1) * m..(r + 2) * m];
-        let a2 = &ad[(r + 2) * m..(r + 3) * m];
-        let a3 = &ad[(r + 3) * m..(r + 4) * m];
-        let b0 = &bd[r * n..(r + 1) * n];
-        let b1 = &bd[(r + 1) * n..(r + 2) * n];
-        let b2 = &bd[(r + 2) * n..(r + 3) * n];
-        let b3 = &bd[(r + 3) * n..(r + 4) * n];
+    let mut q = 0;
+    while q + 4 <= rows.count() {
+        let [r0, r1, r2, r3] = [q, q + 1, q + 2, q + 3].map(|j| rows.at(j));
+        q += 4;
+        let a0 = &ad[r0 * m..(r0 + 1) * m];
+        let a1 = &ad[r1 * m..(r1 + 1) * m];
+        let a2 = &ad[r2 * m..(r2 + 1) * m];
+        let a3 = &ad[r3 * m..(r3 + 1) * m];
+        let b0 = &bd[r0 * n..(r0 + 1) * n];
+        let b1 = &bd[r1 * n..(r1 + 1) * n];
+        let b2 = &bd[r2 * n..(r2 + 1) * n];
+        let b3 = &bd[r3 * n..(r3 + 1) * n];
         // Pairs of output rows reuse the loaded quad of `b` rows.
         let mut i = 0;
         while i + 2 <= m {
@@ -407,9 +483,8 @@ pub fn t_matmul_into(out: &mut [f32], a: &Tensor, b: &Tensor) {
             let orow = &mut out[i * n..(i + 1) * n];
             row_quad(orow, c4, c4.iter().all(|&v| v != 0.0), b0, b1, b2, b3);
         }
-        r += 4;
     }
-    while r < rr {
+    for r in (q..rows.count()).map(|j| rows.at(j)) {
         let arow = &ad[r * m..(r + 1) * m];
         let brow = &bd[r * n..(r + 1) * n];
         for (i, &av) in arow.iter().enumerate() {
@@ -418,8 +493,35 @@ pub fn t_matmul_into(out: &mut [f32], a: &Tensor, b: &Tensor) {
             }
             axpy(&mut out[i * n..(i + 1) * n], av, brow);
         }
-        r += 1;
     }
+    Tensor::from_vec(m, n, out)
+}
+
+/// Column sums of the listed rows of `g` as a 1×m row (ascending, as
+/// [`live_rows`] gives them), accumulated in row order like the scalar
+/// loop.
+pub fn col_sum_rows(pool: &mut BufferPool, g: &Tensor, rows: impl RowSet) -> Tensor {
+    let m = g.cols();
+    let mut out = pool.take_zeroed(m);
+    for r in (0..rows.count()).map(|j| rows.at(j)) {
+        for (o, &x) in out.iter_mut().zip(g.row(r)) {
+            *o += x;
+        }
+    }
+    Tensor::from_vec(1, m, out)
+}
+
+/// `csrᵀ · a` over the listed rows of `a` (ascending, as [`live_rows`]
+/// gives them).
+pub fn spmm_t_rows(
+    pool: &mut BufferPool,
+    csr: &SharedCsr,
+    a: &Tensor,
+    rows: impl RowSet,
+) -> Tensor {
+    let mut out = pool.take_zeroed(csr.cols() * a.cols());
+    csr.t_matmul_rows_into(&mut out, a, rows);
+    Tensor::from_vec(csr.cols(), a.cols(), out)
 }
 
 /// Dense matrix product `a · b`.
@@ -437,13 +539,7 @@ pub fn matmul(mode: KernelMode, pool: &mut BufferPool, a: &Tensor, b: &Tensor) -
 /// Matrix product `a · bᵀ` (backward of matmul w.r.t. its left operand).
 pub fn matmul_t(mode: KernelMode, pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
     match mode {
-        KernelMode::Fast => {
-            let mut out = pool.take_zeroed(a.rows() * b.rows());
-            let mut scratch = pool.take_zeroed(0);
-            matmul_t_into(&mut out, &mut scratch, a, b);
-            pool.give(scratch);
-            Tensor::from_vec(a.rows(), b.rows(), out)
-        }
+        KernelMode::Fast => matmul_t_rows(pool, a, b, AllRows(a.rows())),
         KernelMode::Scalar => a.matmul_t(b),
     }
 }
@@ -451,11 +547,7 @@ pub fn matmul_t(mode: KernelMode, pool: &mut BufferPool, a: &Tensor, b: &Tensor)
 /// Matrix product `aᵀ · b` (backward of matmul w.r.t. its right operand).
 pub fn t_matmul(mode: KernelMode, pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
     match mode {
-        KernelMode::Fast => {
-            let mut out = pool.take_zeroed(a.cols() * b.cols());
-            t_matmul_into(&mut out, a, b);
-            Tensor::from_vec(a.cols(), b.cols(), out)
-        }
+        KernelMode::Fast => t_matmul_rows(pool, a, b, AllRows(b.rows())),
         KernelMode::Scalar => a.t_matmul(b),
     }
 }
@@ -475,11 +567,7 @@ pub fn spmm(mode: KernelMode, pool: &mut BufferPool, csr: &SharedCsr, a: &Tensor
 /// Transposed sparse × dense product `csrᵀ · a` (backward of [`spmm`]).
 pub fn spmm_t(mode: KernelMode, pool: &mut BufferPool, csr: &SharedCsr, a: &Tensor) -> Tensor {
     match mode {
-        KernelMode::Fast => {
-            let mut out = pool.take_zeroed(csr.cols() * a.cols());
-            csr.t_matmul_into(&mut out, a);
-            Tensor::from_vec(csr.cols(), a.cols(), out)
-        }
+        KernelMode::Fast => spmm_t_rows(pool, csr, a, AllRows(a.rows())),
         KernelMode::Scalar => csr.t_matmul(a),
     }
 }
@@ -718,6 +806,29 @@ pub fn masked_log_softmax(
     }
 }
 
+/// `Σ g·(a − b)` over the listed rows (ascending, as [`live_rows`] gives
+/// them): the gate gradient of [`mix`], accumulated element by element
+/// in row-major order like the scalar loop. A skipped row's terms are
+/// ±0 as long as `a − b` is finite.
+pub fn mix_gate_grad_rows(g: &Tensor, a: &Tensor, b: &Tensor, rows: &[u32]) -> f32 {
+    debug_assert!(
+        rows.len() == g.rows()
+            || a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| (x - y).is_finite()),
+        "mix: a skipped row needs a finite a − b"
+    );
+    let mut gs = 0.0f32;
+    for &r in rows {
+        let r = r as usize;
+        for ((gi, ai), bi) in g.row(r).iter().zip(a.row(r)).zip(b.row(r)) {
+            gs += gi * (ai - bi);
+        }
+    }
+    gs
+}
+
 /// Fused dense layer `x·w + b` (one op instead of matmul + add_row).
 /// Bit-identical to the decomposition: the product accumulates first
 /// (k-ascending), then the bias adds — the same per-element order the
@@ -802,15 +913,7 @@ pub fn linear2(
 pub fn col_sum(mode: KernelMode, pool: &mut BufferPool, g: &Tensor) -> Tensor {
     let (n, m) = g.shape();
     match mode {
-        KernelMode::Fast => {
-            let mut out = pool.take_zeroed(m);
-            for grow in g.data().chunks_exact(m.max(1)) {
-                for (o, &x) in out.iter_mut().zip(grow) {
-                    *o += x;
-                }
-            }
-            Tensor::from_vec(1, m, out)
-        }
+        KernelMode::Fast => col_sum_rows(pool, g, AllRows(g.rows())),
         KernelMode::Scalar => {
             let mut gr = Tensor::zeros(1, m);
             for i in 0..n {

@@ -5,6 +5,7 @@
 //! gradient, so CSR matrices live outside the tape and ops reference them
 //! via `Arc`.
 
+use crate::kernels::RowSet;
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
@@ -147,14 +148,21 @@ impl Csr {
     }
 
     /// Like [`Csr::t_matmul`] but accumulates into a caller-provided zeroed
-    /// buffer of length `self.cols() * dense.cols()`, bit-identical to the
-    /// allocating form (same accumulation order, unrolled inner loop).
-    pub fn t_matmul_into(&self, out: &mut [f32], dense: &Tensor) {
+    /// buffer of length `self.cols() * dense.cols()`, over the rows in
+    /// `rows` only (ascending, e.g. [`crate::kernels::live_rows`]). A
+    /// skipped row of all-±0 `dense` adds only ±0 terms, so the result is
+    /// bit-identical to the allocating form (same accumulation order,
+    /// unrolled inner loop).
+    pub fn t_matmul_rows_into(&self, out: &mut [f32], dense: &Tensor, rows: impl RowSet) {
         assert_eq!(dense.rows(), self.rows, "spmm-t inner dimension");
         let m = dense.cols();
         assert_eq!(out.len(), self.cols * m, "spmm-t output length");
+        debug_assert!(
+            rows.count() == self.rows || self.values.iter().all(|v| v.is_finite()),
+            "spmm-t: a skipped row needs finite weights"
+        );
         let dd = dense.data();
-        for r in 0..self.rows {
+        for r in (0..rows.count()).map(|j| rows.at(j)) {
             let (s, e) = (self.indptr[r] as usize, self.indptr[r + 1] as usize);
             let src = &dd[r * m..(r + 1) * m];
             for k in s..e {

@@ -420,6 +420,8 @@ impl Tape {
         let mode = self.mode;
         let mut pool = BufferPool::new();
         let pool = &mut pool;
+        let mut live = LiveRows::default();
+        let mut gate_rows = Vec::new();
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[loss.index()] = Some(Tensor::from_vec(1, 1, vec![1.0]));
         for idx in (0..self.nodes.len()).rev() {
@@ -441,7 +443,10 @@ impl Tape {
                     recycle(mode, pool, g);
                 }
                 Op::Spmm(csr, a) => {
-                    let ga = kernels::spmm_t(mode, pool, csr, &g);
+                    let ga = match mode {
+                        KernelMode::Fast => kernels::spmm_t_rows(pool, csr, &g, live.scan(&g)),
+                        KernelMode::Scalar => kernels::spmm_t(mode, pool, csr, &g),
+                    };
                     accumulate(&mut grads, mode, pool, *a, ga);
                     recycle(mode, pool, g);
                 }
@@ -553,10 +558,19 @@ impl Tape {
                     let k = self.nodes[s.index()].value.data()[0];
                     let av = &self.nodes[a.index()].value;
                     let bv = &self.nodes[b.index()].value;
-                    let mut gs = 0.0f32;
-                    for ((gi, ai), bi) in g.data().iter().zip(av.data()).zip(bv.data()) {
-                        gs += gi * (ai - bi);
-                    }
+                    let gs = match mode {
+                        KernelMode::Fast => {
+                            kernels::live_rows(&g, &mut gate_rows);
+                            kernels::mix_gate_grad_rows(&g, av, bv, &gate_rows)
+                        }
+                        KernelMode::Scalar => {
+                            let mut gs = 0.0f32;
+                            for ((gi, ai), bi) in g.data().iter().zip(av.data()).zip(bv.data()) {
+                                gs += gi * (ai - bi);
+                            }
+                            gs
+                        }
+                    };
                     let mut ga = clone_grad(mode, pool, &g);
                     ga.scale_assign(k);
                     let mut gb = g;
@@ -585,11 +599,13 @@ impl Tape {
                     recycle(mode, pool, g);
                 }
                 Op::Linear(x, w, b) => {
-                    // Exactly the decomposed add_row + matmul backward flow:
-                    // gb = colsum(g), gx = g·wᵀ, gw = xᵀ·g.
-                    let gb = kernels::col_sum(mode, pool, &g);
-                    let gx = kernels::matmul_t(mode, pool, &g, &self.nodes[w.index()].value);
-                    let gw = kernels::t_matmul(mode, pool, &self.nodes[x.index()].value, &g);
+                    // Exactly the decomposed add_row + matmul backward flow,
+                    // over the live rows of `g` (only the fast lane records
+                    // this op): gb = colsum(g), gx = g·wᵀ, gw = xᵀ·g.
+                    let rows = live.scan(&g);
+                    let gb = kernels::col_sum_rows(pool, &g, rows);
+                    let gx = kernels::matmul_t_rows(pool, &g, &self.nodes[w.index()].value, rows);
+                    let gw = kernels::t_matmul_rows(pool, &self.nodes[x.index()].value, &g, rows);
                     accumulate(&mut grads, mode, pool, *x, gx);
                     accumulate(&mut grads, mode, pool, *w, gw);
                     accumulate(&mut grads, mode, pool, *b, gb);
@@ -611,7 +627,28 @@ impl Tape {
                 }
             }
         }
+        rl_ccd_obs::counter!("nn.tape.backward_rows", live.seen);
+        rl_ccd_obs::counter!("nn.tape.backward_rows_live", live.live);
         Gradients { grads }
+    }
+}
+
+/// The live rows of the gradient entering one `Linear` / `Spmm` backward
+/// (see [`kernels::live_rows`]), plus the pass's running tally of rows
+/// seen and rows live for the `nn.tape.backward_rows{,_live}` counters.
+#[derive(Default)]
+struct LiveRows {
+    rows: Vec<u32>,
+    seen: usize,
+    live: usize,
+}
+
+impl LiveRows {
+    fn scan(&mut self, g: &Tensor) -> &[u32] {
+        kernels::live_rows(g, &mut self.rows);
+        self.seen += g.rows();
+        self.live += self.rows.len();
+        &self.rows
     }
 }
 

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::Rng;
 use rl_ccd_nn::kernels::{self, BufferPool, KernelMode};
 use rl_ccd_nn::{Csr, NoGradTape, Tape, TapeOps, Tensor, Var};
 use std::fmt::Debug;
@@ -317,6 +318,152 @@ fn check_no_grad_forward(x: &Tensor, w: &Tensor) -> TestCaseResult {
     Ok(())
 }
 
+/// One EP-GNN-shaped layer whose gradients have dead rows: `Linear →
+/// Spmm → Linear → Mix → Sigmoid`, with the loss read from `picked` rows
+/// only, so every gradient entering a `Linear` / `Spmm` backward is +0 or
+/// −0 outside the picked rows (and their graph neighbours). Some rows of
+/// `x` are all zero and some of its entries are −0.0.
+#[derive(Debug)]
+struct DeadRowGraph {
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    csr: Arc<Csr>,
+    w2: Tensor,
+    b2: Tensor,
+    gate: Tensor,
+    picked: Vec<u32>,
+}
+
+fn arb_dead_row_graph() -> impl Strategy<Value = DeadRowGraph> {
+    SampleFn(|rng: &mut StdRng| {
+        let (n, k, h) = (dim_nz(rng), dim_nz(rng), dim_nz(rng));
+        let mut x = tensor(rng, n, k);
+        for r in 0..n {
+            let zero_row = rng.gen_bool(0.25);
+            for v in &mut x.data_mut()[r * k..(r + 1) * k] {
+                if zero_row || rng.gen_bool(0.1) {
+                    *v = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
+                }
+            }
+        }
+        let (mut indptr, mut indices, mut values) = (vec![0u32], Vec::new(), Vec::new());
+        for _ in 0..n {
+            for c in 0..n {
+                if rng.gen_bool(0.3) {
+                    indices.push(c as u32);
+                    values.push(rng.gen_range(-1.5f32..1.5));
+                }
+            }
+            indptr.push(indices.len() as u32);
+        }
+        // Anywhere from one row to all of them, in random order.
+        let mut picked: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            picked.swap(i, rng.gen_range(0..=i));
+        }
+        picked.truncate(rng.gen_range(1..=n));
+        DeadRowGraph {
+            x,
+            w1: tensor(rng, k, h),
+            b1: tensor(rng, 1, h),
+            csr: Arc::new(Csr::new(n, n, indptr, indices, values)),
+            w2: tensor(rng, h, h),
+            b2: tensor(rng, 1, h),
+            gate: Tensor::from_vec(1, 1, vec![rng.gen_range(-2.0f32..2.0)]),
+            picked,
+        }
+    })
+}
+
+/// The fast lane skips the dead rows of every `Linear` / `Spmm` gradient;
+/// every leaf gradient must still equal the scalar reference's bit for
+/// bit, −0.0 included.
+fn check_dead_row_graph(d: &DeadRowGraph) -> TestCaseResult {
+    let run = |tape: &mut Tape| -> Vec<Option<Vec<u32>>> {
+        let leaves = [&d.x, &d.w1, &d.b1, &d.w2, &d.b2, &d.gate].map(|t| tape.leaf(t.clone()));
+        let [x, w1, b1, w2, b2, gate] = leaves;
+        let h1 = tape.linear(x, w1, b1);
+        let neigh = tape.spmm(&d.csr, h1);
+        let h2 = tape.linear(neigh, w2, b2);
+        let mixed = tape.mix(gate, h1, h2);
+        let y = tape.sigmoid(mixed);
+        let read = tape.gather_rows(y, Arc::new(d.picked.clone()));
+        let h = d.w1.cols();
+        let ones_c = tape.leaf(Tensor::from_vec(h, 1, vec![1.0; h]));
+        let ones_r = tape.leaf(Tensor::from_vec(
+            1,
+            d.picked.len(),
+            vec![1.0; d.picked.len()],
+        ));
+        let col = tape.matmul(read, ones_c);
+        let loss = tape.matmul(ones_r, col);
+        let grads = tape.backward(loss);
+        leaves.iter().map(|&v| grads.get(v).map(bits)).collect()
+    };
+    let fast = run(&mut Tape::new());
+    let scalar = run(&mut Tape::scalar_reference());
+    prop_assert_eq!(fast, scalar, "leaf gradient bits diverge");
+    Ok(())
+}
+
+/// No row of `g` is live (every element ±0): the row-skipping fast lane
+/// computes nothing, and every backward product is the +0 the dense
+/// scalar loops compute.
+#[test]
+fn no_live_row_gives_positive_zero_gradients() {
+    let g = Tensor::from_vec(
+        5,
+        3,
+        (0..15)
+            .map(|i| if i % 2 == 0 { -0.0 } else { 0.0 })
+            .collect(),
+    );
+    let w = Tensor::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.37 - 2.0).collect());
+    let x = Tensor::from_vec(5, 4, (0..20).map(|i| i as f32 * 0.21 - 1.9).collect());
+    let csr = Arc::new(Csr::new(
+        5,
+        2,
+        vec![0, 1, 2, 3, 4, 6],
+        vec![0, 1, 0, 1, 0, 1],
+        vec![0.5; 6],
+    ));
+    let mut pool = BufferPool::new();
+    let mut rows = vec![7];
+    kernels::live_rows(&g, &mut rows);
+    assert!(rows.is_empty(), "no row of g is live");
+    for mode in [KernelMode::Fast, KernelMode::Scalar] {
+        for (what, out) in [
+            ("matmul_t", kernels::matmul_t(mode, &mut pool, &g, &w)),
+            ("t_matmul", kernels::t_matmul(mode, &mut pool, &x, &g)),
+            ("col_sum", kernels::col_sum(mode, &mut pool, &g)),
+            ("spmm_t", kernels::spmm_t(mode, &mut pool, &csr, &g)),
+        ] {
+            assert!(
+                out.data().iter().all(|v| v.to_bits() == 0),
+                "{what} ({mode:?}) is not all +0"
+            );
+        }
+    }
+    // Through the tape: a loss that multiplies the layer by −0.0 sends an
+    // all-±0 gradient into the fused `Linear`, whose `gx` must be +0.
+    let mut tape = Tape::new();
+    let (xv, wv) = (tape.leaf(x.clone()), tape.leaf(w.clone()));
+    let bv = tape.leaf(Tensor::zeros(1, 3));
+    let y = tape.linear(xv, wv, bv);
+    let dead = tape.scale(y, -0.0);
+    let ones_c = tape.leaf(Tensor::from_vec(3, 1, vec![1.0; 3]));
+    let ones_r = tape.leaf(Tensor::from_vec(1, 5, vec![1.0; 5]));
+    let col = tape.matmul(dead, ones_c);
+    let loss = tape.matmul(ones_r, col);
+    let grads = tape.backward(loss);
+    let gx = grads.get(xv).expect("x receives a gradient");
+    assert!(
+        gx.data().iter().all(|v| v.to_bits() == 0),
+        "gx is not all +0"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -370,5 +517,10 @@ proptest! {
         w in arb_tensor(5, 2),
     ) {
         check_no_grad_forward(&x, &w)?;
+    }
+
+    #[test]
+    fn dead_row_gradients_match_the_scalar_lane(d in arb_dead_row_graph()) {
+        check_dead_row_graph(&d)?;
     }
 }

@@ -668,8 +668,8 @@ fn cmd_retrain(args: &[String]) -> Result<(), Error> {
         report.replay_failures
     );
     println!(
-        "mean importance weight: {:.4}",
-        report.mean_importance_weight
+        "mean importance weight: {:.4} (effective sample size {:.2}, clamped share {:.3})",
+        report.mean_importance_weight, report.effective_sample_size, report.clamped_share
     );
     Ok(())
 }

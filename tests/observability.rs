@@ -160,3 +160,32 @@ fn instrumented_and_uninstrumented_training_agree() {
     );
     assert_eq!(plain.history, traced.history);
 }
+
+/// The backward pass reports how many rows of the gradients entering its
+/// `Linear` / `Spmm` ops carried any gradient: on a ~2k-cell design most
+/// do not (only the endpoints' fan-in cones and their neighbours do), and
+/// the fast lane skips those.
+#[test]
+fn backward_reports_its_live_rows() {
+    let mut cfg = RlConfig::fast();
+    cfg.workers = 2;
+    cfg.max_iterations = 1;
+    let recorder = Recorder::new();
+    Session::builder()
+        .design(generate(&DesignSpec::new(
+            "obs-rows",
+            2000,
+            TechNode::N7,
+            24,
+        )))
+        .rl_config(cfg)
+        .recorder(recorder.clone())
+        .build()
+        .expect("session")
+        .train()
+        .expect("train");
+    let metrics = recorder.metrics();
+    let rows = metrics.counter("nn.tape.backward_rows").get();
+    let live = metrics.counter("nn.tape.backward_rows_live").get();
+    assert!(0 < live && live < rows, "live {live} of {rows} rows");
+}
