@@ -39,11 +39,12 @@ pub mod retrain;
 pub mod sink;
 
 pub use buffer::{BufferStats, ReplayBuffer};
-pub use rebuild::{build_env, feature_fingerprint};
+pub use rebuild::feature_fingerprint;
 pub use record::{
     validate_exp_jsonl, ExpRecord, ExpSummary, EXP_SCHEMA, MAX_LINE_BYTES, MAX_SELECTION,
 };
 pub use retrain::{retrain, RetrainConfig, RetrainReport};
+pub use rl_ccd_serve::build_env;
 pub use sink::{ExpSink, SinkReport};
 
 /// Everything that can go wrong while logging, loading, or retraining.

@@ -1,36 +1,16 @@
-//! Deterministic environment reconstruction shared by the sink (reward
-//! realization) and the trainer (trajectory replay).
+//! The design snapshot that pins a record to the environment it came from.
 //!
-//! A [`DesignKey`] fully pins a design — generator name, cell count,
-//! technology node, generator seed — so both sides of the loop rebuild
-//! the *identical* [`CcdEnv`] the server answered from (the same recipe
-//! as serve's `EnvCache`). [`feature_fingerprint`] is the cross-check:
-//! the FNV-1a 64 digest of the unflagged feature matrix travels in every
-//! record, and a retrain refuses to learn from a record whose rebuilt
-//! features hash differently (a generator or STA change since logging).
+//! A `DesignKey` fully pins a design — generator name, cell count,
+//! technology node, generator seed — so the sink (reward realization) and
+//! the trainer (trajectory replay) rebuild the *identical* [`CcdEnv`] the
+//! server answered from, through serve's one [`rl_ccd_serve::build_env`].
+//! [`feature_fingerprint`] is the cross-check: the FNV-1a 64 digest of the
+//! unflagged feature matrix travels in every record, and a retrain refuses
+//! to learn from a record whose rebuilt features hash differently (a
+//! generator or STA change since logging).
 
 use rl_ccd::fnv1a64;
 use rl_ccd::CcdEnv;
-use rl_ccd_flow::FlowRecipe;
-use rl_ccd_netlist::{generate, DesignSpec, Library};
-use rl_ccd_serve::DesignKey;
-
-/// Rebuilds the environment for `key` exactly as serving does.
-///
-/// # Errors
-/// A human-readable message when the key names an unknown technology
-/// node (the only failure mode of deterministic generation).
-pub fn build_env(key: &DesignKey, fanout_cap: usize) -> Result<CcdEnv, String> {
-    let tech = Library::parse_tech(&key.tech)
-        .ok_or_else(|| format!("unknown technology node {:?}", key.tech))?;
-    let design = generate(&DesignSpec::new(
-        key.name.clone(),
-        key.cells,
-        tech,
-        key.seed,
-    ));
-    Ok(CcdEnv::new(design, FlowRecipe::default(), fanout_cap))
-}
 
 /// FNV-1a 64 digest of the environment's unflagged feature matrix (the
 /// per-record design snapshot).
@@ -46,6 +26,7 @@ pub fn feature_fingerprint(env: &CcdEnv) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rl_ccd_serve::{build_env, DesignKey};
 
     #[test]
     fn rebuild_is_deterministic_and_fingerprint_pins_the_design() {

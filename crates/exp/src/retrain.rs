@@ -22,7 +22,7 @@
 //! learning-rate decay.
 
 use crate::buffer::ReplayBuffer;
-use crate::rebuild::{build_env, feature_fingerprint};
+use crate::rebuild::feature_fingerprint;
 use crate::record::ExpRecord;
 use crate::ExpError;
 use rl_ccd::{
@@ -30,7 +30,7 @@ use rl_ccd::{
     TrainingState, UpdateOutcome,
 };
 use rl_ccd_netlist::EndpointId;
-use rl_ccd_serve::{DesignKey, ModelRegistry};
+use rl_ccd_serve::{build_env, DesignKey, ModelRegistry};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::Path;

@@ -16,10 +16,10 @@
 //! Re-opening an existing log preloads its content ids, so a restarted
 //! daemon never duplicates records it already has.
 
-use crate::rebuild::{build_env, feature_fingerprint};
+use crate::rebuild::feature_fingerprint;
 use crate::record::ExpRecord;
 use rl_ccd::CcdEnv;
-use rl_ccd_serve::{DesignKey, ExperienceEvent, ExperienceHook, LruCache};
+use rl_ccd_serve::{build_env, DesignKey, ExperienceEvent, ExperienceHook, LruCache};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};

@@ -152,14 +152,17 @@ struct ClusterPlan {
     depth: usize,
 }
 
+/// The smallest `target_cells` [`generate`] accepts: a smaller design
+/// cannot host one cluster.
+pub const MIN_TARGET_CELLS: usize = 60;
+
 /// Generates a placed synthetic design per `spec`.
 ///
 /// # Panics
-/// Panics if `target_cells` is too small to host at least one cluster
-/// (roughly < 60 cells).
+/// Panics if `target_cells` is below [`MIN_TARGET_CELLS`].
 pub fn generate(spec: &DesignSpec) -> GeneratedDesign {
     assert!(
-        spec.target_cells >= 60,
+        spec.target_cells >= MIN_TARGET_CELLS,
         "target_cells too small for a structured design"
     );
     let _obs_span = rl_ccd_obs::span!(

@@ -39,7 +39,9 @@ pub mod verilog;
 pub use builder::{BuildNetlistError, NetlistBuilder};
 pub use cell::{Drive, GateKind, Point};
 pub use cone::{fanin_cone, Cone, ConeSet};
-pub use generate::{block_suite, generate, ClusterClass, DesignSpec, GeneratedDesign};
+pub use generate::{
+    block_suite, generate, ClusterClass, DesignSpec, GeneratedDesign, MIN_TARGET_CELLS,
+};
 pub use graph::{Cell, Endpoint, Net, Netlist, Startpoint};
 pub use ids::{CellId, EndpointId, LibCellId, NetId, StartpointId};
 pub use library::{LibCell, Library, TechNode, WireModel};

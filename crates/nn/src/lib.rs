@@ -6,15 +6,18 @@
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices;
 //! * [`Csr`] — sparse matrices for neighbourhood aggregation / cone readout;
-//! * [`Tape`] — reverse-mode autodiff over the op set those models need
-//!   (including a masked log-softmax for pointer attention);
+//! * [`Op`] / [`TapeOps`] — the one forward op set those models need
+//!   (including a masked log-softmax for pointer attention), evaluated
+//!   through one kernel call per op by both executors: [`Tape`] records
+//!   it for reverse-mode autodiff, [`NoGradTape`] keeps values only for
+//!   inference;
 //! * [`Linear`] / [`LstmCell`] — layers whose parameters live in a named
 //!   [`ParamSet`] with text serialization (transfer learning);
 //! * [`Adam`] / [`Sgd`] — optimizers consuming accumulated [`GradSet`]s.
 //!
 //! # Example: fit a tiny regression
 //! ```
-//! use rl_ccd_nn::{Adam, GradSet, ParamSet, Tape, Tensor};
+//! use rl_ccd_nn::{Adam, GradSet, ParamSet, Tape, TapeOps, Tensor};
 //!
 //! let mut params = ParamSet::new();
 //! params.insert("w", Tensor::zeros(1, 1));
@@ -57,5 +60,5 @@ pub use lstm::{LstmCell, LstmState};
 pub use module::{GradSet, LoadParamsError, ParamBinding, ParamSet};
 pub use optim::{Adam, Sgd};
 pub use sparse::{Csr, SharedCsr};
-pub use tape::{Gradients, NoGradTape, Tape, TapeOps, Var};
+pub use tape::{Gradients, NoGradTape, Op, Tape, TapeOps, Var};
 pub use tensor::Tensor;

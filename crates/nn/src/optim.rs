@@ -174,7 +174,7 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
+    use crate::tape::{Tape, TapeOps};
 
     /// Minimizes ‖x − target‖² and checks convergence.
     fn quadratic_descent(optim: &mut Adam, iters: usize) -> f32 {

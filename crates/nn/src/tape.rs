@@ -1,21 +1,25 @@
 //! Reverse-mode automatic differentiation on a tape of tensor operations.
 //!
-//! A [`Tape`] records every operation of a forward pass; [`Tape::backward`]
-//! replays it in reverse, producing gradients for every recorded variable.
-//! The op set is exactly what the RL-CCD networks need: dense/sparse matrix
-//! products, broadcasting adds, elementwise nonlinearities, gather/pick
-//! (rows of one variable, or of several — [`TapeOps::gather_from`]), a
-//! trainable-scalar gate, a masked log-softmax for the pointer-attention
-//! decoder, and fused linear layers ([`TapeOps::linear`],
-//! [`TapeOps::linear2`]) for the dense/recurrent gate bodies.
+//! A forward pass is a sequence of [`Op`]s, each over the [`Var`]s of
+//! earlier results. The op set is exactly what the RL-CCD networks need:
+//! dense/sparse matrix products, broadcasting adds, elementwise
+//! nonlinearities, gather/pick (rows of one variable, or of several —
+//! [`Op::GatherFrom`]), a trainable-scalar gate, a masked log-softmax for
+//! the pointer-attention decoder, and fused linear layers ([`Op::Linear`],
+//! [`Op::Linear2`]) for the dense/recurrent gate bodies.
 //!
-//! Inference does not need gradients: [`NoGradTape`] executes the same op
-//! set while storing only the computed values (no op records, so nothing to
-//! replay and nothing for [`Tape::backward`] to walk), and supports
+//! [`TapeOps`] is the one forward op set: an executor supplies `leaf`,
+//! `value`, `kernel_mode` and `apply(op)`, and every op method is a
+//! provided one-liner that hands its [`Op`] to `apply`. Both executors
+//! compute an op's value through the same private `eval` — the only
+//! forward call site of each kernel in [`crate::kernels`] — which is what
+//! makes training-mode and inference-mode forwards bit-identical. A
+//! [`Tape`] keeps each op next to its value, and [`Tape::backward`] replays
+//! them in reverse, producing gradients for every recorded variable.
+//! [`NoGradTape`] drops the op and keeps only the value (nothing to replay,
+//! nothing for a backward pass to walk), and supports
 //! [`NoGradTape::truncate`] so a session can reclaim one request's values
-//! before the next. Both executors implement [`TapeOps`] and route every op
-//! through the shared kernels in [`crate::kernels`], which is what makes
-//! training-mode and inference-mode forwards bit-identical.
+//! before the next.
 //!
 //! Each executor runs in a [`KernelMode`]: `Fast` (the default) executes
 //! the blocked kernels over buffers recycled through an internal
@@ -43,36 +47,103 @@ impl Var {
     }
 }
 
+/// One forward operation over recorded variables: what
+/// [`TapeOps::apply`] evaluates, and what a [`Tape`] keeps beside each
+/// value for [`Tape::backward`]. Leaves (inputs and parameters) are not
+/// ops. Each variant names the [`TapeOps`] method that builds it; shape
+/// mismatches and out-of-bounds indices panic when the op is applied.
 #[derive(Debug)]
-enum Op {
-    Leaf,
+pub enum Op {
+    /// Dense matrix product `a · b`.
     Matmul(Var, Var),
+    /// Sparse × dense product `csr · a` (no gradient flows to the CSR).
     Spmm(SharedCsr, Var),
+    /// Elementwise sum of two same-shape tensors.
     Add(Var, Var),
+    /// Adds a 1×m row vector to every row of an n×m matrix.
     AddRow(Var, Var),
+    /// Elementwise (Hadamard) product.
     Mul(Var, Var),
-    ScaleConst(Var, f32),
+    /// Multiplies by a constant.
+    Scale(Var, f32),
+    /// Multiplies a tensor (second) by a trainable 1×1 scalar (first).
     ScalarMul(Var, Var),
-    AffineScalar(Var, f32, f32),
+    /// Elementwise affine map `k·x + c`.
+    Affine(Var, f32, f32),
+    /// Elementwise logistic sigmoid.
     Sigmoid(Var),
+    /// Elementwise tanh.
     Tanh(Var),
+    /// Elementwise ReLU.
     Relu(Var),
+    /// The given rows of one variable, as a new (k×m) tensor.
     GatherRows(Var, Arc<Vec<u32>>),
+    /// Output row `i` is row `picks[i].1` of `picks[i].0`.
     GatherFrom(Vec<(Var, u32)>),
+    /// Element `(r, c)` as a 1×1 tensor.
     Pick(Var, usize, usize),
+    /// Masked log-softmax over all elements (treated flat).
     MaskedLogSoftmax(Var, Arc<Vec<bool>>),
+    /// Gated interpolation `s·a + (1−s)·b` with a trainable 1×1 gate `s`.
     Mix(Var, Var, Var),
+    /// Fused dense layer `x·w + b`.
     Linear(Var, Var, Var),
+    /// Fused gate pre-activation `x·wx + h·wh + b`.
     Linear2(Var, Var, Var, Var, Var),
+}
+
+/// Computes `op`'s value from its operands' values: the one forward call
+/// site of every kernel, shared by both executors.
+fn eval<'a>(
+    mode: KernelMode,
+    pool: &mut BufferPool,
+    value: impl Fn(Var) -> &'a Tensor,
+    op: &Op,
+) -> Tensor {
+    match op {
+        Op::Matmul(a, b) => kernels::matmul(mode, pool, value(*a), value(*b)),
+        Op::Spmm(csr, a) => kernels::spmm(mode, pool, csr, value(*a)),
+        Op::Add(a, b) => kernels::add(mode, pool, value(*a), value(*b)),
+        Op::AddRow(a, row) => kernels::add_row(mode, pool, value(*a), value(*row)),
+        Op::Mul(a, b) => kernels::mul(mode, pool, value(*a), value(*b)),
+        Op::Scale(a, k) => kernels::scale(mode, pool, value(*a), *k),
+        Op::ScalarMul(s, a) => kernels::scalar_mul(mode, pool, value(*s), value(*a)),
+        Op::Affine(a, k, c) => kernels::affine(mode, pool, value(*a), *k, *c),
+        Op::Sigmoid(a) => kernels::sigmoid(mode, pool, value(*a)),
+        Op::Tanh(a) => kernels::tanh(mode, pool, value(*a)),
+        Op::Relu(a) => kernels::relu(mode, pool, value(*a)),
+        Op::GatherRows(a, rows) => kernels::gather_rows(mode, pool, value(*a), rows),
+        Op::GatherFrom(picks) => {
+            let rows: Vec<&[f32]> = picks
+                .iter()
+                .map(|&(v, r)| value(v).row(r as usize))
+                .collect();
+            kernels::stack_rows(mode, pool, &rows)
+        }
+        Op::Pick(a, r, c) => kernels::pick(mode, pool, value(*a), *r, *c),
+        Op::MaskedLogSoftmax(a, mask) => kernels::masked_log_softmax(mode, pool, value(*a), mask),
+        Op::Mix(s, a, b) => kernels::mix(mode, pool, value(*s), value(*a), value(*b)),
+        Op::Linear(x, w, b) => kernels::linear(mode, pool, value(*x), value(*w), value(*b)),
+        Op::Linear2(x, wx, h, wh, b) => kernels::linear2(
+            mode,
+            pool,
+            value(*x),
+            value(*wx),
+            value(*h),
+            value(*wh),
+            value(*b),
+        ),
+    }
 }
 
 #[derive(Debug)]
 struct Node {
     value: Tensor,
-    op: Op,
+    /// The op that computed `value`; `None` for a leaf.
+    op: Option<Op>,
 }
 
-/// The autodiff tape: a growing list of computed tensors plus the recipe
+/// The autodiff tape: a growing list of computed tensors plus the [`Op`]
 /// that produced each.
 #[derive(Debug, Default)]
 pub struct Tape {
@@ -140,11 +211,6 @@ impl Tape {
         }
     }
 
-    /// Which kernel implementation this tape executes.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
-    }
-
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -157,7 +223,7 @@ impl Tape {
 
     /// Records an input/parameter tensor.
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.push(value, None)
     }
 
     /// The value of a recorded variable.
@@ -165,243 +231,9 @@ impl Tape {
         &self.nodes[v.index()].value
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    fn push(&mut self, value: Tensor, op: Option<Op>) -> Var {
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
-    }
-
-    /// Dense matrix product `a · b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::matmul(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Matmul(a, b))
-    }
-
-    /// Sparse × dense product `csr · a` (no gradient flows to the CSR).
-    pub fn spmm(&mut self, csr: &SharedCsr, a: Var) -> Var {
-        let v = kernels::spmm(self.mode, &mut self.pool, csr, &self.nodes[a.index()].value);
-        self.push(v, Op::Spmm(Arc::clone(csr), a))
-    }
-
-    /// Elementwise sum of two same-shape tensors.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::add(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Add(a, b))
-    }
-
-    /// Adds a 1×m row vector to every row of an n×m matrix.
-    ///
-    /// # Panics
-    /// Panics if `row` is not 1×m.
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let v = kernels::add_row(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &self.nodes[row.index()].value,
-        );
-        self.push(v, Op::AddRow(a, row))
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::mul(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Mul(a, b))
-    }
-
-    /// Multiplies by a compile-time constant.
-    pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        let v = kernels::scale(self.mode, &mut self.pool, &self.nodes[a.index()].value, k);
-        self.push(v, Op::ScaleConst(a, k))
-    }
-
-    /// Multiplies a tensor by a trainable 1×1 scalar.
-    ///
-    /// # Panics
-    /// Panics if `s` is not 1×1.
-    pub fn scalar_mul(&mut self, s: Var, a: Var) -> Var {
-        let v = kernels::scalar_mul(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[s.index()].value,
-            &self.nodes[a.index()].value,
-        );
-        self.push(v, Op::ScalarMul(s, a))
-    }
-
-    /// Fused gated interpolation `s·a + (1−s)·b` with a trainable 1×1 gate
-    /// `s` (EP-GNN's Eq. 2 mixing in one op instead of four).
-    ///
-    /// # Panics
-    /// Panics if `s` is not 1×1 or `a`/`b` shapes differ.
-    pub fn mix(&mut self, s: Var, a: Var, b: Var) -> Var {
-        let v = kernels::mix(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[s.index()].value,
-            &self.nodes[a.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Mix(s, a, b))
-    }
-
-    /// Elementwise affine map `k·x + c`.
-    pub fn affine(&mut self, a: Var, k: f32, c: f32) -> Var {
-        let v = kernels::affine(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            k,
-            c,
-        );
-        self.push(v, Op::AffineScalar(a, k, c))
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = kernels::sigmoid(self.mode, &mut self.pool, &self.nodes[a.index()].value);
-        self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Elementwise tanh.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = kernels::tanh(self.mode, &mut self.pool, &self.nodes[a.index()].value);
-        self.push(v, Op::Tanh(a))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = kernels::relu(self.mode, &mut self.pool, &self.nodes[a.index()].value);
-        self.push(v, Op::Relu(a))
-    }
-
-    /// Gathers the given rows of `a` into a new (k×m) tensor.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    pub fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
-        let v = kernels::gather_rows(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &rows,
-        );
-        self.push(v, Op::GatherRows(a, rows))
-    }
-
-    /// Multi-source row gather: output row `i` is row `picks[i].1` of
-    /// `picks[i].0`. The backward pass scatter-adds each gradient row
-    /// into its own source, so the sources may be any mix of variables.
-    ///
-    /// # Panics
-    /// Panics if a row is out of bounds or the sources differ in width.
-    pub fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
-        let rows: Vec<&[f32]> = picks
-            .iter()
-            .map(|&(v, r)| self.nodes[v.index()].value.row(r as usize))
-            .collect();
-        let v = kernels::stack_rows(self.mode, &mut self.pool, &rows);
-        self.push(v, Op::GatherFrom(picks.to_vec()))
-    }
-
-    /// Extracts element `(r, c)` as a 1×1 tensor.
-    ///
-    /// # Panics
-    /// Panics if out of bounds.
-    pub fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
-        let v = kernels::pick(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            r,
-            c,
-        );
-        self.push(v, Op::Pick(a, r, c))
-    }
-
-    /// Masked log-softmax over all elements of `a` (treated flat, e.g. an
-    /// n×1 score vector). Masked-out entries get `-∞` log-probability and
-    /// receive zero gradient.
-    ///
-    /// # Panics
-    /// Panics if the mask length differs from the element count or no entry
-    /// is valid.
-    pub fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var {
-        let v = kernels::masked_log_softmax(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[a.index()].value,
-            &mask,
-        );
-        self.push(v, Op::MaskedLogSoftmax(a, mask))
-    }
-
-    /// Fused dense layer `x·w + b`: one tape node instead of the
-    /// matmul + add_row pair, bit-identical to that pair. In scalar
-    /// reference mode the decomposed pair is recorded instead, so the
-    /// baseline tape matches the pre-fusion implementation op for op.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        if self.mode == KernelMode::Scalar {
-            let h = self.matmul(x, w);
-            return self.add_row(h, b);
-        }
-        let v = kernels::linear(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[x.index()].value,
-            &self.nodes[w.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Linear(x, w, b))
-    }
-
-    /// Fused gate pre-activation `x·wx + h·wh + b` — the LSTM/GRU gate
-    /// body as one tape node instead of four (two matmuls, add, add_row),
-    /// bit-identical to the decomposition (which scalar reference mode
-    /// records instead).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn linear2(&mut self, x: Var, wx: Var, h: Var, wh: Var, b: Var) -> Var {
-        if self.mode == KernelMode::Scalar {
-            let xs = self.matmul(x, wx);
-            let hs = self.matmul(h, wh);
-            let s = self.add(xs, hs);
-            return self.add_row(s, b);
-        }
-        let v = kernels::linear2(
-            self.mode,
-            &mut self.pool,
-            &self.nodes[x.index()].value,
-            &self.nodes[wx.index()].value,
-            &self.nodes[h.index()].value,
-            &self.nodes[wh.index()].value,
-            &self.nodes[b.index()].value,
-        );
-        self.push(v, Op::Linear2(x, wx, h, wh, b))
     }
 
     /// Runs reverse-mode differentiation from `loss` (which must be 1×1)
@@ -430,11 +262,11 @@ impl Tape {
                 None => continue,
             };
             let node = &self.nodes[idx];
-            match &node.op {
-                Op::Leaf => {
-                    grads[idx] = Some(g);
-                    continue;
-                }
+            let Some(op) = &node.op else {
+                grads[idx] = Some(g);
+                continue;
+            };
+            match op {
                 Op::Matmul(a, b) => {
                     let ga = kernels::matmul_t(mode, pool, &g, &self.nodes[b.index()].value);
                     let gb = kernels::t_matmul(mode, pool, &self.nodes[a.index()].value, &g);
@@ -480,7 +312,7 @@ impl Tape {
                     accumulate(&mut grads, mode, pool, *a, ga);
                     accumulate(&mut grads, mode, pool, *b, gb);
                 }
-                Op::ScaleConst(a, k) => {
+                Op::Scale(a, k) => {
                     let mut ga = g;
                     ga.scale_assign(*k);
                     accumulate(&mut grads, mode, pool, *a, ga);
@@ -496,7 +328,7 @@ impl Tape {
                     accumulate(&mut grads, mode, pool, *a, ga);
                     accumulate(&mut grads, mode, pool, *s, Tensor::from_vec(1, 1, vec![gs]));
                 }
-                Op::AffineScalar(a, k, _c) => {
+                Op::Affine(a, k, _c) => {
                     let mut ga = g;
                     ga.scale_assign(*k);
                     accumulate(&mut grads, mode, pool, *a, ga);
@@ -670,58 +502,117 @@ fn accumulate(
 
 /// The forward op set shared by the training [`Tape`] and the inference
 /// [`NoGradTape`]. Model code written against `T: TapeOps` runs unchanged
-/// on either executor; because both route every op through the same
-/// kernel, the computed values are bit-identical.
+/// on either executor. An executor implements the first four methods;
+/// every op method hands its [`Op`] to [`TapeOps::apply`], and both
+/// executors evaluate it through the same kernel call, so the computed
+/// values are bit-identical.
 pub trait TapeOps {
     /// Records an input/parameter tensor.
     fn leaf(&mut self, value: Tensor) -> Var;
     /// The value of a recorded variable.
     fn value(&self, v: Var) -> &Tensor;
+    /// Which kernel implementation this executor runs.
+    fn kernel_mode(&self) -> KernelMode;
+    /// Evaluates `op` on the recorded values and records the result.
+    fn apply(&mut self, op: Op) -> Var;
+
     /// Dense matrix product `a · b`.
-    fn matmul(&mut self, a: Var, b: Var) -> Var;
-    /// Sparse × dense product `csr · a`.
-    fn spmm(&mut self, csr: &SharedCsr, a: Var) -> Var;
-    /// Elementwise sum of two same-shape tensors.
-    fn add(&mut self, a: Var, b: Var) -> Var;
-    /// Adds a 1×m row vector to every row of an n×m matrix.
-    fn add_row(&mut self, a: Var, row: Var) -> Var;
-    /// Elementwise (Hadamard) product.
-    fn mul(&mut self, a: Var, b: Var) -> Var;
-    /// Multiplies by a compile-time constant.
-    fn scale(&mut self, a: Var, k: f32) -> Var;
-    /// Multiplies a tensor by a trainable 1×1 scalar.
-    fn scalar_mul(&mut self, s: Var, a: Var) -> Var;
-    /// Fused gated interpolation `s·a + (1−s)·b`.
-    fn mix(&mut self, s: Var, a: Var, b: Var) -> Var;
-    /// Elementwise affine map `k·x + c`.
-    fn affine(&mut self, a: Var, k: f32, c: f32) -> Var;
-    /// Elementwise logistic sigmoid.
-    fn sigmoid(&mut self, a: Var) -> Var;
-    /// Elementwise tanh.
-    fn tanh(&mut self, a: Var) -> Var;
-    /// Elementwise ReLU.
-    fn relu(&mut self, a: Var) -> Var;
-    /// Gathers the given rows of `a` into a new (k×m) tensor.
-    fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var;
-    /// Multi-source row gather: output row `i` is row `picks[i].1` of
-    /// `picks[i].0` (no picks give a 0×0 tensor).
-    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var;
-    /// Extracts element `(r, c)` as a 1×1 tensor.
-    fn pick(&mut self, a: Var, r: usize, c: usize) -> Var;
-    /// Masked log-softmax over all elements of `a` (treated flat).
-    fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var;
-    /// Fused dense layer `x·w + b` (bit-identical to matmul + add_row).
-    fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let h = self.matmul(x, w);
-        self.add_row(h, b)
+    fn matmul(&mut self, a: Var, b: Var) -> Var {
+        self.apply(Op::Matmul(a, b))
     }
-    /// Fused gate pre-activation `x·wx + h·wh + b` (bit-identical to
-    /// matmul + matmul + add + add_row).
+    /// Sparse × dense product `csr · a`.
+    fn spmm(&mut self, csr: &SharedCsr, a: Var) -> Var {
+        self.apply(Op::Spmm(Arc::clone(csr), a))
+    }
+    /// Elementwise sum of two same-shape tensors.
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        self.apply(Op::Add(a, b))
+    }
+    /// Adds a 1×m row vector to every row of an n×m matrix.
+    fn add_row(&mut self, a: Var, row: Var) -> Var {
+        self.apply(Op::AddRow(a, row))
+    }
+    /// Elementwise (Hadamard) product.
+    fn mul(&mut self, a: Var, b: Var) -> Var {
+        self.apply(Op::Mul(a, b))
+    }
+    /// Multiplies by a constant.
+    fn scale(&mut self, a: Var, k: f32) -> Var {
+        self.apply(Op::Scale(a, k))
+    }
+    /// Multiplies a tensor by a trainable 1×1 scalar.
+    fn scalar_mul(&mut self, s: Var, a: Var) -> Var {
+        self.apply(Op::ScalarMul(s, a))
+    }
+    /// Fused gated interpolation `s·a + (1−s)·b` with a trainable 1×1 gate
+    /// `s` (EP-GNN's Eq. 2 mixing in one op instead of four).
+    fn mix(&mut self, s: Var, a: Var, b: Var) -> Var {
+        self.apply(Op::Mix(s, a, b))
+    }
+    /// Elementwise affine map `k·x + c`.
+    fn affine(&mut self, a: Var, k: f32, c: f32) -> Var {
+        self.apply(Op::Affine(a, k, c))
+    }
+    /// Elementwise logistic sigmoid.
+    fn sigmoid(&mut self, a: Var) -> Var {
+        self.apply(Op::Sigmoid(a))
+    }
+    /// Elementwise tanh.
+    fn tanh(&mut self, a: Var) -> Var {
+        self.apply(Op::Tanh(a))
+    }
+    /// Elementwise ReLU.
+    fn relu(&mut self, a: Var) -> Var {
+        self.apply(Op::Relu(a))
+    }
+    /// Gathers the given rows of `a` into a new (k×m) tensor.
+    fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
+        self.apply(Op::GatherRows(a, rows))
+    }
+    /// Multi-source row gather: output row `i` is row `picks[i].1` of
+    /// `picks[i].0` (no picks give a 0×0 tensor). The backward pass
+    /// scatter-adds each gradient row into its own source, so the sources
+    /// may be any mix of variables.
+    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
+        self.apply(Op::GatherFrom(picks.to_vec()))
+    }
+    /// Extracts element `(r, c)` as a 1×1 tensor.
+    fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
+        self.apply(Op::Pick(a, r, c))
+    }
+    /// Masked log-softmax over all elements of `a` (treated flat, e.g. an
+    /// n×1 score vector). Masked-out entries get `-∞` log-probability and
+    /// receive zero gradient.
+    ///
+    /// # Panics
+    /// Panics if the mask length differs from the element count or no entry
+    /// is valid.
+    fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var {
+        self.apply(Op::MaskedLogSoftmax(a, mask))
+    }
+    /// Fused dense layer `x·w + b`: one op instead of the matmul + add_row
+    /// pair, bit-identical to that pair. In scalar reference mode the
+    /// decomposed pair is recorded instead, so the baseline tape matches
+    /// the pre-fusion implementation op for op.
+    fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
+        if self.kernel_mode() == KernelMode::Scalar {
+            let h = self.matmul(x, w);
+            return self.add_row(h, b);
+        }
+        self.apply(Op::Linear(x, w, b))
+    }
+    /// Fused gate pre-activation `x·wx + h·wh + b` — the LSTM/GRU gate
+    /// body as one op instead of four (two matmuls, add, add_row),
+    /// bit-identical to the decomposition (which scalar reference mode
+    /// records instead).
     fn linear2(&mut self, x: Var, wx: Var, h: Var, wh: Var, b: Var) -> Var {
-        let xs = self.matmul(x, wx);
-        let hs = self.matmul(h, wh);
-        let s = self.add(xs, hs);
-        self.add_row(s, b)
+        if self.kernel_mode() == KernelMode::Scalar {
+            let xs = self.matmul(x, wx);
+            let hs = self.matmul(h, wh);
+            let s = self.add(xs, hs);
+            return self.add_row(s, b);
+        }
+        self.apply(Op::Linear2(x, wx, h, wh, b))
     }
 }
 
@@ -732,59 +623,13 @@ impl TapeOps for Tape {
     fn value(&self, v: Var) -> &Tensor {
         Tape::value(self, v)
     }
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Tape::matmul(self, a, b)
+    fn kernel_mode(&self) -> KernelMode {
+        self.mode
     }
-    fn spmm(&mut self, csr: &SharedCsr, a: Var) -> Var {
-        Tape::spmm(self, csr, a)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Tape::add(self, a, b)
-    }
-    fn add_row(&mut self, a: Var, row: Var) -> Var {
-        Tape::add_row(self, a, row)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        Tape::mul(self, a, b)
-    }
-    fn scale(&mut self, a: Var, k: f32) -> Var {
-        Tape::scale(self, a, k)
-    }
-    fn scalar_mul(&mut self, s: Var, a: Var) -> Var {
-        Tape::scalar_mul(self, s, a)
-    }
-    fn mix(&mut self, s: Var, a: Var, b: Var) -> Var {
-        Tape::mix(self, s, a, b)
-    }
-    fn affine(&mut self, a: Var, k: f32, c: f32) -> Var {
-        Tape::affine(self, a, k, c)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        Tape::sigmoid(self, a)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        Tape::tanh(self, a)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        Tape::relu(self, a)
-    }
-    fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
-        Tape::gather_rows(self, a, rows)
-    }
-    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
-        Tape::gather_from(self, picks)
-    }
-    fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
-        Tape::pick(self, a, r, c)
-    }
-    fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var {
-        Tape::masked_log_softmax(self, a, mask)
-    }
-    fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        Tape::linear(self, x, w, b)
-    }
-    fn linear2(&mut self, x: Var, wx: Var, h: Var, wh: Var, b: Var) -> Var {
-        Tape::linear2(self, x, wx, h, wh, b)
+    fn apply(&mut self, op: Op) -> Var {
+        let nodes = &self.nodes;
+        let value = eval(self.mode, &mut self.pool, |v| &nodes[v.index()].value, &op);
+        self.push(value, Some(op))
     }
 }
 
@@ -814,11 +659,6 @@ impl NoGradTape {
             mode: KernelMode::Scalar,
             ..Self::default()
         }
-    }
-
-    /// Which kernel implementation this executor runs.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Number of stored values.
@@ -872,137 +712,17 @@ impl TapeOps for NoGradTape {
     fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
     }
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::matmul(
-            self.mode,
-            &mut self.pool,
-            &self.values[a.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
+    fn kernel_mode(&self) -> KernelMode {
+        self.mode
     }
-    fn spmm(&mut self, csr: &SharedCsr, a: Var) -> Var {
-        let v = kernels::spmm(self.mode, &mut self.pool, csr, &self.values[a.index()]);
-        self.push(v)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::add(
-            self.mode,
-            &mut self.pool,
-            &self.values[a.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
-    }
-    fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let v = kernels::add_row(
-            self.mode,
-            &mut self.pool,
-            &self.values[a.index()],
-            &self.values[row.index()],
-        );
-        self.push(v)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = kernels::mul(
-            self.mode,
-            &mut self.pool,
-            &self.values[a.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
-    }
-    fn scale(&mut self, a: Var, k: f32) -> Var {
-        let v = kernels::scale(self.mode, &mut self.pool, &self.values[a.index()], k);
-        self.push(v)
-    }
-    fn scalar_mul(&mut self, s: Var, a: Var) -> Var {
-        let v = kernels::scalar_mul(
-            self.mode,
-            &mut self.pool,
-            &self.values[s.index()],
-            &self.values[a.index()],
-        );
-        self.push(v)
-    }
-    fn mix(&mut self, s: Var, a: Var, b: Var) -> Var {
-        let v = kernels::mix(
-            self.mode,
-            &mut self.pool,
-            &self.values[s.index()],
-            &self.values[a.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
-    }
-    fn affine(&mut self, a: Var, k: f32, c: f32) -> Var {
-        let v = kernels::affine(self.mode, &mut self.pool, &self.values[a.index()], k, c);
-        self.push(v)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        let v = kernels::sigmoid(self.mode, &mut self.pool, &self.values[a.index()]);
-        self.push(v)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        let v = kernels::tanh(self.mode, &mut self.pool, &self.values[a.index()]);
-        self.push(v)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        let v = kernels::relu(self.mode, &mut self.pool, &self.values[a.index()]);
-        self.push(v)
-    }
-    fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
-        let v = kernels::gather_rows(self.mode, &mut self.pool, &self.values[a.index()], &rows);
-        self.push(v)
-    }
-    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
-        let rows: Vec<&[f32]> = picks
-            .iter()
-            .map(|&(v, r)| self.values[v.index()].row(r as usize))
-            .collect();
-        let v = kernels::stack_rows(self.mode, &mut self.pool, &rows);
-        self.push(v)
-    }
-    fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
-        let v = kernels::pick(self.mode, &mut self.pool, &self.values[a.index()], r, c);
-        self.push_owned(v)
-    }
-    fn masked_log_softmax(&mut self, a: Var, mask: Arc<Vec<bool>>) -> Var {
-        let v =
-            kernels::masked_log_softmax(self.mode, &mut self.pool, &self.values[a.index()], &mask);
-        self.push(v)
-    }
-    fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        if self.mode == KernelMode::Scalar {
-            let h = TapeOps::matmul(self, x, w);
-            return TapeOps::add_row(self, h, b);
+    fn apply(&mut self, op: Op) -> Var {
+        let values = &self.values;
+        let value = eval(self.mode, &mut self.pool, |v| &values[v.index()], &op);
+        // A pick's 1×1 result is not drawn from the pool.
+        match op {
+            Op::Pick(..) => self.push_owned(value),
+            _ => self.push(value),
         }
-        let v = kernels::linear(
-            self.mode,
-            &mut self.pool,
-            &self.values[x.index()],
-            &self.values[w.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
-    }
-    fn linear2(&mut self, x: Var, wx: Var, h: Var, wh: Var, b: Var) -> Var {
-        if self.mode == KernelMode::Scalar {
-            let xs = TapeOps::matmul(self, x, wx);
-            let hs = TapeOps::matmul(self, h, wh);
-            let s = TapeOps::add(self, xs, hs);
-            return TapeOps::add_row(self, s, b);
-        }
-        let v = kernels::linear2(
-            self.mode,
-            &mut self.pool,
-            &self.values[x.index()],
-            &self.values[wx.index()],
-            &self.values[h.index()],
-            &self.values[wh.index()],
-            &self.values[b.index()],
-        );
-        self.push(v)
     }
 }
 

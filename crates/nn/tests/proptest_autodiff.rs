@@ -3,7 +3,7 @@
 //! and the tensor algebra must satisfy its identities.
 
 use proptest::prelude::*;
-use rl_ccd_nn::{Csr, Tape, Tensor, Var};
+use rl_ccd_nn::{Csr, Tape, TapeOps, Tensor, Var};
 use std::sync::Arc;
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {

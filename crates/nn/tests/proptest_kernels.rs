@@ -300,21 +300,119 @@ fn check_whole_graph(x: &Tensor, w: &Tensor, b: &Tensor, mask: &[bool]) -> TestC
     Ok(())
 }
 
+/// Operands for one forward graph that uses every op of [`TapeOps`]:
+/// `x` (n×k), `w` (k×h), `b` (1×h), `wh` (h×h), a 1×1 `gate`, an n×n
+/// `csr`, row picks into n-row values, and an n-long softmax mask with at
+/// least one valid entry.
+#[derive(Debug)]
+struct ForwardGraph {
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    wh: Tensor,
+    gate: Tensor,
+    csr: Arc<Csr>,
+    rows: Vec<u32>,
+    picks: Vec<(usize, u32)>,
+    mask: Vec<bool>,
+    k: f32,
+    c: f32,
+}
+
+fn arb_forward_graph() -> impl Strategy<Value = ForwardGraph> {
+    SampleFn(|rng: &mut StdRng| {
+        let (n, k, h) = (dim_nz(rng), dim_nz(rng), dim_nz(rng));
+        let (mut indptr, mut indices, mut values) = (vec![0u32], Vec::new(), Vec::new());
+        for _ in 0..n {
+            for c in 0..n {
+                if rng.gen_bool(0.3) {
+                    indices.push(c as u32);
+                    values.push(rng.gen_range(-1.5f32..1.5));
+                }
+            }
+            indptr.push(indices.len() as u32);
+        }
+        let mut mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+        mask[rng.gen_range(0..n)] = true;
+        ForwardGraph {
+            x: tensor(rng, n, k),
+            w: tensor(rng, k, h),
+            b: tensor(rng, 1, h),
+            wh: tensor(rng, h, h),
+            gate: Tensor::from_vec(1, 1, vec![rng.gen_range(-2.0f32..2.0)]),
+            csr: Arc::new(Csr::new(n, n, indptr, indices, values)),
+            rows: (0..dim_nz(rng))
+                .map(|_| rng.gen_range(0..n) as u32)
+                .collect(),
+            picks: (0..n)
+                .map(|_| (rng.gen_range(0..3usize), rng.gen_range(0..n) as u32))
+                .collect(),
+            mask,
+            k: rng.gen_range(-2.0f32..2.0),
+            c: rng.gen_range(-1.0f32..1.0),
+        }
+    })
+}
+
 /// The no-grad (serve) tape must agree with the training tape's forward
-/// pass bit for bit — same kernels, same order.
-fn check_no_grad_forward(x: &Tensor, w: &Tensor) -> TestCaseResult {
-    fn graph<T: TapeOps>(tape: &mut T, x: &Tensor, w: &Tensor) -> Vec<u32> {
-        let xv = tape.leaf(x.clone());
-        let wv = tape.leaf(w.clone());
-        let h = tape.matmul(xv, wv);
-        let h = tape.sigmoid(h);
-        bits(tape.value(h))
+/// pass bit for bit — same kernels, same order — on a graph that uses all
+/// 18 ops, and both must agree with their scalar references. The fused
+/// ops record one node on the fast lane and their decompositions (2 and
+/// 4 nodes) on the scalar lane.
+fn check_no_grad_forward(d: &ForwardGraph) -> TestCaseResult {
+    fn graph<T: TapeOps>(
+        t: &mut T,
+        len: fn(&T) -> usize,
+        d: &ForwardGraph,
+    ) -> (Vec<Vec<u32>>, [usize; 2]) {
+        let [x, w, b, wh, gate] = [&d.x, &d.w, &d.b, &d.wh, &d.gate].map(|v| t.leaf(v.clone()));
+        let h0 = t.matmul(x, w);
+        let h0 = t.add_row(h0, b);
+        let before = len(t);
+        let lin = t.linear(x, w, b);
+        let linear_nodes = len(t) - before;
+        let sum = t.add(h0, lin);
+        let sg = t.sigmoid(sum);
+        let th = t.tanh(sum);
+        let m = t.mul(sg, th);
+        let before = len(t);
+        let gate_pre = t.linear2(x, w, m, wh, b);
+        let linear2_nodes = len(t) - before;
+        let neigh = t.spmm(&d.csr, gate_pre);
+        let scaled = t.scalar_mul(gate, neigh);
+        let mixed = t.mix(gate, scaled, m);
+        let aff = t.affine(mixed, d.k, d.c);
+        let r = t.relu(aff);
+        let neg = t.scale(r, -0.5);
+        let gathered = t.gather_rows(neg, Arc::new(d.rows.clone()));
+        let sources = [r, m, neg];
+        let picks: Vec<(Var, u32)> = d.picks.iter().map(|&(s, row)| (sources[s], row)).collect();
+        let stacked = t.gather_from(&picks);
+        let ones = t.leaf(Tensor::from_vec(d.w.cols(), 1, vec![1.0; d.w.cols()]));
+        let scores = t.matmul(stacked, ones);
+        let lp = t.masked_log_softmax(scores, Arc::new(d.mask.clone()));
+        let valid = d.mask.iter().position(|&v| v).expect("one valid");
+        let picked = t.pick(lp, valid, 0);
+        let outs = [
+            h0, lin, sum, sg, th, m, gate_pre, neigh, scaled, mixed, aff, r, neg, gathered,
+            stacked, scores, lp, picked,
+        ];
+        (
+            outs.iter().map(|&v| bits(t.value(v))).collect(),
+            [linear_nodes, linear2_nodes],
+        )
     }
-    let full = graph(&mut Tape::new(), x, w);
-    let no_grad = graph(&mut NoGradTape::new(), x, w);
-    let scalar = graph(&mut NoGradTape::scalar_reference(), x, w);
+    let (full, full_nodes) = graph(&mut Tape::new(), Tape::len, d);
+    let (no_grad, no_grad_nodes) = graph(&mut NoGradTape::new(), NoGradTape::len, d);
+    let (scalar_full, scalar_full_nodes) = graph(&mut Tape::scalar_reference(), Tape::len, d);
+    let (scalar, scalar_nodes) = graph(&mut NoGradTape::scalar_reference(), NoGradTape::len, d);
     prop_assert_eq!(&full, &no_grad, "Tape vs NoGradTape diverge");
+    prop_assert_eq!(&full, &scalar_full, "fast vs scalar Tape diverge");
     prop_assert_eq!(&full, &scalar, "fast vs scalar NoGradTape diverge");
+    prop_assert_eq!(full_nodes, [1, 1], "fused ops on the fast Tape");
+    prop_assert_eq!(no_grad_nodes, [1, 1], "fused ops on the fast NoGradTape");
+    prop_assert_eq!(scalar_full_nodes, [2, 4], "fused ops on the scalar Tape");
+    prop_assert_eq!(scalar_nodes, [2, 4], "fused ops on the scalar NoGradTape");
     Ok(())
 }
 
@@ -512,11 +610,8 @@ proptest! {
     }
 
     #[test]
-    fn no_grad_forward_matches_tape(
-        x in arb_tensor(3, 5),
-        w in arb_tensor(5, 2),
-    ) {
-        check_no_grad_forward(&x, &w)?;
+    fn no_grad_forward_matches_tape(d in arb_forward_graph()) {
+        check_no_grad_forward(&d)?;
     }
 
     #[test]

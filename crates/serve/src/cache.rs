@@ -25,7 +25,7 @@
 use crate::protocol::DesignKey;
 use rl_ccd::{CcdEnv, StoredEncode};
 use rl_ccd_flow::FlowRecipe;
-use rl_ccd_netlist::{generate, DesignSpec, EndpointId, Library};
+use rl_ccd_netlist::{generate, DesignSpec, EndpointId, Library, MIN_TARGET_CELLS};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -94,6 +94,33 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// Builds the environment `key` names: the generator's design under the
+/// default flow recipe. Serving ([`EnvCache`]), the experience sink and
+/// offline retraining all resolve a design through this function, so
+/// each sees the identical [`CcdEnv`].
+///
+/// # Errors
+/// A human-readable message when the key names an unknown technology
+/// node or fewer than [`MIN_TARGET_CELLS`] cells (generation is
+/// otherwise deterministic and infallible).
+pub fn build_env(key: &DesignKey, fanout_cap: usize) -> Result<CcdEnv, String> {
+    let tech = Library::parse_tech(&key.tech)
+        .ok_or_else(|| format!("unknown technology node {:?}", key.tech))?;
+    if key.cells < MIN_TARGET_CELLS {
+        return Err(format!(
+            "{} cells is below the generator's minimum of {MIN_TARGET_CELLS}",
+            key.cells
+        ));
+    }
+    let design = generate(&DesignSpec::new(
+        key.name.clone(),
+        key.cells,
+        tech,
+        key.seed,
+    ));
+    Ok(CcdEnv::new(design, FlowRecipe::default(), fanout_cap))
+}
+
 /// Thread-safe memoization of fully-built design environments.
 #[derive(Debug)]
 pub struct EnvCache {
@@ -114,24 +141,15 @@ impl EnvCache {
     /// Returns the environment for `key`, building it on a miss.
     ///
     /// # Errors
-    /// A human-readable message when the key names an unknown technology
-    /// node (the only non-deterministic-success part of generation).
+    /// [`build_env`]'s message when the key names no buildable design.
     pub fn get_or_build(&self, key: &DesignKey) -> Result<Arc<CcdEnv>, String> {
         if let Some(env) = self.inner.lock().expect("env cache lock").get(key) {
             rl_ccd_obs::counter!("serve.cache.env.hit", 1);
             return Ok(env.clone());
         }
         rl_ccd_obs::counter!("serve.cache.env.miss", 1);
-        let tech = Library::parse_tech(&key.tech)
-            .ok_or_else(|| format!("unknown technology node {:?}", key.tech))?;
         let _span = rl_ccd_obs::span!("serve.env.build", cells = key.cells as u64);
-        let design = generate(&DesignSpec::new(
-            key.name.clone(),
-            key.cells,
-            tech,
-            key.seed,
-        ));
-        let env = Arc::new(CcdEnv::new(design, FlowRecipe::default(), self.fanout_cap));
+        let env = Arc::new(build_env(key, self.fanout_cap)?);
         // Rebuilt concurrently by two threads on a cold miss? Both get
         // identical envs (generation is deterministic); last insert wins.
         self.inner
@@ -400,6 +418,27 @@ mod tests {
             seed: 1,
         };
         assert!(cache.get_or_build(&key).is_err());
+    }
+
+    #[test]
+    fn a_design_below_the_generator_minimum_is_an_error_not_a_panic() {
+        for cells in [0, 5, 20, MIN_TARGET_CELLS - 1] {
+            let key = DesignKey {
+                name: "tiny".into(),
+                cells,
+                tech: "7nm".into(),
+                seed: 1,
+            };
+            let err = build_env(&key, 24).expect_err("too small to generate");
+            assert!(err.contains("minimum"), "{err}");
+        }
+        let smallest = DesignKey {
+            name: "tiny".into(),
+            cells: MIN_TARGET_CELLS,
+            tech: "7nm".into(),
+            seed: 1,
+        };
+        assert!(build_env(&smallest, 24).is_ok());
     }
 
     fn key(name: &str) -> DesignKey {

@@ -50,7 +50,7 @@ pub mod registry;
 mod scheduler;
 pub mod server;
 
-pub use cache::{EncodeCache, EnvCache, LruCache, SelectionCache};
+pub use cache::{build_env, EncodeCache, EnvCache, LruCache, SelectionCache};
 pub use client::{ClientBuilder, ServeClient};
 pub use experience::{ExperienceEvent, ExperienceHook};
 pub use protocol::{

@@ -786,6 +786,31 @@ mod tests {
     }
 
     #[test]
+    fn a_design_too_small_to_generate_is_a_bad_request_and_the_worker_lives() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(registry(), config);
+        let handle = server.handle();
+        let tiny: DesignKey = "tiny:5:7nm:1".parse().expect("key");
+        let r = handle.query(query("default", tiny, Mode::Greedy));
+        assert!(
+            matches!(
+                r,
+                Response::Err {
+                    kind: RejectKind::BadRequest,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
+        // The one worker is still there to answer the next query.
+        ok(handle.query(query("default", design("after", 1), Mode::Greedy)));
+        assert_eq!(server.shutdown().dropped(), 0);
+    }
+
+    #[test]
     fn unknown_model_and_bad_tech_are_typed_errors() {
         let server = Server::start(registry(), ServeConfig::default());
         let handle = server.handle();
