@@ -20,7 +20,7 @@ pub use cli::Cli;
 
 use rl_ccd::{Error, RlConfig, Session, TrainOutcome, TrainSession};
 use rl_ccd_flow::FlowResult;
-use rl_ccd_netlist::{block_suite, generate, DesignSpec, GeneratedDesign};
+use rl_ccd_netlist::{generate, DesignSpec, GeneratedDesign};
 use rl_ccd_obs::escape_json;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -46,11 +46,6 @@ pub struct BlockRow {
     /// RL-CCD wall-clock divided by the default flow's (the paper's
     /// normalized runtime column).
     pub runtime_ratio: f64,
-}
-
-/// Builds the scaled 19-block suite.
-pub fn build_suite(scale: f32) -> Vec<GeneratedDesign> {
-    block_suite(scale).iter().map(generate).collect()
 }
 
 /// Builds a single spec'd design (for the figure binaries).

@@ -85,32 +85,58 @@ impl RlCcd {
         rng: Option<&mut StdRng>,
         tape: Tape,
     ) -> Rollout {
-        let actions = match rng {
-            Some(rng) => Actions::Sample(rng),
-            None => Actions::Greedy,
-        };
-        self.trajectory(params, env, actions, tape)
+        self.dense_rollout(params, env, Actions::policy(rng), tape)
             .expect("only a replayed trajectory can be rejected")
     }
 
-    /// The dense training trajectory behind [`RlCcd::rollout_with_tape`]
-    /// and [`RlCcd::replay_trajectory`]: every step re-encodes EP-GNN with
-    /// the current flags, steps the past-actions encoder, and decodes one
-    /// action from `actions`. A policy runs until nothing is selectable; a
-    /// replay runs until its actions are spent, rejecting each one that is
-    /// not in the pool or is masked before that step records anything.
-    fn trajectory(
+    /// [`RlCcd::trajectory`] with the dense per-step encode on its own
+    /// gradient tape, kept for the backward pass.
+    fn dense_rollout(
         &self,
         params: &ParamSet,
         env: &CcdEnv,
-        mut actions: Actions<'_>,
+        actions: Actions<'_>,
         mut tape: Tape,
     ) -> Result<Rollout, ReplayError> {
         let binding = params.bind(&mut tape);
+        let t = self.trajectory(&mut tape, &binding, env, actions, Encode::Dense)?;
+        Ok(Rollout {
+            selected: t.selected,
+            tape,
+            binding,
+            total_log_prob: t.total_log_prob,
+        })
+    }
+
+    /// The selection loop of Algorithm 1 (lines 5–13), behind every
+    /// rollout, replay and served query. Each step brings the endpoint
+    /// embeddings up to date with the current flags as `encode` says,
+    /// steps the past-actions encoder, and decodes one action from
+    /// `actions`. A policy runs until nothing is selectable; a replay runs
+    /// until its actions are spent, rejecting each one that is not in the
+    /// pool or is masked before that step records anything. An empty pool
+    /// runs no encode and yields a zero-step trajectory whose
+    /// `total_log_prob` is a constant 0.
+    ///
+    /// Every value the trajectory computes stays on `tape`, whose bound
+    /// parameters are `binding`; [`crate::infer::InferSession`] truncates
+    /// its tape once per request, so one bound tape serves many.
+    pub(crate) fn trajectory<T: TapeOps>(
+        &self,
+        tape: &mut T,
+        binding: &ParamBinding,
+        env: &CcdEnv,
+        mut actions: Actions<'_>,
+        encode: Encode<'_>,
+    ) -> Result<Trajectory, ReplayError> {
         let pool = env.pool();
         let mut mask = SelectionMask::new(pool.len(), self.config.rho);
-        let (mut state, mut prev_embed) = self.encoder.start(&mut tape);
+        let (mut state, mut prev_embed) = self.encoder.start(tape);
+        let mut incremental: Option<IncrementalEncoder<'_>> = None;
+        // The cells the last step flagged: what a patch has to catch up on.
+        let mut newly_flagged: Vec<u32> = Vec::new();
         let mut selected = Vec::new();
+        let mut log_probs = Vec::new();
         let mut total_log_prob: Option<Var> = None;
         loop {
             let forced = match &mut actions {
@@ -132,33 +158,62 @@ impl RlCcd {
                 _ => break,
             };
             // State s_t: endpoint embeddings with current masked flags.
-            let flag_cells: Vec<CellId> = mask
-                .flagged()
-                .iter()
-                .map(|&i| env.pool_cells()[i])
-                .collect();
-            let x = tape.leaf(env.features().with_flags(&flag_cells));
-            let embeddings =
-                self.gnn
-                    .forward(&mut tape, &binding, x, env.adjacency(), env.readout());
+            let embeddings = match encode {
+                Encode::Dense => {
+                    let flag_cells: Vec<CellId> = mask
+                        .flagged()
+                        .iter()
+                        .map(|&i| env.pool_cells()[i])
+                        .collect();
+                    let x = tape.leaf(env.features().with_flags(&flag_cells));
+                    self.gnn
+                        .forward(tape, binding, x, env.adjacency(), env.readout())
+                }
+                Encode::Incremental(stored) => {
+                    let gnn = match incremental.as_mut() {
+                        Some(gnn) => {
+                            gnn.flag(tape, binding, &newly_flagged);
+                            gnn
+                        }
+                        None => {
+                            let (graph, base) = (env.graph(), env.features().base());
+                            incremental.insert(match stored {
+                                Some(stored) => IncrementalEncoder::resume(
+                                    &self.gnn, tape, binding, graph, base, stored,
+                                ),
+                                None => {
+                                    IncrementalEncoder::start(&self.gnn, tape, binding, graph, base)
+                                }
+                            })
+                        }
+                    };
+                    gnn.embeddings(tape)
+                }
+            };
             // Query q_t from the past-actions encoder.
-            state = self.encoder.step(&mut tape, &binding, prev_embed, state);
+            state = self.encoder.step(tape, binding, prev_embed, state);
             let query = state.query();
             // Action a_t.
             let valid = mask.valid_mask();
             let step = match (&mut actions, forced) {
                 (_, Some(local)) => self
                     .decoder
-                    .decode_forced(&mut tape, &binding, embeddings, query, &valid, local),
+                    .decode_forced(tape, binding, embeddings, query, &valid, local),
                 (Actions::Sample(rng), None) => self
                     .decoder
-                    .decode(&mut tape, &binding, embeddings, query, &valid, rng),
+                    .decode(tape, binding, embeddings, query, &valid, rng),
                 (_, None) => self
                     .decoder
-                    .decode_greedy(&mut tape, &binding, embeddings, query, &valid),
+                    .decode_greedy(tape, binding, embeddings, query, &valid),
             };
-            mask.select(step.action, env.cones());
+            let mut flagged = mask.select(step.action, env.cones());
+            flagged.push(step.action);
+            newly_flagged = flagged
+                .iter()
+                .map(|&i| env.pool_cells()[i].index() as u32)
+                .collect();
             selected.push(pool[step.action]);
+            log_probs.push(tape.value(step.action_log_prob).data()[0]);
             prev_embed = tape.gather_rows(embeddings, Arc::new(vec![step.action as u32]));
             total_log_prob = Some(match total_log_prob {
                 Some(acc) => tape.add(acc, step.action_log_prob),
@@ -166,107 +221,15 @@ impl RlCcd {
             });
         }
         let total_log_prob = total_log_prob.unwrap_or_else(|| tape.leaf(Tensor::zeros(1, 1)));
-        Ok(Rollout {
+        Ok(Trajectory {
             selected,
-            tape,
-            binding,
+            log_probs,
             total_log_prob,
         })
     }
 
-    /// Inference-only trajectory: the forward pass of [`RlCcd::rollout`] /
-    /// [`RlCcd::rollout_greedy`] on a [`NoGradTape`] — no gradient
-    /// bookkeeping — with EP-GNN encoded densely once and patched after
-    /// each selection by [`IncrementalEncoder`], which yields the dense
-    /// re-encode's embeddings bit for bit. With `Some(rng)` it samples
-    /// (consuming exactly one draw per step, identical to `rollout`); with
-    /// `None` it is greedy. As in the training rollout, an empty endpoint
-    /// pool yields an empty selection, so a server can answer queries on
-    /// already-clean designs.
-    pub(crate) fn infer_trajectory(
-        &self,
-        params: &ParamSet,
-        env: &CcdEnv,
-        rng: Option<&mut StdRng>,
-    ) -> Vec<EndpointId> {
-        let mut tape = NoGradTape::new();
-        let binding = params.bind(&mut tape);
-        self.infer_trajectory_logged_in(&mut tape, &binding, env, rng, None)
-            .0
-    }
-
-    /// The body of [`RlCcd::infer_trajectory`] against a tape that already
-    /// holds the bound parameter leaves, also returning the
-    /// log-probability the policy assigned to each selected action, in
-    /// selection order (a tape read, not a tape op). The log-probs are the
-    /// *behavior* policy's: experience logging captures them at serve time
-    /// so offline retraining can importance-weight against a newer policy.
-    ///
-    /// With `stored` — [`IncrementalEncoder::encode`]'s outputs for these
-    /// parameters and this `env` — the trajectory starts from a copy of
-    /// them instead of running the dense pass; the result is the same bit
-    /// for bit.
-    ///
-    /// The trajectory's values stay on the tape — the step-0 encode (run
-    /// or copied) plus each step's frontier rows and decoder
-    /// intermediates — until the caller truncates it;
-    /// [`crate::infer::InferSession`] does so once per request, so one
-    /// bound tape serves many.
-    pub(crate) fn infer_trajectory_logged_in(
-        &self,
-        tape: &mut NoGradTape,
-        binding: &ParamBinding,
-        env: &CcdEnv,
-        mut rng: Option<&mut StdRng>,
-        stored: Option<&StoredEncode>,
-    ) -> (Vec<EndpointId>, Vec<f32>) {
-        let pool = env.pool();
-        let mut mask = SelectionMask::new(pool.len(), self.config.rho);
-        let mut selected = Vec::new();
-        let mut log_probs = Vec::new();
-        if !mask.any_valid() {
-            return (selected, log_probs);
-        }
-        let (mut state, mut prev_embed) = self.encoder.start(tape);
-        let (graph, base) = (env.graph(), env.features().base());
-        let mut gnn = match stored {
-            Some(stored) => {
-                IncrementalEncoder::resume(&self.gnn, tape, binding, graph, base, stored)
-            }
-            None => IncrementalEncoder::start(&self.gnn, tape, binding, graph, base),
-        };
-        loop {
-            let embeddings = gnn.embeddings(tape);
-            state = self.encoder.step(tape, binding, prev_embed, state);
-            let query = state.query();
-            let valid = mask.valid_mask();
-            let step = match rng.as_deref_mut() {
-                Some(rng) => self
-                    .decoder
-                    .decode(tape, binding, embeddings, query, &valid, rng),
-                None => self
-                    .decoder
-                    .decode_greedy(tape, binding, embeddings, query, &valid),
-            };
-            let mut flagged = mask.select(step.action, env.cones());
-            flagged.push(step.action);
-            selected.push(pool[step.action]);
-            log_probs.push(tape.value(step.action_log_prob).data()[0]);
-            if !mask.any_valid() {
-                return (selected, log_probs);
-            }
-            prev_embed = tape.gather_rows(embeddings, Arc::new(vec![step.action as u32]));
-            let cells: Vec<u32> = flagged
-                .iter()
-                .map(|&i| env.pool_cells()[i].index() as u32)
-                .collect();
-            gnn.flag(tape, binding, &cells);
-        }
-    }
-
     /// The step-0 EP-GNN encode of `env` under the parameters bound on
-    /// `tape`, copied off it: what `infer_trajectory_logged_in` takes as
-    /// `stored`.
+    /// `tape`, copied off it: what [`Encode::Incremental`] resumes from.
     pub(crate) fn encode_in(
         &self,
         tape: &mut NoGradTape,
@@ -299,18 +262,53 @@ impl RlCcd {
         if actions.is_empty() {
             return Err(ReplayError::Empty);
         }
-        self.trajectory(params, env, Actions::Replay(actions), Tape::new())
+        self.dense_rollout(params, env, Actions::Replay(actions), Tape::new())
     }
 }
 
-/// Where a training trajectory's actions come from.
-enum Actions<'a> {
+/// Where a trajectory's actions come from.
+pub(crate) enum Actions<'a> {
     /// Sampled from the policy: one draw of the rng per step.
     Sample(&'a mut StdRng),
     /// The policy's argmax at every step.
     Greedy,
     /// Teacher-forced: the logged endpoints still to replay, in order.
     Replay(&'a [EndpointId]),
+}
+
+impl<'a> Actions<'a> {
+    /// The policy's own actions: sampled with `Some(rng)`, greedy with
+    /// `None`.
+    pub(crate) fn policy(rng: Option<&'a mut StdRng>) -> Self {
+        match rng {
+            Some(rng) => Actions::Sample(rng),
+            None => Actions::Greedy,
+        }
+    }
+}
+
+/// How a trajectory keeps the endpoint embeddings current.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Encode<'s> {
+    /// Every step runs [`EpGnn::forward`] on the features with the current
+    /// flags: the training tapes' encode, whose gradients reach EP-GNN.
+    Dense,
+    /// The first step starts an [`IncrementalEncoder`] (resuming from the
+    /// stored encode, if any) and every later step patches it with the
+    /// cells the step before flagged. The same values as `Dense`, bit for
+    /// bit; not differentiable through the patches.
+    Incremental(Option<&'s StoredEncode>),
+}
+
+/// What [`RlCcd::trajectory`] selected and the log-probabilities it
+/// assigned.
+pub(crate) struct Trajectory {
+    /// Selected endpoints, in selection order.
+    pub(crate) selected: Vec<EndpointId>,
+    /// log π(a_t | s_t) per step, read off the tape.
+    pub(crate) log_probs: Vec<f32>,
+    /// Σ_t log π(a_t | s_t) on the tape.
+    pub(crate) total_log_prob: Var,
 }
 
 /// Why a logged trajectory could not be replayed against a rebuilt
@@ -384,6 +382,85 @@ mod tests {
     fn env() -> CcdEnv {
         let d = generate(&DesignSpec::new("agent", 600, TechNode::N7, 33));
         CcdEnv::new(d, FlowRecipe::default(), 24)
+    }
+
+    /// `trajectory`'s selection, per-step log-probs and total log-prob,
+    /// as bits.
+    fn run<T: TapeOps>(
+        model: &RlCcd,
+        params: &ParamSet,
+        env: &CcdEnv,
+        mut tape: T,
+        actions: Actions<'_>,
+        encode: Encode<'_>,
+    ) -> (Vec<EndpointId>, Vec<u32>, u32) {
+        let binding = params.bind(&mut tape);
+        let t = model
+            .trajectory(&mut tape, &binding, env, actions, encode)
+            .expect("a policy's own selection replays");
+        let total = tape.value(t.total_log_prob).data()[0];
+        let bits = t.log_probs.iter().map(|lp| lp.to_bits()).collect();
+        (t.selected, bits, total.to_bits())
+    }
+
+    /// The one loop, every way it runs: each encode, on both tapes and
+    /// both kernel lanes, sampling, greedy, or replaying the sampled
+    /// selection, gives the same endpoints and the same log-probabilities
+    /// by `to_bits` as the dense training rollout.
+    #[test]
+    fn every_encode_tape_and_action_source_runs_one_trajectory() {
+        let env = env();
+        let (model, params) = RlCcd::init(RlConfig::fast());
+        let mut tape = NoGradTape::new();
+        let binding = params.bind(&mut tape);
+        let stored = model.encode_in(&mut tape, &binding, &env);
+        let seed = || StdRng::seed_from_u64(5);
+        let sampled = run(
+            &model,
+            &params,
+            &env,
+            Tape::new(),
+            Actions::Sample(&mut seed()),
+            Encode::Dense,
+        );
+        let greedy = run(
+            &model,
+            &params,
+            &env,
+            Tape::new(),
+            Actions::Greedy,
+            Encode::Dense,
+        );
+        assert!(sampled.0.len() >= 2 && greedy.0.len() >= 2);
+        let encodes = [
+            Encode::Dense,
+            Encode::Incremental(None),
+            Encode::Incremental(Some(&stored)),
+        ];
+        for encode in encodes {
+            for lane in 0..4 {
+                for (kind, want) in [
+                    ("sample", &sampled),
+                    ("greedy", &greedy),
+                    ("replay", &sampled),
+                ] {
+                    let mut rng = seed();
+                    let actions = match kind {
+                        "sample" => Actions::Sample(&mut rng),
+                        "greedy" => Actions::Greedy,
+                        _ => Actions::Replay(&sampled.0),
+                    };
+                    let (m, p, e) = (&model, &params, &env);
+                    let got = match lane {
+                        0 => run(m, p, e, Tape::new(), actions, encode),
+                        1 => run(m, p, e, Tape::scalar_reference(), actions, encode),
+                        2 => run(m, p, e, NoGradTape::new(), actions, encode),
+                        _ => run(m, p, e, NoGradTape::scalar_reference(), actions, encode),
+                    };
+                    assert_eq!(&got, want, "{kind} on tape {lane} with {encode:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Training checkpoints: outcome artifacts for inspection and plotting,
-//! plus the versioned, atomically-written [`TrainingState`] that makes a
-//! run resumable bit-for-bit after a kill at any iteration.
+//! Training checkpoints: the versioned, atomically-written
+//! [`TrainingState`] that makes a run resumable bit-for-bit after a kill
+//! at any iteration.
 //!
 //! # Atomicity protocol
 //!
@@ -15,7 +15,7 @@
 //! boundaries — on any mismatch.
 
 use crate::fault::{FaultKind, RolloutFault};
-use crate::reinforce::{IterationStats, TrainOutcome};
+use crate::reinforce::IterationStats;
 use rl_ccd_netlist::EndpointId;
 use rl_ccd_nn::{Adam, ParamSet};
 use std::fmt;
@@ -461,96 +461,9 @@ pub fn verify_manifest(dir: impl AsRef<Path>) -> Result<Vec<u8>, CheckpointError
     Ok(bytes)
 }
 
-/// Writes a checkpoint directory:
-///
-/// * `params.txt` — the trained parameters ([`ParamSet::save`] format);
-/// * `history.csv` — per-iteration telemetry (the Fig. 6 curves);
-/// * `selection.txt` — the champion endpoint selection, one id per line.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_checkpoint(outcome: &TrainOutcome, dir: impl AsRef<Path>) -> std::io::Result<()> {
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    outcome
-        .params
-        .save(std::io::BufWriter::new(fs::File::create(
-            dir.join("params.txt"),
-        )?))?;
-    let mut hist = fs::File::create(dir.join("history.csv"))?;
-    writeln!(
-        hist,
-        "iteration,mean_reward,batch_best,greedy_reward,best_so_far,mean_steps"
-    )?;
-    for h in &outcome.history {
-        let mean_steps = if h.steps.is_empty() {
-            0.0
-        } else {
-            h.steps.iter().sum::<usize>() as f64 / h.steps.len() as f64
-        };
-        writeln!(
-            hist,
-            "{},{:.3},{:.3},{:.3},{:.3},{:.2}",
-            h.iteration, h.mean_reward, h.batch_best, h.greedy_reward, h.best_so_far, mean_steps
-        )?;
-    }
-    let mut sel = fs::File::create(dir.join("selection.txt"))?;
-    for e in &outcome.best_selection {
-        writeln!(sel, "{}", e.index())?;
-    }
-    Ok(())
-}
-
-/// Loads the parameters from a checkpoint directory.
-///
-/// # Errors
-/// Returns [`CheckpointError`] on I/O failure or malformed content.
-pub fn load_checkpoint_params(dir: impl AsRef<Path>) -> Result<ParamSet, CheckpointError> {
-    let file = fs::File::open(dir.as_ref().join("params.txt"))?;
-    ParamSet::load(BufReader::new(file)).map_err(|e| corrupt(e.to_string()))
-}
-
-/// Loads the champion selection from a checkpoint directory, validating
-/// every stored index against the design's endpoint count so a malformed
-/// file can never produce a bogus [`EndpointId`].
-///
-/// # Errors
-/// [`CheckpointError::OutOfRange`] when an index is `>= endpoint_count`;
-/// [`CheckpointError::Io`]/[`CheckpointError::Corrupt`] otherwise.
-pub fn load_checkpoint_selection(
-    dir: impl AsRef<Path>,
-    endpoint_count: usize,
-) -> Result<Vec<EndpointId>, CheckpointError> {
-    let file = fs::File::open(dir.as_ref().join("selection.txt"))?;
-    let mut out = Vec::new();
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let idx: usize = trimmed
-            .parse()
-            .map_err(|_| corrupt(format!("bad endpoint index {trimmed:?}")))?;
-        if idx >= endpoint_count {
-            return Err(CheckpointError::OutOfRange {
-                index: idx,
-                max: endpoint_count,
-            });
-        }
-        out.push(EndpointId::new(idx));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RlConfig;
-    use crate::env::CcdEnv;
-    use crate::reinforce::{try_train, TrainSession};
-    use rl_ccd_flow::FlowRecipe;
-    use rl_ccd_netlist::{generate, DesignSpec, TechNode};
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -637,45 +550,5 @@ mod tests {
         let loaded = load_training_state(&dir).expect("load after tear");
         assert_eq!(loaded.next_iteration, state.next_iteration);
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn selection_indices_are_bounds_checked() {
-        let dir = std::env::temp_dir().join("rl_ccd_sel_bounds");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join("selection.txt"), "1\n5\n2\n").expect("write");
-        let ok = load_checkpoint_selection(&dir, 6).expect("in range");
-        assert_eq!(ok.len(), 3);
-        let err = load_checkpoint_selection(&dir, 5).expect_err("5 out of range");
-        assert!(
-            matches!(err, CheckpointError::OutOfRange { index: 5, max: 5 }),
-            "{err}"
-        );
-        fs::write(dir.join("selection.txt"), "1\nbogus\n").expect("write");
-        let err = load_checkpoint_selection(&dir, 10).expect_err("garbage line");
-        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let d = generate(&DesignSpec::new("ckpt", 450, TechNode::N7, 61));
-        let env = CcdEnv::new(d, FlowRecipe::default(), 24);
-        let mut cfg = RlConfig::fast();
-        cfg.max_iterations = 2;
-        cfg.patience = 2;
-        let outcome = try_train(&env, &cfg, TrainSession::default()).unwrap();
-        let dir = std::env::temp_dir().join("rl_ccd_ckpt_test");
-        save_checkpoint(&outcome, &dir).expect("save");
-        let params = load_checkpoint_params(&dir).expect("params");
-        assert_eq!(params, outcome.params);
-        let endpoints = env.design().netlist.endpoints().len();
-        let sel = load_checkpoint_selection(&dir, endpoints).expect("selection");
-        assert_eq!(sel, outcome.best_selection);
-        let hist = std::fs::read_to_string(dir.join("history.csv")).expect("history");
-        assert!(hist.starts_with("iteration,"));
-        assert_eq!(hist.lines().count(), outcome.history.len() + 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,21 +21,20 @@
 //! oracle `tests/proptest_incremental_encoder.rs` compares every step
 //! against, the way `proptest_incremental` pins the incremental timer.
 //!
-//! **Provenance, not mutation.** Nothing is updated in place. For every
-//! layer row and every endpoint the encoder records which `(Var, row)`
-//! currently holds its value; a patch records new compact variables and
-//! repoints the rows it recomputed. Rows are read back through the one
-//! multi-source gather [`TapeOps::gather_from`], whose backward pass
-//! scatters into each source — so the same code is differentiable on a
-//! gradient [`rl_ccd_nn::Tape`] and every value a backward pass could need
-//! is still on the tape.
+//! **In place.** The encoder owns its tensors: the feature matrix with
+//! the current flags, the three layer outputs and the endpoint embeddings.
+//! A patch reads the rows `D ∪ N(D)` of the layer below as one tape leaf,
+//! runs `EpGnn::layer` / `EpGnn::embed` over [`Csr::row_subset`], and
+//! writes the recomputed rows back over the old ones. Nothing on the tape
+//! refers to a patched tensor, so a patch is not differentiable: the
+//! training tapes keep the dense per-step encode.
 //!
 //! **Encode once per (θ, design).** The same property makes the dense
 //! pass storable: [`IncrementalEncoder::encode`] copies its outputs off the
 //! tape as a [`StoredEncode`], and [`IncrementalEncoder::resume`] starts a
-//! trajectory from such a copy — the tensors become leaves, the values are
-//! the dense pass's own (copied, not recomputed), and since a patch never
-//! writes a row, one stored encode serves any number of trajectories.
+//! trajectory from a copy of it — the dense pass's own values, copied, not
+//! recomputed. A patch writes that copy, never the stored encode, so one
+//! stored encode serves any number of trajectories.
 
 use crate::epgnn::EpGnn;
 use crate::features::MASKED_COL;
@@ -113,12 +112,6 @@ fn columns_of(m: &Csr, rows: &[u32], mut out: Vec<u32>) -> Vec<u32> {
     out
 }
 
-fn repoint(rows: &mut [(Var, u32)], dirty: &[u32], to: Var) {
-    for (i, &r) in dirty.iter().enumerate() {
-        rows[r as usize] = (to, i as u32);
-    }
-}
-
 /// What one [`IncrementalEncoder::flag`] recomputed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Frontier {
@@ -129,19 +122,36 @@ pub struct Frontier {
     pub endpoints: Vec<u32>,
 }
 
+/// The rows `rows` of `t`, in order, as a new tensor.
+fn rows_of(t: &Tensor, rows: &[u32]) -> Tensor {
+    let mut data = Vec::with_capacity(rows.len() * t.cols());
+    for &r in rows {
+        data.extend_from_slice(t.row(r as usize));
+    }
+    Tensor::from_vec(rows.len(), t.cols(), data)
+}
+
+/// Overwrites row `rows[i]` of `t` with row `i` of `from`.
+fn write_rows(t: &mut Tensor, rows: &[u32], from: &Tensor) {
+    let m = t.cols();
+    for (i, &r) in rows.iter().enumerate() {
+        let at = r as usize * m;
+        t.data_mut()[at..at + m].copy_from_slice(from.row(i));
+    }
+}
+
 /// EP-GNN embeddings of one design kept current across flag flips: the
 /// state of one selection trajectory (see the module docs).
 #[derive(Debug)]
 pub struct IncrementalEncoder<'a> {
     gnn: &'a EpGnn,
     graph: &'a EpGraph,
-    base: &'a Tensor,
     gates: [Var; 3],
-    /// `layers[l][r]` is the `(Var, row)` holding row `r` of layer `l`'s
-    /// output; layer 0 is the feature matrix.
-    layers: [Vec<(Var, u32)>; 4],
-    /// `endpoints[e]` is the `(Var, row)` holding endpoint `e`'s embedding.
-    endpoints: Vec<(Var, u32)>,
+    /// `layers[0]` is the feature matrix with the current flags;
+    /// `layers[l]` is layer `l`'s output.
+    layers: [Tensor; 4],
+    /// The current endpoint embeddings (E×embed).
+    embeddings: Tensor,
 }
 
 /// The dense pass's outputs — the three layer outputs (V×hidden each) and
@@ -163,44 +173,36 @@ impl StoredEncode {
     }
 }
 
-/// The dense pass over the unflagged features `base` (V×13) — the ops of
-/// [`EpGnn::forward`] — with every layer's variable kept: the gates, the
-/// feature leaf, the three layer outputs, the endpoint embeddings.
-fn dense_pass<T: TapeOps>(
-    gnn: &EpGnn,
-    tape: &mut T,
-    binding: &ParamBinding,
-    graph: &EpGraph,
-    base: &Tensor,
-) -> ([Var; 3], Var, [Var; 3], Var) {
-    let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
-    let x = tape.leaf(base.clone());
-    let (mut h, mut below) = ([x; 3], x);
-    for l in 0..3 {
-        below = gnn.layer(tape, binding, l, gates[l], below, &graph.adjacency, below);
-        h[l] = below;
-    }
-    let embeddings = gnn.embed(tape, binding, &graph.readout, below);
-    (gates, x, h, embeddings)
-}
-
 impl<'a> IncrementalEncoder<'a> {
     /// The dense pass over the unflagged features `base` (V×13) — the ops
-    /// of [`EpGnn::forward`] — with the layer outputs kept.
+    /// of [`EpGnn::forward`] — with the layer outputs copied off the tape.
     pub fn start<T: TapeOps>(
         gnn: &'a EpGnn,
         tape: &mut T,
         binding: &ParamBinding,
         graph: &'a EpGraph,
-        base: &'a Tensor,
+        base: &Tensor,
     ) -> Self {
-        let (gates, x, h, embeddings) = dense_pass(gnn, tape, binding, graph, base);
-        Self::over(gnn, graph, base, gates, x, h, embeddings)
+        let _span = rl_ccd_obs::span!("core.incremental.encode0", cells = base.rows());
+        let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
+        let mut below = tape.leaf(base.clone());
+        let h = [0, 1, 2].map(|l| {
+            below = gnn.layer(tape, binding, l, gates[l], below, &graph.adjacency, below);
+            below
+        });
+        let embeddings = gnn.embed(tape, binding, &graph.readout, below);
+        let [h1, h2, h3] = h.map(|v| tape.value(v).clone());
+        Self {
+            gnn,
+            graph,
+            gates,
+            layers: [base.clone(), h1, h2, h3],
+            embeddings: tape.value(embeddings).clone(),
+        }
     }
 
-    /// The dense pass of [`IncrementalEncoder::start`] with its outputs
-    /// copied off the tape — what [`IncrementalEncoder::resume`] starts
-    /// from.
+    /// The dense pass of [`IncrementalEncoder::start`], kept as what
+    /// [`IncrementalEncoder::resume`] starts from.
     pub fn encode<T: TapeOps>(
         gnn: &EpGnn,
         tape: &mut T,
@@ -208,25 +210,25 @@ impl<'a> IncrementalEncoder<'a> {
         graph: &EpGraph,
         base: &Tensor,
     ) -> StoredEncode {
-        let (_, _, h, embeddings) = dense_pass(gnn, tape, binding, graph, base);
+        let encoder = IncrementalEncoder::start(gnn, tape, binding, graph, base);
+        let [_, h1, h2, h3] = encoder.layers;
         StoredEncode {
-            layers: h.map(|v| tape.value(v).clone()),
-            embeddings: tape.value(embeddings).clone(),
+            layers: [h1, h2, h3],
+            embeddings: encoder.embeddings,
         }
     }
 
-    /// [`IncrementalEncoder::start`] without the dense pass: `stored`'s
-    /// tensors become leaves of `tape` and every row points at them, so the
-    /// encoder is in the state `start` leaves it in, value for value.
-    /// `stored` must come from [`IncrementalEncoder::encode`] on the same
-    /// parameters, graph and features; it is read, never written — a patch
-    /// repoints rows to new variables and leaves these alone.
+    /// [`IncrementalEncoder::start`] without the dense pass: the encoder
+    /// holds copies of `stored`'s tensors, so it is in the state `start`
+    /// leaves it in, value for value. `stored` must come from
+    /// [`IncrementalEncoder::encode`] on the same parameters, graph and
+    /// features.
     pub fn resume<T: TapeOps>(
         gnn: &'a EpGnn,
         tape: &mut T,
         binding: &ParamBinding,
         graph: &'a EpGraph,
-        base: &'a Tensor,
+        base: &Tensor,
         stored: &StoredEncode,
     ) -> Self {
         assert!(
@@ -234,33 +236,13 @@ impl<'a> IncrementalEncoder<'a> {
                 && stored.embeddings.rows() == graph.readout.rows(),
             "stored encode is of another design"
         );
-        let gates = [0, 1, 2].map(|l| gnn.gate(tape, binding, l));
-        let x = tape.leaf(base.clone());
-        let h = stored.layers.each_ref().map(|t| tape.leaf(t.clone()));
-        let embeddings = tape.leaf(stored.embeddings.clone());
-        Self::over(gnn, graph, base, gates, x, h, embeddings)
-    }
-
-    /// The state right after a dense pass: every row of every layer is
-    /// held by that layer's one variable.
-    fn over(
-        gnn: &'a EpGnn,
-        graph: &'a EpGraph,
-        base: &'a Tensor,
-        gates: [Var; 3],
-        x: Var,
-        h: [Var; 3],
-        embeddings: Var,
-    ) -> Self {
-        let whole = |v: Var, n: usize| (0..n as u32).map(|r| (v, r)).collect::<Vec<_>>();
-        let cells = base.rows();
+        let [h1, h2, h3] = stored.layers.clone();
         Self {
             gnn,
             graph,
-            base,
-            gates,
-            layers: [x, h[0], h[1], h[2]].map(|v| whole(v, cells)),
-            endpoints: whole(embeddings, graph.readout.rows()),
+            gates: [0, 1, 2].map(|l| gnn.gate(tape, binding, l)),
+            layers: [base.clone(), h1, h2, h3],
+            embeddings: stored.embeddings.clone(),
         }
     }
 
@@ -280,62 +262,49 @@ impl<'a> IncrementalEncoder<'a> {
         if dirty.is_empty() {
             return frontier;
         }
-        let width = self.base.cols();
-        let mut x = Vec::with_capacity(dirty.len() * width);
+        let mut span = rl_ccd_obs::span!("core.incremental.patch");
         for &c in &dirty {
-            let at = x.len();
-            x.extend_from_slice(self.base.row(c as usize));
-            x[at + MASKED_COL] = 1.0;
+            self.layers[0].set(c as usize, MASKED_COL, 1.0);
         }
-        let x = tape.leaf(Tensor::from_vec(dirty.len(), width, x));
-        repoint(&mut self.layers[0], &dirty, x);
         let adjacency = &self.graph.adjacency;
         for l in 0..3 {
             // Layer l+1 moves where it reads a moved row of layer l: on
             // that row itself and on the rows that aggregate it.
             dirty = columns_of(&self.graph.adjacency_t, &dirty, dirty.clone());
             let reads = columns_of(adjacency, &dirty, dirty.clone());
-            let all = self.gather(tape, l, &reads);
+            let all = tape.leaf(rows_of(&self.layers[l], &reads));
             let at = |r| reads.binary_search(r).expect("reads holds dirty") as u32;
             let own = tape.gather_rows(all, Arc::new(dirty.iter().map(at).collect()));
             let sub = Arc::new(adjacency.row_subset(&dirty, &reads));
             let h = self
                 .gnn
                 .layer(tape, binding, l, self.gates[l], own, &sub, all);
-            repoint(&mut self.layers[l + 1], &dirty, h);
+            write_rows(&mut self.layers[l + 1], &dirty, tape.value(h));
             frontier.layers[l] = dirty.clone();
         }
         let readout = &self.graph.readout;
         let touched = columns_of(&self.graph.readout_t, &dirty, Vec::new());
         if !touched.is_empty() {
             let reads = columns_of(readout, &touched, Vec::new());
-            let all = self.gather(tape, 3, &reads);
+            let all = tape.leaf(rows_of(&self.layers[3], &reads));
             let sub = Arc::new(readout.row_subset(&touched, &reads));
             let embeddings = self.gnn.embed(tape, binding, &sub, all);
-            repoint(&mut self.endpoints, &touched, embeddings);
+            write_rows(&mut self.embeddings, &touched, tape.value(embeddings));
         }
+        span.record("rows", dirty.len());
+        span.record("endpoints", touched.len());
         frontier.endpoints = touched;
         frontier
     }
 
-    /// The current endpoint embeddings (E×embed), assembled from wherever
-    /// each endpoint was last computed.
+    /// The current endpoint embeddings (E×embed), as a leaf of `tape`.
     pub fn embeddings<T: TapeOps>(&self, tape: &mut T) -> Var {
-        tape.gather_from(&self.endpoints)
+        tape.leaf(self.embeddings.clone())
     }
 
     /// The current value of row `row` of layer `layer`'s output (layer 0
-    /// is the feature matrix), read where it was last computed.
-    pub fn layer_row<'t, T: TapeOps>(&self, tape: &'t T, layer: usize, row: usize) -> &'t [f32] {
-        let (var, at) = self.layers[layer][row];
-        tape.value(var).row(at as usize)
-    }
-
-    fn gather<T: TapeOps>(&self, tape: &mut T, layer: usize, rows: &[u32]) -> Var {
-        let picks: Vec<(Var, u32)> = rows
-            .iter()
-            .map(|&r| self.layers[layer][r as usize])
-            .collect();
-        tape.gather_from(&picks)
+    /// is the feature matrix).
+    pub fn layer_row(&self, layer: usize, row: usize) -> &[f32] {
+        self.layers[layer].row(row)
     }
 }

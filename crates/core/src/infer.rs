@@ -2,18 +2,18 @@
 //!
 //! Training records every forward op on a [`Tape`](rl_ccd_nn::Tape) so
 //! REINFORCE can backpropagate; a server answering "which endpoints should
-//! the clock path over-fix?" needs none of that. [`select_endpoints`] and
-//! [`sample_endpoints`] run the same encoder + attention forward pass on a
-//! [`rl_ccd_nn::NoGradTape`] — no gradient bookkeeping, no Adam state — and
-//! encode the netlist once: EP-GNN runs densely on the unflagged features,
-//! then [`crate::incremental::IncrementalEncoder`] recomputes only the rows
-//! within three hops of each step's newly flagged cells and the endpoint
-//! readouts they touch. The dense encode is a pure function of
-//! (parameters, design), so a session can run it once
+//! the clock path over-fix?" needs none of that. [`InferSession`] runs the
+//! one selection loop (`RlCcd::trajectory`, behind every rollout too) on a
+//! [`rl_ccd_nn::NoGradTape`] — no gradient bookkeeping, no Adam state —
+//! and encodes the netlist once: EP-GNN runs densely on the unflagged
+//! features, then [`crate::incremental::IncrementalEncoder`] patches in
+//! place only the rows within three hops of each step's newly flagged
+//! cells and the endpoint readouts they touch. The dense encode is a pure
+//! function of (parameters, design), so a session can run it once
 //! ([`InferSession::encode`]) and start every later request from a copy
 //! ([`InferSession::hold`]) — the server keeps those per
-//! (model fingerprint, design). A request's memory is the step-0 encode
-//! (run, or four copied tensors) plus its trajectory's frontier rows and
+//! (model fingerprint, design). A request's memory is the encoder's copy
+//! of the step-0 encode plus its tape: each patch's compact rows and the
 //! decoder intermediates; a session truncates its tape back to the
 //! parameter leaves once per request.
 //!
@@ -23,10 +23,11 @@
 //! recomputed differently), so the selections are **bit-identical** to
 //! [`RlCcd::rollout_greedy`] / [`RlCcd::rollout`] (which re-encode densely
 //! every step) on the same parameters and seeds — pinned by the tests in
-//! this module, by `tests/proptest_incremental_encoder.rs`, by
-//! `tests/serve_parity.rs` and by `tests/differential_oracle.rs`.
+//! this module and in `agent.rs`, by
+//! `tests/proptest_incremental_encoder.rs`, by `tests/serve_parity.rs` and
+//! by `tests/differential_oracle.rs`.
 
-use crate::agent::RlCcd;
+use crate::agent::{Actions, Encode, RlCcd};
 use crate::env::CcdEnv;
 use crate::incremental::StoredEncode;
 use rand::rngs::StdRng;
@@ -40,7 +41,7 @@ use std::sync::Arc;
 /// per trajectory instead of one per step; an empty endpoint pool yields
 /// an empty selection instead of panicking.
 pub fn select_endpoints(model: &RlCcd, params: &ParamSet, env: &CcdEnv) -> Vec<EndpointId> {
-    model.infer_trajectory(params, env, None)
+    InferSession::new(model, params).select(env)
 }
 
 /// Stochastic selection sampled from the policy distribution, consuming
@@ -52,7 +53,7 @@ pub fn sample_endpoints(
     env: &CcdEnv,
     rng: &mut StdRng,
 ) -> Vec<EndpointId> {
-    model.infer_trajectory(params, env, Some(rng))
+    InferSession::new(model, params).sample(env, rng)
 }
 
 /// A reusable inference context: parameters bound once onto one
@@ -147,13 +148,13 @@ impl<'a> InferSession<'a> {
 
     fn request(&mut self, env: &CcdEnv, rng: Option<&mut StdRng>) -> (Vec<EndpointId>, Vec<f32>) {
         self.tape.truncate(self.base);
-        self.model.infer_trajectory_logged_in(
-            &mut self.tape,
-            &self.binding,
-            env,
-            rng,
-            self.held.as_deref(),
-        )
+        let actions = Actions::policy(rng);
+        let encode = Encode::Incremental(self.held.as_deref());
+        let t = self
+            .model
+            .trajectory(&mut self.tape, &self.binding, env, actions, encode)
+            .expect("only a replayed trajectory can be rejected");
+        (t.selected, t.log_probs)
     }
 }
 

@@ -9,8 +9,9 @@
 //! runs unchanged. The agent is built from:
 //!
 //! * [`EpGnn`] — endpoint-oriented GNN (Eqs. 2–3) over Table I features,
-//!   kept current across selections by [`IncrementalEncoder`] on the
-//!   inference path;
+//!   re-encoded every step on the training tapes and patched in place by
+//!   [`IncrementalEncoder`] on the inference path (one selection loop,
+//!   [`RlCcd`]'s, runs both);
 //! * [`ActionEncoder`] — an LSTM encoding past selections (Eq. 4);
 //! * [`AttentionDecoder`] — pointer-style attention producing the sampling
 //!   distribution over endpoints (Eqs. 5–6);
@@ -68,9 +69,8 @@ pub mod transfer;
 pub use agent::{ReplayError, RlCcd, Rollout};
 pub use baselines::Baseline;
 pub use checkpoint::{
-    fnv1a64, load_checkpoint_params, load_checkpoint_selection, load_training_state,
-    save_checkpoint, save_training_state, training_state_exists, verify_manifest, CheckpointError,
-    TrainingState,
+    fnv1a64, load_training_state, save_training_state, training_state_exists, verify_manifest,
+    CheckpointError, TrainingState,
 };
 pub use config::{EncoderKind, RlConfig};
 pub use decoder::AttentionDecoder;

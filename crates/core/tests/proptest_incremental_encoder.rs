@@ -14,12 +14,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl_ccd::{
-    select_endpoints, ActionEncoder, AttentionDecoder, CcdEnv, EpGnn, EpGraph, Frontier,
-    IncrementalEncoder, RlCcd, RlConfig, SelectionMask, StoredEncode, FEATURE_DIM,
+    select_endpoints, CcdEnv, EpGnn, EpGraph, Frontier, IncrementalEncoder, RlCcd, RlConfig,
+    SelectionMask, StoredEncode, FEATURE_DIM,
 };
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, TechNode};
-use rl_ccd_nn::{Csr, GradSet, NoGradTape, ParamBinding, ParamSet, Tape, TapeOps, Tensor, Var};
+use rl_ccd_nn::{Csr, NoGradTape, ParamSet, Tape, TapeOps, Tensor};
 use std::sync::Arc;
 
 fn env_for(cells: usize, tech: TechNode, seed: u64, fanout_cap: usize) -> CcdEnv {
@@ -52,13 +52,8 @@ fn snapshot<T: TapeOps>(
     tape: &mut T,
     cells: usize,
 ) -> Vec<Vec<Vec<u32>>> {
-    let view: &T = tape;
     let mut all: Vec<Vec<Vec<u32>>> = (0..4)
-        .map(|l| {
-            (0..cells)
-                .map(|r| bits(enc.layer_row(view, l, r)))
-                .collect()
-        })
+        .map(|l| (0..cells).map(|r| bits(enc.layer_row(l, r))).collect())
         .collect();
     let e = enc.embeddings(tape);
     let e = tape.value(e);
@@ -400,123 +395,4 @@ fn a_step_that_masks_nothing_flags_only_its_action() {
     let steps = flag_steps(&env, 1.0, &actions);
     assert!(steps.iter().all(|s| s.len() == 1));
     on_every_executor(&params, env.graph(), env.features().base(), &steps).expect("parity");
-}
-
-/// The agent's forward pass over a forced action sequence with EP-GNN
-/// encoded incrementally, assembled from the model's public parts: the
-/// per-step log π(a_t | s_t).
-#[allow(clippy::too_many_arguments)]
-fn incremental_log_probs<T: TapeOps>(
-    tape: &mut T,
-    binding: &ParamBinding,
-    gnn: &EpGnn,
-    encoder: &ActionEncoder,
-    decoder: &AttentionDecoder,
-    env: &CcdEnv,
-    rho: f32,
-    actions: &[usize],
-) -> Vec<Var> {
-    let mut mask = SelectionMask::new(env.pool().len(), rho);
-    let (mut state, mut prev) = encoder.start(tape);
-    let base = env.features().base();
-    let mut enc = IncrementalEncoder::start(gnn, tape, binding, env.graph(), base);
-    let mut log_probs = Vec::new();
-    for &a in actions {
-        let embeddings = enc.embeddings(tape);
-        state = encoder.step(tape, binding, prev, state);
-        let valid = mask.valid_mask();
-        let step = decoder.decode_forced(tape, binding, embeddings, state.query(), &valid, a);
-        log_probs.push(step.action_log_prob);
-        let mut flagged = mask.select(a, env.cones());
-        flagged.push(a);
-        prev = tape.gather_rows(embeddings, Arc::new(vec![a as u32]));
-        enc.flag(tape, binding, &cells_of(env, &flagged));
-    }
-    log_probs
-}
-
-/// Groundwork for switching the training tapes to the incremental encoder
-/// (ROADMAP item 2b). Through it, Σ_t log π is **forward** bit-identical to
-/// the dense formulation and to the no-grad executor, and its parameter
-/// gradients agree with the dense ones to 1e-4 relative (per parameter, in
-/// the L2 norm) — not bitwise, and they cannot: the dense backward sums each layer's `Hᵀ·dY` over all rows
-/// of one step in ascending order and adds the steps' totals, while the
-/// incremental tape holds one `Hᵀ·dY` per patch over that patch's rows, so
-/// the same products are added in a different association.
-#[test]
-fn gradients_through_the_incremental_forward_match_the_dense_formulation() {
-    let env = env_for(500, TechNode::N7, 33, 24);
-    let cfg = RlConfig::fast();
-    let (model, params) = RlCcd::init(cfg.clone());
-    // The model's parts over the same parameters, built in `init`'s order.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut own = ParamSet::new();
-    let gnn = EpGnn::init(&cfg, &mut own, &mut rng);
-    let encoder = ActionEncoder::init(&cfg, &mut own, &mut rng);
-    let decoder = AttentionDecoder::init(&cfg, &mut own, &mut rng);
-    for (name, t) in params.iter() {
-        assert_eq!(own.get(name).map(Tensor::data), Some(t.data()), "{name}");
-    }
-
-    let ro = model.rollout(&params, &env, &mut StdRng::seed_from_u64(5));
-    let actions = local(&env, &ro.selected);
-    let dense = model
-        .replay_trajectory(&params, &env, &ro.selected)
-        .expect("a fresh rollout replays");
-
-    let mut tape = Tape::new();
-    let binding = params.bind(&mut tape);
-    let steps = incremental_log_probs(
-        &mut tape, &binding, &gnn, &encoder, &decoder, &env, cfg.rho, &actions,
-    );
-    let total = steps[1..]
-        .iter()
-        .fold(steps[0], |acc, &lp| tape.add(acc, lp));
-    assert_eq!(
-        tape.value(total).data()[0].to_bits(),
-        dense.tape.value(dense.total_log_prob).data()[0].to_bits(),
-        "the incremental forward is not the dense forward"
-    );
-
-    let mut no_grad = NoGradTape::new();
-    let ng_binding = params.bind(&mut no_grad);
-    let ng_steps = incremental_log_probs(
-        &mut no_grad,
-        &ng_binding,
-        &gnn,
-        &encoder,
-        &decoder,
-        &env,
-        cfg.rho,
-        &actions,
-    );
-    for (a, b) in steps.iter().zip(&ng_steps) {
-        assert_eq!(bits(tape.value(*a).data()), bits(no_grad.value(*b).data()));
-    }
-
-    let grad_set = |tape: &Tape, binding: &ParamBinding, loss: Var| {
-        let mut gs = GradSet::new();
-        gs.accumulate(binding, &mut tape.backward(loss));
-        gs
-    };
-    let got = grad_set(&tape, &binding, total);
-    let want = grad_set(&dense.tape, &dense.binding, dense.total_log_prob);
-    for (name, w) in want.iter() {
-        let g = got
-            .get(name)
-            .unwrap_or_else(|| panic!("no gradient for {name}"));
-        let mut diff = g.clone();
-        diff.scale_assign(-1.0);
-        diff.add_assign(w);
-        // The 1e-6 floor is for the γ gates: each is one scalar summed over
-        // every element of a layer with heavy cancellation, so its rounding
-        // error scales with the summands, not with the (small) result.
-        assert!(
-            diff.norm() <= 1e-4 * w.norm().max(g.norm()) + 1e-6,
-            "{name}: |Δ| {} against |g| {}",
-            diff.norm(),
-            w.norm()
-        );
-    }
-    assert_eq!(got.iter().count(), want.iter().count());
 }

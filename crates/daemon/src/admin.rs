@@ -314,13 +314,6 @@ impl AdminClient {
         }
     }
 
-    /// Overrides the per-command I/O timeout.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Sends one command and decodes the answer.
     ///
     /// # Errors

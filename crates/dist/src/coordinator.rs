@@ -169,13 +169,6 @@ impl DistExecutor {
         self
     }
 
-    /// Deadline for the one-time worker initialization, which rebuilds the
-    /// environment from the netlist (default 600 s).
-    pub fn with_init_deadline(mut self, deadline: Duration) -> Self {
-        self.init_deadline = deadline.max(Duration::from_millis(1));
-        self
-    }
-
     /// Replaces the retry policy (default: [`RetryPolicy::seeded`] with
     /// seed 0). [`RetryPolicy::none`] restores quarantine-on-first-failure.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {

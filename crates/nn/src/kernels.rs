@@ -739,24 +739,6 @@ pub fn gather_rows(mode: KernelMode, pool: &mut BufferPool, a: &Tensor, rows: &[
     }
 }
 
-/// Stacks equal-width rows, each borrowed from any tensor, into a new
-/// (k×m) tensor — [`gather_rows`] with one source per row. No rows give
-/// a 0×0 tensor.
-pub fn stack_rows(mode: KernelMode, pool: &mut BufferPool, rows: &[&[f32]]) -> Tensor {
-    let m = rows.first().map_or(0, |r| r.len());
-    assert!(rows.iter().all(|r| r.len() == m), "stacked row widths");
-    match mode {
-        KernelMode::Fast => {
-            let mut out = pool.take_zeroed(0);
-            for r in rows {
-                out.extend_from_slice(r);
-            }
-            Tensor::from_vec(rows.len(), m, out)
-        }
-        KernelMode::Scalar => Tensor::from_vec(rows.len(), m, rows.concat()),
-    }
-}
-
 /// Extracts element `(r, c)` as a 1×1 tensor.
 pub fn pick(_mode: KernelMode, _pool: &mut BufferPool, a: &Tensor, r: usize, c: usize) -> Tensor {
     Tensor::from_vec(1, 1, vec![a.at(r, c)])

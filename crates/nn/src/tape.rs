@@ -3,10 +3,9 @@
 //! A forward pass is a sequence of [`Op`]s, each over the [`Var`]s of
 //! earlier results. The op set is exactly what the RL-CCD networks need:
 //! dense/sparse matrix products, broadcasting adds, elementwise
-//! nonlinearities, gather/pick (rows of one variable, or of several —
-//! [`Op::GatherFrom`]), a trainable-scalar gate, a masked log-softmax for
-//! the pointer-attention decoder, and fused linear layers ([`Op::Linear`],
-//! [`Op::Linear2`]) for the dense/recurrent gate bodies.
+//! nonlinearities, gather/pick, a trainable-scalar gate, a masked
+//! log-softmax for the pointer-attention decoder, and fused linear layers
+//! ([`Op::Linear`], [`Op::Linear2`]) for the dense/recurrent gate bodies.
 //!
 //! [`TapeOps`] is the one forward op set: an executor supplies `leaf`,
 //! `value`, `kernel_mode` and `apply(op)`, and every op method is a
@@ -78,8 +77,6 @@ pub enum Op {
     Relu(Var),
     /// The given rows of one variable, as a new (k×m) tensor.
     GatherRows(Var, Arc<Vec<u32>>),
-    /// Output row `i` is row `picks[i].1` of `picks[i].0`.
-    GatherFrom(Vec<(Var, u32)>),
     /// Element `(r, c)` as a 1×1 tensor.
     Pick(Var, usize, usize),
     /// Masked log-softmax over all elements (treated flat).
@@ -113,13 +110,6 @@ fn eval<'a>(
         Op::Tanh(a) => kernels::tanh(mode, pool, value(*a)),
         Op::Relu(a) => kernels::relu(mode, pool, value(*a)),
         Op::GatherRows(a, rows) => kernels::gather_rows(mode, pool, value(*a), rows),
-        Op::GatherFrom(picks) => {
-            let rows: Vec<&[f32]> = picks
-                .iter()
-                .map(|&(v, r)| value(v).row(r as usize))
-                .collect();
-            kernels::stack_rows(mode, pool, &rows)
-        }
         Op::Pick(a, r, c) => kernels::pick(mode, pool, value(*a), *r, *c),
         Op::MaskedLogSoftmax(a, mask) => kernels::masked_log_softmax(mode, pool, value(*a), mask),
         Op::Mix(s, a, b) => kernels::mix(mode, pool, value(*s), value(*a), value(*b)),
@@ -368,17 +358,6 @@ impl Tape {
                     accumulate(&mut grads, mode, pool, *a, ga);
                     recycle(mode, pool, g);
                 }
-                Op::GatherFrom(picks) => {
-                    for (i, &(src, r)) in picks.iter().enumerate() {
-                        let (n, m) = self.nodes[src.index()].value.shape();
-                        let ga = grads[src.index()].get_or_insert_with(|| zeroed(mode, pool, n, m));
-                        let dst = r as usize * m;
-                        for (x, y) in ga.data_mut()[dst..dst + m].iter_mut().zip(g.row(i)) {
-                            *x += y;
-                        }
-                    }
-                    recycle(mode, pool, g);
-                }
                 Op::Pick(a, r, c) => {
                     let (n, m) = self.nodes[a.index()].value.shape();
                     let mut ga = zeroed(mode, pool, n, m);
@@ -568,13 +547,6 @@ pub trait TapeOps {
     /// Gathers the given rows of `a` into a new (k×m) tensor.
     fn gather_rows(&mut self, a: Var, rows: Arc<Vec<u32>>) -> Var {
         self.apply(Op::GatherRows(a, rows))
-    }
-    /// Multi-source row gather: output row `i` is row `picks[i].1` of
-    /// `picks[i].0` (no picks give a 0×0 tensor). The backward pass
-    /// scatter-adds each gradient row into its own source, so the sources
-    /// may be any mix of variables.
-    fn gather_from(&mut self, picks: &[(Var, u32)]) -> Var {
-        self.apply(Op::GatherFrom(picks.to_vec()))
     }
     /// Extracts element `(r, c)` as a 1×1 tensor.
     fn pick(&mut self, a: Var, r: usize, c: usize) -> Var {
@@ -880,59 +852,6 @@ mod tests {
             },
             1e-2,
         );
-    }
-
-    #[test]
-    fn gather_from_gradient_scatters_into_every_source() {
-        // Rows drawn from two variables, one of them twice: the loss sees
-        // x's row 1 twice (via the gather and via `other`'s pick of it).
-        let y = Tensor::from_vec(2, 2, vec![0.9, -0.4, 0.2, 0.6]);
-        grad_check(
-            Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
-            move |t, x| {
-                let yv = t.leaf(y.clone());
-                let g = t.gather_from(&[(x, 1), (yv, 0), (x, 2), (x, 1)]);
-                let g = t.tanh(g);
-                let ones = t.leaf(Tensor::from_vec(2, 1, vec![1.0, -0.5]));
-                let col = t.matmul(g, ones);
-                let onesr = t.leaf(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
-                t.matmul(onesr, col)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn gather_from_one_source_is_gather_rows_bit_for_bit() {
-        // Values and gradients, on both kernel modes and both executors.
-        fn run(mut t: Tape, multi: bool) -> (Vec<f32>, Vec<f32>) {
-            let x = t.leaf(Tensor::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]));
-            let g = if multi {
-                t.gather_from(&[(x, 2), (x, 0), (x, 2)])
-            } else {
-                t.gather_rows(x, Arc::new(vec![2, 0, 2]))
-            };
-            let s = t.sigmoid(g);
-            let ones = t.leaf(Tensor::from_vec(2, 1, vec![1.0, 0.7]));
-            let col = t.matmul(s, ones);
-            let onesr = t.leaf(Tensor::from_vec(1, 3, vec![1.0, -2.0, 0.5]));
-            let loss = t.matmul(onesr, col);
-            let grads = t.backward(loss);
-            (
-                t.value(g).data().to_vec(),
-                grads.get(x).expect("gx").data().to_vec(),
-            )
-        }
-        let want = run(Tape::new(), false);
-        assert_eq!(run(Tape::new(), true), want);
-        assert_eq!(run(Tape::scalar_reference(), true), want);
-        for mut ng in [NoGradTape::new(), NoGradTape::scalar_reference()] {
-            let x = ng.leaf(Tensor::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]));
-            let g = ng.gather_from(&[(x, 2), (x, 0), (x, 2)]);
-            assert_eq!(ng.value(g).data(), &want.0[..]);
-            let none = ng.gather_from(&[]);
-            assert_eq!(ng.value(none).shape(), (0, 0));
-        }
     }
 
     #[test]

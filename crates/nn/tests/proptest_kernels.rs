@@ -219,19 +219,6 @@ fn check_gather_softmax_sparse(a: &Tensor, mask_seed: u32) -> TestCaseResult {
         "gather_rows"
     );
 
-    // stack_rows (the multi-source gather's kernel): the same picks.
-    let picked: Vec<&[f32]> = rows.iter().map(|&r| a.row(r as usize)).collect();
-    assert_bit_eq!(
-        kernels::stack_rows(KernelMode::Fast, &mut pool, &picked),
-        kernels::gather_rows(KernelMode::Scalar, &mut pool, a, &rows),
-        "stack_rows (fast) vs gather_rows"
-    );
-    assert_bit_eq!(
-        kernels::stack_rows(KernelMode::Scalar, &mut pool, &picked),
-        kernels::gather_rows(KernelMode::Scalar, &mut pool, a, &rows),
-        "stack_rows (scalar) vs gather_rows"
-    );
-
     // masked_log_softmax: random mask with at least one survivor.
     let mut mask: Vec<bool> = (0..m * n)
         .map(|i| (mask_seed >> (i % 31)) & 1 == 1)
@@ -313,7 +300,6 @@ struct ForwardGraph {
     gate: Tensor,
     csr: Arc<Csr>,
     rows: Vec<u32>,
-    picks: Vec<(usize, u32)>,
     mask: Vec<bool>,
     k: f32,
     c: f32,
@@ -344,9 +330,6 @@ fn arb_forward_graph() -> impl Strategy<Value = ForwardGraph> {
             rows: (0..dim_nz(rng))
                 .map(|_| rng.gen_range(0..n) as u32)
                 .collect(),
-            picks: (0..n)
-                .map(|_| (rng.gen_range(0..3usize), rng.gen_range(0..n) as u32))
-                .collect(),
             mask,
             k: rng.gen_range(-2.0f32..2.0),
             c: rng.gen_range(-1.0f32..1.0),
@@ -356,7 +339,7 @@ fn arb_forward_graph() -> impl Strategy<Value = ForwardGraph> {
 
 /// The no-grad (serve) tape must agree with the training tape's forward
 /// pass bit for bit — same kernels, same order — on a graph that uses all
-/// 18 ops, and both must agree with their scalar references. The fused
+/// 17 ops, and both must agree with their scalar references. The fused
 /// ops record one node on the fast lane and their decompositions (2 and
 /// 4 nodes) on the scalar lane.
 fn check_no_grad_forward(d: &ForwardGraph) -> TestCaseResult {
@@ -385,17 +368,14 @@ fn check_no_grad_forward(d: &ForwardGraph) -> TestCaseResult {
         let r = t.relu(aff);
         let neg = t.scale(r, -0.5);
         let gathered = t.gather_rows(neg, Arc::new(d.rows.clone()));
-        let sources = [r, m, neg];
-        let picks: Vec<(Var, u32)> = d.picks.iter().map(|&(s, row)| (sources[s], row)).collect();
-        let stacked = t.gather_from(&picks);
         let ones = t.leaf(Tensor::from_vec(d.w.cols(), 1, vec![1.0; d.w.cols()]));
-        let scores = t.matmul(stacked, ones);
+        let scores = t.matmul(neg, ones);
         let lp = t.masked_log_softmax(scores, Arc::new(d.mask.clone()));
         let valid = d.mask.iter().position(|&v| v).expect("one valid");
         let picked = t.pick(lp, valid, 0);
         let outs = [
-            h0, lin, sum, sg, th, m, gate_pre, neigh, scaled, mixed, aff, r, neg, gathered,
-            stacked, scores, lp, picked,
+            h0, lin, sum, sg, th, m, gate_pre, neigh, scaled, mixed, aff, r, neg, gathered, scores,
+            lp, picked,
         ];
         (
             outs.iter().map(|&v| bits(t.value(v))).collect(),

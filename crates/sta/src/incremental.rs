@@ -143,11 +143,6 @@ impl IncrementalTimer {
         &self.report
     }
 
-    /// Consumes the timer, yielding the report.
-    pub fn into_report(self) -> TimingReport {
-        self.report
-    }
-
     /// The clock arrival the timer currently assumes for register `r`.
     pub fn clock_arrival(&self, r: usize) -> f32 {
         self.clock_arrival[r]

@@ -284,12 +284,6 @@ impl FramedConn {
         self.send.wants_write()
     }
 
-    /// Bytes waiting in the send queue.
-    #[must_use]
-    pub fn send_pending(&self) -> usize {
-        self.send.pending()
-    }
-
     /// True once the peer has closed and all inbound frames were popped.
     #[must_use]
     pub fn is_eof(&self) -> bool {

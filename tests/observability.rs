@@ -3,10 +3,14 @@
 //! training loop; a detached recorder sees nothing; and instrumentation
 //! never changes the numbers.
 
-use rl_ccd::{RlConfig, Session};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rl_ccd::{CcdEnv, InferSession, RlCcd, RlConfig, Session};
+use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, GeneratedDesign, TechNode};
 use rl_ccd_obs::Recorder;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tiny_design() -> GeneratedDesign {
     generate(&DesignSpec::new("obs-e2e", 500, TechNode::N7, 23))
@@ -188,4 +192,37 @@ fn backward_reports_its_live_rows() {
     let rows = metrics.counter("nn.tape.backward_rows").get();
     let live = metrics.counter("nn.tape.backward_rows_live").get();
     assert!(0 < live && live < rows, "live {live} of {rows} rows");
+}
+
+/// A query served from a held encode runs no dense encode and patches the
+/// encoder once between consecutive selections: k − 1 patches for k
+/// steps, none after the last. Each patch reports its frontier size.
+#[test]
+fn a_held_encode_query_patches_between_selections_only() {
+    let design = generate(&DesignSpec::new("obs-patch", 600, TechNode::N7, 33));
+    let env = CcdEnv::new(design, FlowRecipe::default(), 24);
+    let (model, params) = RlCcd::init(RlConfig::fast());
+    let mut session = InferSession::new(&model, &params);
+    let stored = Arc::new(session.encode(&env));
+    session.hold(stored);
+    let recorder = Recorder::new();
+    let selected = {
+        let _obs = rl_ccd_obs::attach(&recorder);
+        session.sample(&env, &mut StdRng::seed_from_u64(3))
+    };
+    assert!(selected.len() >= 2, "{} steps", selected.len());
+    let spans = recorder.spans();
+    let encodes = spans
+        .iter()
+        .filter(|s| s.name == "core.incremental.encode0");
+    assert_eq!(encodes.count(), 0);
+    let patches: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "core.incremental.patch")
+        .collect();
+    assert_eq!(patches.len(), selected.len() - 1);
+    for span in patches {
+        let keys: Vec<&str> = span.fields.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["rows", "endpoints"]);
+    }
 }
