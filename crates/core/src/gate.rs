@@ -10,7 +10,7 @@
 
 use crate::agent::RlCcd;
 use crate::env::CcdEnv;
-use crate::eval::evaluate_policy;
+use crate::infer::select_endpoints;
 use rl_ccd_flow::FlowRecipe;
 use rl_ccd_netlist::{generate, DesignSpec, TechNode};
 use rl_ccd_nn::ParamSet;
@@ -21,10 +21,6 @@ pub struct GateSpec {
     /// Held-out design generators; everything about each design is
     /// deterministic given its spec.
     pub designs: Vec<DesignSpec>,
-    /// Stochastic rollouts per design (0 = greedy only, fastest).
-    pub samples: usize,
-    /// Base seed for the sampled rollouts (ignored when `samples == 0`).
-    pub seed: u64,
     /// Fan-out cap used when building each [`CcdEnv`].
     pub fanout_cap: usize,
     /// Slack granted to the challenger: it passes when its mean greedy
@@ -41,8 +37,6 @@ impl GateSpec {
                 DesignSpec::new("gate_a", 360, TechNode::N7, seed.wrapping_add(1)),
                 DesignSpec::new("gate_b", 420, TechNode::N7, seed.wrapping_add(2)),
             ],
-            samples: 0,
-            seed,
             fanout_cap: 24,
             tolerance: 1.0,
         }
@@ -100,17 +94,15 @@ pub fn run_eval_gate(
     let mut scores = Vec::with_capacity(spec.designs.len());
     let mut champ_sum = 0.0;
     let mut chall_sum = 0.0;
-    for (i, design) in spec.designs.iter().enumerate() {
+    for design in &spec.designs {
         let env = CcdEnv::new(generate(design), FlowRecipe::default(), spec.fanout_cap);
-        let seed = spec.seed.wrapping_add(i as u64);
-        let champ = evaluate_policy(champion.0, champion.1, &env, spec.samples, seed)
-            .greedy
-            .final_qor
-            .tns_ps;
-        let chall = evaluate_policy(challenger.0, challenger.1, &env, spec.samples, seed)
-            .greedy
-            .final_qor
-            .tns_ps;
+        let greedy_tns = |(model, params): (&RlCcd, &ParamSet)| {
+            env.evaluate(&select_endpoints(model, params, &env))
+                .final_qor
+                .tns_ps
+        };
+        let champ = greedy_tns(champion);
+        let chall = greedy_tns(challenger);
         champ_sum += champ;
         chall_sum += chall;
         scores.push(DesignScore {

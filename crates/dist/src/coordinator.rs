@@ -41,9 +41,9 @@
 //!
 //! # Transport
 //!
-//! Worker connections are [`FramedTcp`] — the unified
-//! [`rl_ccd_wire::Transport`] stack shared with `serve::client` and the
-//! worker's accept path — so chaos wrapping and reconnect frame-numbering
+//! Worker connections are [`FramedTcp`] — the one blocking connection
+//! type of [`rl_ccd_wire::transport`], shared with `serve::client` and
+//! the worker's accept path — so chaos wrapping and reconnect frame-numbering
 //! live in one place. Scatter-gather is one scoped thread per dispatch,
 //! each running the blocking retry loop (`exchange`) to completion: a
 //! fleet is a handful of workers, and a round's cost is reading and
@@ -60,7 +60,7 @@ use rl_ccd::{
 };
 use rl_ccd_netlist::{write_netlist, EndpointId};
 use rl_ccd_obs as obs;
-use rl_ccd_wire::{Endpoint, FramedTcp, NetFault, NetFaultPlan, RetryPolicy, Transport};
+use rl_ccd_wire::{Endpoint, FramedTcp, NetFault, NetFaultPlan, RetryPolicy};
 use std::fmt;
 use std::io;
 use std::sync::Arc;

@@ -15,10 +15,11 @@
 //! Accepted sockets come back as [`FramedTcp`] through a
 //! [`FramedListener`], so a [`NetFaultPlan`] can cover the worker's
 //! *accept* path ([`WorkerNet`]). One epoll loop ([`Poller`]) holds the
-//! listener and every connection: health probes answer while another
-//! connection is mid-batch, and a parked coordinator connection costs no
-//! wakeups. Frame operations themselves stay blocking, so chaos
-//! injection wraps them exactly as it wraps a dialed [`FramedTcp`].
+//! listener and every connection, so a parked coordinator connection
+//! costs no wakeups. That loop also runs each batch, so a health probe
+//! that arrives mid-batch is answered when the batch finishes. Frame
+//! operations themselves stay blocking, so chaos injection wraps them
+//! exactly as it wraps a dialed [`FramedTcp`].
 
 use crate::protocol::{
     decode_request, encode_response, BatchResponse, Inject, Request, Response, RolloutItem,
@@ -28,7 +29,7 @@ use rl_ccd::{CcdEnv, FaultPlan, LocalExecutor, RlCcd, RlConfig, RolloutExecutor,
 use rl_ccd_netlist::{read_netlist, ClusterClass, DesignSpec, GeneratedDesign};
 use rl_ccd_obs as obs;
 use rl_ccd_wire::reactor::Interest;
-use rl_ccd_wire::{FramedListener, FramedTcp, NetFaultPlan, Poller, Transport};
+use rl_ccd_wire::{FramedListener, FramedTcp, NetFaultPlan, Poller};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::TcpListener;
@@ -93,8 +94,8 @@ pub fn serve_worker(listener: TcpListener) -> io::Result<()> {
 
 /// [`serve_worker`] with explicit network wrapping: accepted connections
 /// come through a [`FramedListener`], so `net.chaos` covers the worker's
-/// accept path. Multiplexes connections over the [`Poller`], so health
-/// probes answer while a batch is in flight.
+/// accept path. Multiplexes connections over the [`Poller`]; a batch
+/// runs on the poll thread, so a probe waits for the batch in flight.
 ///
 /// # Errors
 /// Same contract as [`serve_worker`], plus the epoll setup failure.

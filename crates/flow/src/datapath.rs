@@ -8,10 +8,7 @@
 //! fixes.
 
 use rl_ccd_netlist::{CellId, Netlist};
-use rl_ccd_sta::{
-    worst_path, ClockSchedule, Constraints, EndpointMargins, IncrementalTimer, TimingGraph,
-    TimingReport,
-};
+use rl_ccd_sta::{worst_path, IncrementalTimer, TimingReport};
 
 /// Tuning knobs of the data-path optimizer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -213,32 +210,17 @@ fn try_improve_cell(
 
 /// Runs the budgeted data-path optimizer.
 ///
-/// Each pass analyzes timing, walks violating endpoints worst-first, and
-/// applies up to `ops_per_endpoint` improving operations along each
-/// endpoint's worst path until the pass budget runs out. Returns the
+/// Each pass reads timing from `timer`, walks violating endpoints
+/// worst-first, and applies up to `ops_per_endpoint` improving operations
+/// along each endpoint's worst path until the pass budget runs out.
+/// In-place operations (sizing, pin swaps, restructures) are re-timed per
+/// pass via `touch_cells`; only buffer insertion — which adds cells —
+/// falls back to the timer's `full_recompute` escape hatch. The timer must
+/// already reflect the netlist and the clocks/margins the caller wants
+/// applied; on return it reflects the optimized netlist. Returns the
 /// operation counts and the final timing report.
 pub fn optimize_datapath(
     netlist: &mut Netlist,
-    graph: &mut TimingGraph,
-    constraints: &Constraints,
-    clocks: &ClockSchedule,
-    margins: &EndpointMargins,
-    opts: &DatapathOpts,
-) -> (OpStats, TimingReport) {
-    let mut timer = IncrementalTimer::new(netlist, constraints, clocks, margins);
-    optimize_datapath_with_timer(netlist, graph, &mut timer, opts)
-}
-
-/// Like [`optimize_datapath`], but re-times through an existing
-/// [`IncrementalTimer`]: in-place operations (sizing, pin swaps,
-/// restructures) are re-timed per pass via `touch_cells`, and only buffer
-/// insertion — which adds cells — falls back to the timer's
-/// `full_recompute` escape hatch. The timer must already reflect the
-/// netlist and the clocks/margins the caller wants applied; on return it
-/// reflects the optimized netlist.
-pub fn optimize_datapath_with_timer(
-    netlist: &mut Netlist,
-    graph: &mut TimingGraph,
     timer: &mut IncrementalTimer,
     opts: &DatapathOpts,
 ) -> (OpStats, TimingReport) {
@@ -285,7 +267,6 @@ pub fn optimize_datapath_with_timer(
             }
         }
         if dirty {
-            *graph = TimingGraph::new(netlist);
             timer.full_recompute(netlist);
         } else if !touched.is_empty() {
             timer.touch_cells(netlist, &touched);
@@ -307,27 +288,11 @@ pub fn optimize_datapath_with_timer(
 }
 
 /// Power recovery: downsizes combinational cells whose worst-path slack
-/// exceeds `slack_floor` ps, as long as the estimated delay increase fits in
-/// half the available slack. Returns the number of downsizes applied and the
-/// final report.
+/// in `timer`'s current report exceeds `slack_floor` ps, as long as the
+/// estimated delay increase fits in half the available slack. The applied
+/// downsizes are re-timed in one incremental batch. Returns the number of
+/// downsizes applied and the final report.
 pub fn recover_power(
-    netlist: &mut Netlist,
-    graph: &TimingGraph,
-    constraints: &Constraints,
-    clocks: &ClockSchedule,
-    margins: &EndpointMargins,
-    slack_floor: f32,
-) -> (usize, TimingReport) {
-    let mut timer = IncrementalTimer::new(netlist, constraints, clocks, margins);
-    let out = recover_power_with_timer(netlist, &mut timer, slack_floor);
-    let _ = graph; // retained for API stability; the timer owns its topology
-    out
-}
-
-/// Like [`recover_power`], but re-times through an existing
-/// [`IncrementalTimer`]: the downsizing decisions use the timer's current
-/// report and the applied downsizes are re-timed in one incremental batch.
-pub fn recover_power_with_timer(
     netlist: &mut Netlist,
     timer: &mut IncrementalTimer,
     slack_floor: f32,
@@ -371,7 +336,7 @@ pub fn recover_power_with_timer(
 mod tests {
     use super::*;
     use rl_ccd_netlist::{analyze_power, generate, DesignSpec, TechNode};
-    use rl_ccd_sta::analyze;
+    use rl_ccd_sta::{analyze, ClockSchedule, Constraints, EndpointMargins, TimingGraph};
 
     fn setup(
         seed: u64,
@@ -390,17 +355,11 @@ mod tests {
 
     #[test]
     fn datapath_improves_tns() {
-        let (mut nl, mut graph, cons, clocks) = setup(31);
+        let (mut nl, graph, cons, clocks) = setup(31);
         let margins = EndpointMargins::zero(&nl);
         let before = analyze(&nl, &graph, &cons, &clocks, &margins);
-        let (stats, after) = optimize_datapath(
-            &mut nl,
-            &mut graph,
-            &cons,
-            &clocks,
-            &margins,
-            &DatapathOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let (stats, after) = optimize_datapath(&mut nl, &mut timer, &DatapathOpts::default());
         assert!(stats.total() > 0, "optimizer should act: {stats:?}");
         assert!(
             after.tns() > before.tns(),
@@ -413,33 +372,28 @@ mod tests {
 
     #[test]
     fn budget_limits_work() {
-        let (mut nl, mut graph, cons, clocks) = setup(32);
+        let (mut nl, _, cons, clocks) = setup(32);
         let margins = EndpointMargins::zero(&nl);
         let tight = DatapathOpts {
             passes: 1,
             ops_per_pass: 5,
             ..DatapathOpts::default()
         };
-        let (stats, _) = optimize_datapath(&mut nl, &mut graph, &cons, &clocks, &margins, &tight);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let (stats, _) = optimize_datapath(&mut nl, &mut timer, &tight);
         assert!(stats.total() <= 5, "budget exceeded: {stats:?}");
     }
 
     #[test]
     fn power_recovery_reduces_power_without_breaking_timing() {
-        let (mut nl, mut graph, cons, clocks) = setup(33);
+        let (mut nl, _, cons, clocks) = setup(33);
         let margins = EndpointMargins::zero(&nl);
         // First fix timing a bit so there is slack to recover.
-        optimize_datapath(
-            &mut nl,
-            &mut graph,
-            &cons,
-            &clocks,
-            &margins,
-            &DatapathOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        optimize_datapath(&mut nl, &mut timer, &DatapathOpts::default());
         let before_power = analyze_power(&nl, cons.period, 1).total();
-        let before = analyze(&nl, &graph, &cons, &clocks, &margins);
-        let (applied, after) = recover_power(&mut nl, &graph, &cons, &clocks, &margins, 40.0);
+        let before = analyze(&nl, timer.graph(), &cons, &clocks, &margins);
+        let (applied, after) = recover_power(&mut nl, &mut timer, 40.0);
         assert!(applied > 0, "some cells should downsize");
         let after_power = analyze_power(&nl, cons.period, 1).total();
         assert!(after_power < before_power, "power should drop");
@@ -467,18 +421,16 @@ mod tests {
         b.drive(nand, inv);
         b.drive(inv, f);
         let mut nl = b.finish().expect("valid");
-        let mut graph = TimingGraph::new(&nl);
+        let graph = TimingGraph::new(&nl);
         // A period tight enough that the single endpoint violates.
         let cons = Constraints::with_period(30.0);
         let clocks = rl_ccd_sta::ClockSchedule::balanced(&nl, 0.0, 0.0, 0.0, 1);
         let margins = EndpointMargins::zero(&nl);
         let before = analyze(&nl, &graph, &cons, &clocks, &margins);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
         let (stats, after) = optimize_datapath(
             &mut nl,
-            &mut graph,
-            &cons,
-            &clocks,
-            &margins,
+            &mut timer,
             &DatapathOpts {
                 passes: 1,
                 ops_per_pass: 4,

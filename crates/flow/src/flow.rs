@@ -16,14 +16,12 @@
 //! 8. power recovery,
 //! 9. legalization jitter + final signoff STA.
 
-use crate::datapath::{optimize_datapath_with_timer, recover_power_with_timer, DatapathOpts};
+use crate::datapath::{optimize_datapath, recover_power, DatapathOpts};
 use crate::margin::{prioritization_margins, MarginMode};
 use crate::metrics::{FlowResult, Qor};
-use crate::useful_skew::{run_useful_skew_with_timer, UsefulSkewOpts};
+use crate::useful_skew::{run_useful_skew, UsefulSkewOpts};
 use rl_ccd_netlist::{analyze_power, placement, EndpointId, GeneratedDesign, Netlist};
-use rl_ccd_sta::{
-    ClockSchedule, Constraints, EndpointMargins, IncrementalTimer, TimingGraph, TimingReport,
-};
+use rl_ccd_sta::{ClockSchedule, Constraints, EndpointMargins, IncrementalTimer, TimingReport};
 use std::time::Instant;
 
 /// Every knob of the placement-optimization recipe. The *same* recipe must
@@ -187,7 +185,6 @@ fn run_flow_impl(
     let period = design.period_ps;
     let constraints = Constraints::with_period(period);
     let mut clocks = recipe.clock_schedule(&netlist, period);
-    let mut graph = TimingGraph::new(&netlist);
     let mut margins = EndpointMargins::zero(&netlist);
 
     // One incremental timer serves the whole flow: its construction is the
@@ -213,12 +210,7 @@ fn run_flow_impl(
     // (2) Light pre-CCD data-path pass.
     let pre_report = {
         let mut span = rl_ccd_obs::span!("flow.pre_datapath");
-        let (_, pre_report) = optimize_datapath_with_timer(
-            &mut netlist,
-            &mut graph,
-            &mut timer,
-            &recipe.pre_datapath,
-        );
+        let (_, pre_report) = optimize_datapath(&mut netlist, &mut timer, &recipe.pre_datapath);
         end_stage(
             &mut trace,
             &mut span,
@@ -241,8 +233,7 @@ fn run_flow_impl(
     // (Alg. 1 line 16).
     let skew_out = {
         let mut span = rl_ccd_obs::span!("flow.useful_skew");
-        let skew_out =
-            run_useful_skew_with_timer(&netlist, &graph, &mut clocks, &mut timer, &recipe.skew);
+        let skew_out = run_useful_skew(&netlist, &mut clocks, &mut timer, &recipe.skew);
         margins.clear();
         timer.set_margins_from(&netlist, &margins);
         span.record("sweeps", skew_out.sweeps);
@@ -261,12 +252,8 @@ fn run_flow_impl(
     // (6) Main data-path optimization.
     let op_stats = {
         let mut span = rl_ccd_obs::span!("flow.main_datapath");
-        let (op_stats, main_report) = optimize_datapath_with_timer(
-            &mut netlist,
-            &mut graph,
-            &mut timer,
-            &recipe.main_datapath,
-        );
+        let (op_stats, main_report) =
+            optimize_datapath(&mut netlist, &mut timer, &recipe.main_datapath);
         span.record("ops", op_stats.total());
         end_stage(
             &mut trace,
@@ -282,13 +269,7 @@ fn run_flow_impl(
     // (7) Useful-skew touch-up.
     let touchup_out = {
         let mut span = rl_ccd_obs::span!("flow.skew_touchup");
-        let out = run_useful_skew_with_timer(
-            &netlist,
-            &graph,
-            &mut clocks,
-            &mut timer,
-            &recipe.skew_touchup,
-        );
+        let out = run_useful_skew(&netlist, &mut clocks, &mut timer, &recipe.skew_touchup);
         span.record("sweeps", out.sweeps);
         span.record("moves", out.moves);
         out
@@ -297,8 +278,7 @@ fn run_flow_impl(
     // (8) Power recovery.
     let downsizes = {
         let mut span = rl_ccd_obs::span!("flow.power_recovery");
-        let (downsizes, _) =
-            recover_power_with_timer(&mut netlist, &mut timer, recipe.recovery_slack);
+        let (downsizes, _) = recover_power(&mut netlist, &mut timer, recipe.recovery_slack);
         span.record("downsizes", downsizes);
         downsizes
     };
@@ -342,7 +322,7 @@ fn run_flow_impl(
 mod tests {
     use super::*;
     use rl_ccd_netlist::{generate, DesignSpec, TechNode};
-    use rl_ccd_sta::analyze;
+    use rl_ccd_sta::{analyze, TimingGraph};
 
     fn design(seed: u64) -> GeneratedDesign {
         generate(&DesignSpec::new("flow", 900, TechNode::N7, seed))

@@ -20,9 +20,7 @@
 //! slack), the skew bound, and a hold-slack floor.
 
 use rl_ccd_netlist::Netlist;
-use rl_ccd_sta::{
-    ClockSchedule, Constraints, EndpointMargins, IncrementalTimer, TimingGraph, TimingReport,
-};
+use rl_ccd_sta::{ClockSchedule, IncrementalTimer, TimingReport};
 
 /// Tuning knobs of the useful-skew engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,30 +72,29 @@ pub struct SkewOutcome {
     pub report: TimingReport,
 }
 
-/// Runs the useful-skew engine, mutating `clocks` in place.
+/// Runs the useful-skew engine, mutating `clocks` in place and re-timing
+/// through `timer`.
 ///
 /// # Examples
 /// ```
 /// use rl_ccd_flow::{run_useful_skew, FlowRecipe, UsefulSkewOpts};
 /// use rl_ccd_netlist::{generate, DesignSpec, TechNode};
-/// use rl_ccd_sta::{analyze, Constraints, EndpointMargins, TimingGraph};
+/// use rl_ccd_sta::{Constraints, EndpointMargins, IncrementalTimer};
 ///
 /// let d = generate(&DesignSpec::new("skew", 300, TechNode::N7, 1));
-/// let graph = TimingGraph::new(&d.netlist);
 /// let cons = Constraints::with_period(d.period_ps);
 /// let recipe = FlowRecipe::default();
 /// let mut clocks = recipe.clock_schedule(&d.netlist, d.period_ps);
 /// let margins = EndpointMargins::zero(&d.netlist);
-/// let before = analyze(&d.netlist, &graph, &cons, &clocks, &margins);
-/// let out = run_useful_skew(
-///     &d.netlist, &graph, &cons, &mut clocks, &margins, &UsefulSkewOpts::default(),
-/// );
+/// let mut timer = IncrementalTimer::new(&d.netlist, &cons, &clocks, &margins);
+/// let before = timer.report().clone();
+/// let out = run_useful_skew(&d.netlist, &mut clocks, &mut timer, &UsefulSkewOpts::default());
 /// assert!(out.report.tns() >= before.tns());
 /// ```
 ///
-/// Each sweep analyzes timing with `margins` applied, ranks registers by the
-/// worse of their capture-side (D endpoint) and launch-side (Q pin) margined
-/// slack, and serves the most critical ones: delaying the clock to erase a
+/// Each sweep reads timing from `timer` (with the margins it holds), ranks
+/// registers by the worse of their capture-side (D endpoint) and
+/// launch-side (Q pin) margined slack, and serves the most critical ones: delaying the clock to erase a
 /// capture violation (bounded by launch headroom, the hold floor, and the
 /// skew bound) or advancing it to erase a launch violation (bounded by
 /// capture headroom).
@@ -108,28 +105,14 @@ pub struct SkewOutcome {
 /// property — prioritization redirects the engine, it never enlarges it.
 /// The engine stops when the move budget is exhausted or a sweep applies
 /// no move.
+///
+/// Each sweep's clock moves are applied to `clocks` and then synced to the
+/// timer in one incremental propagation, so only the moved registers'
+/// cones are re-timed. The timer must already reflect `clocks` and the
+/// margins the caller wants applied; on return it reflects the final
+/// schedule (the returned report is a clone of the timer's).
 pub fn run_useful_skew(
     netlist: &Netlist,
-    graph: &TimingGraph,
-    constraints: &Constraints,
-    clocks: &mut ClockSchedule,
-    margins: &EndpointMargins,
-    opts: &UsefulSkewOpts,
-) -> SkewOutcome {
-    let mut timer = IncrementalTimer::new(netlist, constraints, clocks, margins);
-    run_useful_skew_with_timer(netlist, graph, clocks, &mut timer, opts)
-}
-
-/// Like [`run_useful_skew`], but re-times through an existing
-/// [`IncrementalTimer`] instead of running full STA passes: each sweep's
-/// clock moves are applied to `clocks` and then synced to the timer in one
-/// incremental propagation, so only the moved registers' cones are
-/// re-timed. The timer must already reflect `clocks` and the margins the
-/// caller wants applied; on return it reflects the final schedule (the
-/// returned report is a clone of the timer's).
-pub fn run_useful_skew_with_timer(
-    netlist: &Netlist,
-    graph: &TimingGraph,
     clocks: &mut ClockSchedule,
     timer: &mut IncrementalTimer,
     opts: &UsefulSkewOpts,
@@ -140,7 +123,9 @@ pub fn run_useful_skew_with_timer(
     // Effort scales with the violation load the engine starts with.
     let initially_violating = (0..n_regs)
         .filter(|&r| {
-            let d = timer.report().endpoint_slack(graph.endpoint_of_flop(r));
+            let d = timer
+                .report()
+                .endpoint_slack(timer.graph().endpoint_of_flop(r));
             let q = timer.report().cell_slack(netlist.flops()[r]);
             d.min(q) < -opts.tolerance
         })
@@ -156,7 +141,9 @@ pub fn run_useful_skew_with_timer(
         // Rank: most critical (lowest margined slack on either side) first.
         let mut order: Vec<(usize, f32)> = (0..n_regs)
             .map(|r| {
-                let d = timer.report().endpoint_slack(graph.endpoint_of_flop(r));
+                let d = timer
+                    .report()
+                    .endpoint_slack(timer.graph().endpoint_of_flop(r));
                 let q = timer.report().cell_slack(netlist.flops()[r]);
                 (r, d.min(q))
             })
@@ -174,7 +161,7 @@ pub fn run_useful_skew_with_timer(
             if budget == 0 || sweep_moves >= serves_per_sweep {
                 break;
             }
-            let ei = graph.endpoint_of_flop(r);
+            let ei = timer.graph().endpoint_of_flop(r);
             let d_slack = timer.report().endpoint_slack(ei);
             let q_slack = timer.report().cell_slack(netlist.flops()[r]);
             let hold_headroom = {
@@ -288,7 +275,7 @@ pub fn skew_histogram(clocks: &ClockSchedule, half_buckets: usize) -> (Vec<f32>,
 mod tests {
     use super::*;
     use rl_ccd_netlist::{generate, DesignSpec, TechNode};
-    use rl_ccd_sta::analyze;
+    use rl_ccd_sta::{analyze, Constraints, EndpointMargins, TimingGraph};
 
     fn setup(
         seed: u64,
@@ -311,17 +298,11 @@ mod tests {
         // `partial_cmp().expect(...)`; a poisoned (NaN) margin must flow
         // through the timer and the ranking without a panic, and the NaN
         // register simply never gets served.
-        let (nl, graph, cons, mut clocks) = setup(23);
+        let (nl, _, cons, mut clocks) = setup(23);
         let mut margins = EndpointMargins::zero(&nl);
         margins.set(0, f32::NAN);
-        let out = run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &margins,
-            &UsefulSkewOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let out = run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         assert!(out.report.wns().is_finite());
         assert!(out.report.tns().is_finite());
         assert!(out.report.endpoint_slack(0).is_nan());
@@ -332,14 +313,8 @@ mod tests {
         let (nl, graph, cons, mut clocks) = setup(30);
         let margins = EndpointMargins::zero(&nl);
         let before = analyze(&nl, &graph, &cons, &clocks, &margins);
-        let out = run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &margins,
-            &UsefulSkewOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let out = run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         assert!(
             out.report.tns() > before.tns(),
             "TNS should improve: {} -> {}",
@@ -353,16 +328,10 @@ mod tests {
 
     #[test]
     fn skews_respect_bound() {
-        let (nl, graph, cons, mut clocks) = setup(22);
+        let (nl, _, cons, mut clocks) = setup(22);
         let margins = EndpointMargins::zero(&nl);
-        run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &margins,
-            &UsefulSkewOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         let bound = clocks.bound();
         for &s in clocks.skews() {
             assert!(s.abs() <= bound + 1e-4);
@@ -371,13 +340,14 @@ mod tests {
 
     #[test]
     fn move_budget_is_respected() {
-        let (nl, graph, cons, mut clocks) = setup(26);
+        let (nl, _, cons, mut clocks) = setup(26);
         let margins = EndpointMargins::zero(&nl);
         let opts = UsefulSkewOpts {
             move_budget_frac: 0.1,
             ..UsefulSkewOpts::default()
         };
-        let out = run_useful_skew(&nl, &graph, &cons, &mut clocks, &margins, &opts);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let out = run_useful_skew(&nl, &mut clocks, &mut timer, &opts);
         // The budget basis is the violating-register count, which can never
         // exceed the register count.
         let cap = ((nl.flops().len() as f32 * 0.1).ceil() as usize).max(1);
@@ -389,14 +359,8 @@ mod tests {
         let (nl, graph, cons, mut clocks) = setup(23);
         let margins = EndpointMargins::zero(&nl);
         let before = analyze(&nl, &graph, &cons, &clocks, &margins);
-        let out = run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &margins,
-            &UsefulSkewOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let out = run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         for i in 0..nl.endpoints().len() {
             let h = out.report.endpoint_hold_slack(i);
             if h.is_finite() && before.endpoint_hold_slack(i) > 0.0 {
@@ -412,14 +376,8 @@ mod tests {
         let (nl, graph, cons, mut clocks) = setup(27);
         let margins = EndpointMargins::zero(&nl);
         let before = analyze(&nl, &graph, &cons, &clocks, &margins);
-        let out = run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &margins,
-            &UsefulSkewOpts::default(),
-        );
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &margins);
+        let out = run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         for (r, _) in nl.flops().iter().enumerate() {
             let ei = graph.endpoint_of_flop(r);
             if before.endpoint_slack(ei) < 0.0 && clocks.skew(r) > 0.0 {
@@ -459,12 +417,14 @@ mod tests {
         };
 
         let mut clocks_plain = clocks0.clone();
-        run_useful_skew(&nl, &graph, &cons, &mut clocks_plain, &zero, &opts);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks_plain, &zero);
+        run_useful_skew(&nl, &mut clocks_plain, &mut timer, &opts);
 
         let mut margined = EndpointMargins::zero(&nl);
         margined.set(ei, base_rep.endpoint_slack(ei) - base_rep.wns());
         let mut clocks_m = clocks0.clone();
-        run_useful_skew(&nl, &graph, &cons, &mut clocks_m, &margined, &opts);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks_m, &margined);
+        run_useful_skew(&nl, &mut clocks_m, &mut timer, &opts);
         assert!(
             clocks_m.skew(reg) > clocks_plain.skew(reg) - 1e-3,
             "margin should pull the capture clock later: {} vs {}",
@@ -479,15 +439,9 @@ mod tests {
 
     #[test]
     fn histogram_covers_all_registers() {
-        let (nl, graph, cons, mut clocks) = setup(25);
-        run_useful_skew(
-            &nl,
-            &graph,
-            &cons,
-            &mut clocks,
-            &EndpointMargins::zero(&nl),
-            &UsefulSkewOpts::default(),
-        );
+        let (nl, _, cons, mut clocks) = setup(25);
+        let mut timer = IncrementalTimer::new(&nl, &cons, &clocks, &EndpointMargins::zero(&nl));
+        run_useful_skew(&nl, &mut clocks, &mut timer, &UsefulSkewOpts::default());
         let (edges, counts) = skew_histogram(&clocks, 8);
         assert_eq!(edges.len(), 17);
         assert_eq!(counts.len(), 16);

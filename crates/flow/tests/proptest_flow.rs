@@ -7,7 +7,7 @@ use rl_ccd_flow::{
     MarginMode, UsefulSkewOpts,
 };
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, TechNode};
-use rl_ccd_sta::{analyze, Constraints, EndpointMargins, TimingGraph};
+use rl_ccd_sta::{analyze, Constraints, EndpointMargins, IncrementalTimer, TimingGraph};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -32,7 +32,8 @@ proptest! {
             rate,
             ..UsefulSkewOpts::default()
         };
-        let out = run_useful_skew(&d.netlist, &graph, &cons, &mut clocks, &zero, &opts);
+        let mut timer = IncrementalTimer::new(&d.netlist, &cons, &clocks, &zero);
+        let out = run_useful_skew(&d.netlist, &mut clocks, &mut timer, &opts);
         // Without margins the engine must not lose TNS beyond a small
         // tolerance (both-side balancing can shift slack onto a register
         // with several violating downstream endpoints).
@@ -62,7 +63,7 @@ proptest! {
     ) {
         let d = generate(&DesignSpec::new("pdp", 500, TechNode::N7, seed));
         let mut netlist = d.netlist.clone();
-        let mut graph = TimingGraph::new(&netlist);
+        let graph = TimingGraph::new(&netlist);
         let cons = Constraints::with_period(d.period_ps);
         let recipe = FlowRecipe::default();
         let clocks = recipe.clock_schedule(&netlist, d.period_ps);
@@ -74,7 +75,8 @@ proptest! {
             ..DatapathOpts::default()
         };
         let before = analyze(&netlist, &graph, &cons, &clocks, &zero);
-        let (stats, after) = optimize_datapath(&mut netlist, &mut graph, &cons, &clocks, &zero, &opts);
+        let mut timer = IncrementalTimer::new(&netlist, &cons, &clocks, &zero);
+        let (stats, after) = optimize_datapath(&mut netlist, &mut timer, &opts);
         prop_assert!(stats.total() <= 2 * ops, "budget exceeded: {stats:?}");
         prop_assert!(netlist.check().is_empty(), "{:?}", netlist.check());
         prop_assert!(after.tns() >= before.tns() * 1.05 - 10.0, "datapath regressed TNS");

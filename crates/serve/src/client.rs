@@ -2,9 +2,9 @@
 //! speaks through this).
 //!
 //! Connections are configured through [`ClientBuilder`] (address, retry
-//! policy, deadline cap, chaos plan) and ride on the unified
-//! [`rl_ccd_wire::Transport`] stack — the same [`FramedTcp`] the dist
-//! coordinator and workers use — so chaos wrapping, reconnect frame
+//! policy, deadline cap, chaos plan) and ride on
+//! [`rl_ccd_wire::transport`]'s [`FramedTcp`] — the same connection type
+//! the dist coordinator and workers use — so chaos wrapping, reconnect frame
 //! numbering, and deadline arming behave identically everywhere.
 //!
 //! The client is hardened against a hostile network:

@@ -13,32 +13,32 @@ use rl_ccd_netlist::{topological_comb, CellId, Endpoint, GateKind, Netlist};
 pub struct TimingGraph {
     topo: Vec<CellId>,
     /// Endpoint index per register index (every register has a D endpoint).
-    flop_endpoint: Vec<u32>,
+    endpoint_of_flop: Vec<u32>,
 }
 
 impl TimingGraph {
     /// Builds the timing graph (topological order + index maps).
     pub fn new(netlist: &Netlist) -> Self {
         let topo = topological_comb(netlist);
-        let mut flop_endpoint = vec![u32::MAX; netlist.flops().len()];
+        let mut endpoint_of_flop = vec![u32::MAX; netlist.flops().len()];
         for (ei, ep) in netlist.endpoints().iter().enumerate() {
             if let Endpoint::FlopD(cell) = ep {
                 let r = netlist
                     .flop_index(*cell)
                     .expect("FlopD endpoint cell is a register");
-                flop_endpoint[r] = ei as u32;
+                endpoint_of_flop[r] = ei as u32;
             }
         }
-        debug_assert!(flop_endpoint.iter().all(|&e| e != u32::MAX));
+        debug_assert!(endpoint_of_flop.iter().all(|&e| e != u32::MAX));
         Self {
             topo,
-            flop_endpoint,
+            endpoint_of_flop,
         }
     }
 
     /// Endpoint index of register `r`'s D pin.
     pub fn endpoint_of_flop(&self, r: usize) -> usize {
-        self.flop_endpoint[r] as usize
+        self.endpoint_of_flop[r] as usize
     }
 
     /// The cached topological order over combinational cells.
@@ -47,12 +47,13 @@ impl TimingGraph {
     }
 }
 
-/// Results of one full STA pass. All times in ps.
+/// Results of one full STA pass. All times in ps. The default is the
+/// report of a design with no endpoints and no cells.
 ///
 /// Fields are `pub(crate)` so the incremental engine
 /// ([`crate::incremental::IncrementalTimer`]) can maintain the same report
 /// in place instead of rebuilding it per edit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TimingReport {
     pub(crate) endpoint_slack: Vec<f32>,
     pub(crate) endpoint_hold_slack: Vec<f32>,
@@ -168,6 +169,37 @@ pub fn analyze(
     clocks: &ClockSchedule,
     margins: &EndpointMargins,
 ) -> TimingReport {
+    full_pass(
+        netlist,
+        graph,
+        constraints,
+        |r| clocks.arrival(r),
+        |ei| margins.get(ei),
+    )
+    .report
+}
+
+/// Everything one full pass computes: the report, plus the intermediate
+/// arrays the incremental timer keeps so it can re-time edits in place.
+pub(crate) struct FullPass {
+    pub(crate) report: TimingReport,
+    pub(crate) load: Vec<f32>,
+    pub(crate) out_arrival_min: Vec<f32>,
+    pub(crate) endpoint_required: Vec<f32>,
+    pub(crate) required_out: Vec<f32>,
+}
+
+/// The one full STA pass, behind both [`analyze`] and
+/// [`IncrementalTimer::full_recompute`](crate::IncrementalTimer::full_recompute).
+/// `clock_arrival(r)` is register `r`'s clock arrival and `margin(ei)`
+/// endpoint `ei`'s margin, ps.
+pub(crate) fn full_pass(
+    netlist: &Netlist,
+    graph: &TimingGraph,
+    constraints: &Constraints,
+    clock_arrival: impl Fn(usize) -> f32,
+    margin: impl Fn(usize) -> f32,
+) -> FullPass {
     let lib = netlist.library();
     let n = netlist.cell_count();
     let mut out_arrival = vec![0.0f32; n];
@@ -195,7 +227,7 @@ pub fn analyze(
             }
             GateKind::Dff => {
                 let r = netlist.flop_index(id).expect("flop has register index");
-                let a = clocks.arrival(r) + lc.intrinsic + lc.resistance * load[id.index()];
+                let a = clock_arrival(r) + lc.intrinsic + lc.resistance * load[id.index()];
                 out_arrival[id.index()] = a;
                 out_arrival_min[id.index()] = a;
                 out_slew[id.index()] = output_slew(lc, load[id.index()]);
@@ -246,16 +278,14 @@ pub fn analyze(
             Endpoint::FlopD(f) => {
                 let r = netlist.flop_index(*f).expect("register");
                 let lc = lib.cell(netlist.cell(*f).lib);
-                let req = constraints.period + clocks.arrival(r)
+                let req = constraints.period + clock_arrival(r)
                     - lc.setup
                     - constraints.uncertainty
-                    - margins.get(ei);
-                endpoint_hold_slack[ei] = arr_min - (clocks.arrival(r) + lc.hold);
+                    - margin(ei);
+                endpoint_hold_slack[ei] = arr_min - (clock_arrival(r) + lc.hold);
                 req
             }
-            Endpoint::PrimaryOut(_) => {
-                constraints.period - constraints.output_delay - margins.get(ei)
-            }
+            Endpoint::PrimaryOut(_) => constraints.period - constraints.output_delay - margin(ei),
         };
         endpoint_arrival[ei] = arr;
         endpoint_required[ei] = required;
@@ -341,18 +371,24 @@ pub fn analyze(
         }
     }
 
-    TimingReport {
-        endpoint_slack,
-        endpoint_hold_slack,
-        endpoint_arrival,
-        cell_slack,
-        out_arrival,
-        out_slew,
-        worst_in_slew,
-        downstream_hold,
-        wns,
-        tns,
-        nve,
+    FullPass {
+        report: TimingReport {
+            endpoint_slack,
+            endpoint_hold_slack,
+            endpoint_arrival,
+            cell_slack,
+            out_arrival,
+            out_slew,
+            worst_in_slew,
+            downstream_hold,
+            wns,
+            tns,
+            nve,
+        },
+        load,
+        out_arrival_min,
+        endpoint_required,
+        required_out,
     }
 }
 

@@ -15,21 +15,27 @@
 //! rescan), so after every edit the embedded report is equal to what a
 //! fresh full [`analyze`](crate::analyze) would produce.
 //!
-//! The engine recomputes with *exactly* the arithmetic of the full pass
-//! (same expressions, same reduction order), so converged values are
-//! bit-identical, not merely close; the parity property test in
-//! `crates/sta/tests` asserts this over random edit sequences. Structural
-//! netlist changes (buffer insertion, placement legalization) invalidate
-//! the cached topology and load model — callers handle those through the
-//! [`full_recompute`](IncrementalTimer::full_recompute) escape hatch, and
-//! the timer also re-times from scratch on its own whenever it observes
-//! that the cell count changed under it.
+//! A full pass — construction and
+//! [`full_recompute`](IncrementalTimer::full_recompute) — *is* the pass
+//! behind [`analyze`](crate::analyze), so it agrees by construction. The
+//! per-cell re-timing after an edit repeats that pass's expressions in the
+//! same reduction order, so converged values are bit-identical, not
+//! merely close; the parity property test in `crates/sta/tests` compares
+//! them by bits over random edit sequences (TNS, kept by deltas, within a
+//! relative tolerance). The timer owns the design's [`TimingGraph`]
+//! ([`graph`](IncrementalTimer::graph)). Structural netlist changes
+//! (buffer insertion, placement legalization) invalidate it and the load
+//! model — callers handle those through the `full_recompute` escape
+//! hatch, which rebuilds the graph, and the timer also re-times from
+//! scratch on its own whenever it observes that the cell count changed
+//! under it.
 
+use crate::analysis::{full_pass, FullPass};
 use crate::clock::ClockSchedule;
 use crate::constraints::{Constraints, EndpointMargins};
 use crate::delay::{cell_delay, edge_timing, output_slew};
-use crate::TimingReport;
-use rl_ccd_netlist::{topological_comb, CellId, Endpoint, GateKind, Netlist};
+use crate::{TimingGraph, TimingReport};
+use rl_ccd_netlist::{CellId, Endpoint, GateKind, Netlist};
 
 /// Counters describing how much work the timer has done; useful for
 /// benchmarks and for asserting that the incremental path is exercised.
@@ -52,14 +58,12 @@ pub struct TimerStats {
 #[derive(Clone, Debug)]
 pub struct IncrementalTimer {
     // --- structure (rebuilt by full_recompute) ---
-    topo: Vec<CellId>,
+    graph: TimingGraph,
     /// Forward level per cell: sources 0, combinational cells
     /// `1 + max(level of input drivers)`.
     level: Vec<u32>,
     /// Endpoint index per cell (`u32::MAX` when the cell is no endpoint).
     endpoint_of_cell: Vec<u32>,
-    /// Endpoint index per register index.
-    flop_endpoint: Vec<u32>,
     /// Whether the cell has an output pin (false only for output ports).
     has_output: Vec<bool>,
 
@@ -96,46 +100,39 @@ impl IncrementalTimer {
         clocks: &ClockSchedule,
         margins: &EndpointMargins,
     ) -> Self {
-        let n_eps = netlist.endpoints().len();
         let mut timer = Self {
-            topo: Vec::new(),
+            graph: TimingGraph::new(netlist),
             level: Vec::new(),
             endpoint_of_cell: Vec::new(),
-            flop_endpoint: Vec::new(),
             has_output: Vec::new(),
             constraints: *constraints,
             clock_arrival: (0..netlist.flops().len())
                 .map(|r| clocks.arrival(r))
                 .collect(),
-            margins: (0..n_eps).map(|ei| margins.get(ei)).collect(),
+            margins: (0..netlist.endpoints().len())
+                .map(|ei| margins.get(ei))
+                .collect(),
             load: Vec::new(),
             out_arrival_min: Vec::new(),
-            endpoint_required: vec![0.0; n_eps],
+            endpoint_required: Vec::new(),
             required_out: Vec::new(),
-            report: TimingReport {
-                endpoint_slack: vec![0.0; n_eps],
-                endpoint_hold_slack: vec![f32::INFINITY; n_eps],
-                endpoint_arrival: vec![0.0; n_eps],
-                cell_slack: Vec::new(),
-                out_arrival: Vec::new(),
-                out_slew: Vec::new(),
-                worst_in_slew: Vec::new(),
-                downstream_hold: Vec::new(),
-                wns: 0.0,
-                tns: 0.0,
-                nve: 0,
-            },
+            report: TimingReport::default(),
             fwd_buckets: Vec::new(),
             bwd_buckets: Vec::new(),
             fwd_in: Vec::new(),
             bwd_in: Vec::new(),
-            ep_dirty: vec![false; n_eps],
+            ep_dirty: Vec::new(),
             ep_list: Vec::new(),
             wns_stale: false,
             stats: TimerStats::default(),
         };
-        timer.full_recompute(netlist);
+        timer.retime_all(netlist);
         timer
+    }
+
+    /// The timing topology of the netlist as of the last full pass.
+    pub fn graph(&self) -> &TimingGraph {
+        &self.graph
     }
 
     /// The timing report reflecting every edit applied so far.
@@ -279,36 +276,33 @@ impl IncrementalTimer {
         }
     }
 
-    /// Escape hatch: rebuilds the topology/load caches and re-times the
-    /// whole design from scratch. Required after netlist mutations the
-    /// incremental model cannot see — buffer insertion (new cells) and
-    /// placement legalization (every wire length changes).
+    /// Escape hatch: rebuilds the timing graph and load caches and
+    /// re-times the whole design from scratch. Required after netlist
+    /// mutations the incremental model cannot see — buffer insertion (new
+    /// cells) and placement legalization (every wire length changes).
     pub fn full_recompute(&mut self, netlist: &Netlist) {
+        self.graph = TimingGraph::new(netlist);
+        self.retime_all(netlist);
+    }
+
+    /// Re-indexes levels and endpoints over `self.graph` and runs the full
+    /// pass with the timer's own clock arrivals and margins.
+    fn retime_all(&mut self, netlist: &Netlist) {
         self.stats.full_passes += 1;
         rl_ccd_obs::counter!("sta.incremental.full_recomputes", 1);
         let _obs_span = rl_ccd_obs::span!("sta.full_recompute", cells = netlist.cell_count());
-        let lib = netlist.library();
         let n = netlist.cell_count();
         let eps = netlist.endpoints();
 
-        // --- structure ------------------------------------------------------
-        self.topo = topological_comb(netlist);
         self.endpoint_of_cell = vec![u32::MAX; n];
-        self.flop_endpoint = vec![u32::MAX; netlist.flops().len()];
         for (ei, ep) in eps.iter().enumerate() {
             self.endpoint_of_cell[ep.cell().index()] = ei as u32;
-            if let Endpoint::FlopD(cell) = ep {
-                let r = netlist
-                    .flop_index(*cell)
-                    .expect("FlopD endpoint cell is a register");
-                self.flop_endpoint[r] = ei as u32;
-            }
         }
         self.has_output = (0..n)
             .map(|i| netlist.cell(CellId::new(i)).output.is_some())
             .collect();
         self.level = vec![0u32; n];
-        for &id in &self.topo {
+        for &id in self.graph.topo() {
             let mut lvl = 0u32;
             for &net in &netlist.cell(id).inputs {
                 lvl = lvl.max(self.level[netlist.net(net).driver.index()]);
@@ -324,146 +318,24 @@ impl IncrementalTimer {
         self.ep_list.clear();
         self.wns_stale = false;
 
-        // --- loads ----------------------------------------------------------
-        self.load = vec![0.0f32; n];
-        for id in netlist.cell_ids() {
-            if let Some(net) = netlist.cell(id).output {
-                self.load[id.index()] = netlist.net_load(net);
-            }
-        }
-
-        // --- forward: sources (identical arithmetic to `analyze`) -----------
-        let rep = &mut self.report;
-        rep.out_arrival = vec![0.0f32; n];
-        self.out_arrival_min = vec![0.0f32; n];
-        rep.out_slew = vec![0.0f32; n];
-        rep.worst_in_slew = vec![0.0f32; n];
-        for id in netlist.cell_ids() {
-            let lc = lib.cell(netlist.cell(id).lib);
-            match lc.kind {
-                GateKind::Input => {
-                    let a = self.constraints.input_delay + lc.resistance * self.load[id.index()];
-                    rep.out_arrival[id.index()] = a;
-                    self.out_arrival_min[id.index()] = a;
-                    rep.out_slew[id.index()] = output_slew(lc, self.load[id.index()]);
-                }
-                GateKind::Dff => {
-                    let r = netlist.flop_index(id).expect("flop has register index");
-                    let a = self.clock_arrival[r]
-                        + lc.intrinsic
-                        + lc.resistance * self.load[id.index()];
-                    rep.out_arrival[id.index()] = a;
-                    self.out_arrival_min[id.index()] = a;
-                    rep.out_slew[id.index()] = output_slew(lc, self.load[id.index()]);
-                }
-                _ => {}
-            }
-        }
-
-        // --- forward: combinational cells -----------------------------------
-        let late = self.constraints.derate_late;
-        let early = self.constraints.derate_early;
-        for &id in &self.topo {
-            let cell = netlist.cell(id);
-            let lc = lib.cell(cell.lib);
-            let my_load = self.load[id.index()];
-            let mut max_a = f32::NEG_INFINITY;
-            let mut min_a = f32::INFINITY;
-            let mut wslew = 0.0f32;
-            for (pin, &net) in cell.inputs.iter().enumerate() {
-                let drv = netlist.net(net).driver;
-                let et = edge_timing(netlist, net, id, rep.out_slew[drv.index()]);
-                let d = cell_delay(lib, lc, pin as u8, my_load, et.pin_slew);
-                max_a = max_a.max(rep.out_arrival[drv.index()] + late * (et.wire_delay + d));
-                min_a = min_a.min(self.out_arrival_min[drv.index()] + early * (et.wire_delay + d));
-                wslew = wslew.max(et.pin_slew);
-            }
-            rep.out_arrival[id.index()] = max_a;
-            self.out_arrival_min[id.index()] = min_a;
-            rep.out_slew[id.index()] = output_slew(lc, my_load);
-            rep.worst_in_slew[id.index()] = wslew;
-        }
-
-        // --- endpoint checks -------------------------------------------------
-        rep.endpoint_hold_slack = vec![f32::INFINITY; eps.len()];
-        for ei in 0..eps.len() {
-            Self::recheck_endpoint_raw(
-                netlist,
-                &self.constraints,
-                &self.clock_arrival,
-                &self.margins,
-                &self.out_arrival_min,
-                rep,
-                &mut self.endpoint_required,
-                ei,
-            );
-        }
-
-        // --- backward: required times + hold headroom ------------------------
-        self.required_out = vec![f32::INFINITY; n];
-        rep.downstream_hold = vec![f32::INFINITY; n];
-        for (ei, ep) in eps.iter().enumerate() {
-            let cell = ep.cell();
-            let net = netlist.cell(cell).inputs[0];
-            let drv = netlist.net(net).driver;
-            let et = edge_timing(netlist, net, cell, rep.out_slew[drv.index()]);
-            let r = self.endpoint_required[ei] - late * et.wire_delay;
-            if r < self.required_out[drv.index()] {
-                self.required_out[drv.index()] = r;
-            }
-            let h = rep.endpoint_hold_slack[ei];
-            if h.is_finite() && h < rep.downstream_hold[drv.index()] {
-                rep.downstream_hold[drv.index()] = h;
-            }
-        }
-        for &id in self.topo.iter().rev() {
-            let req_here = self.required_out[id.index()];
-            let hold_here = rep.downstream_hold[id.index()];
-            if req_here == f32::INFINITY && hold_here == f32::INFINITY {
-                continue;
-            }
-            let cell = netlist.cell(id);
-            let lc = lib.cell(cell.lib);
-            let my_load = self.load[id.index()];
-            for (pin, &net) in cell.inputs.iter().enumerate() {
-                let drv = netlist.net(net).driver;
-                if req_here < f32::INFINITY {
-                    let et = edge_timing(netlist, net, id, rep.out_slew[drv.index()]);
-                    let d = cell_delay(lib, lc, pin as u8, my_load, et.pin_slew);
-                    let r = req_here - late * (d + et.wire_delay);
-                    if r < self.required_out[drv.index()] {
-                        self.required_out[drv.index()] = r;
-                    }
-                }
-                if hold_here < rep.downstream_hold[drv.index()] {
-                    rep.downstream_hold[drv.index()] = hold_here;
-                }
-            }
-        }
-        rep.cell_slack = vec![f32::INFINITY; n];
-        for id in netlist.cell_ids() {
-            if netlist.cell(id).output.is_some() && self.required_out[id.index()] < f32::INFINITY {
-                rep.cell_slack[id.index()] =
-                    self.required_out[id.index()] - rep.out_arrival[id.index()];
-            }
-        }
-
-        // --- QoR -------------------------------------------------------------
-        let mut wns = 0.0f32;
-        let mut tns = 0.0f64;
-        let mut nve = 0usize;
-        for &s in &rep.endpoint_slack {
-            if s < 0.0 {
-                nve += 1;
-                tns += s as f64;
-                if s < wns {
-                    wns = s;
-                }
-            }
-        }
-        rep.wns = wns;
-        rep.tns = tns;
-        rep.nve = nve;
+        let FullPass {
+            report,
+            load,
+            out_arrival_min,
+            endpoint_required,
+            required_out,
+        } = full_pass(
+            netlist,
+            &self.graph,
+            &self.constraints,
+            |r| self.clock_arrival[r],
+            |ei| self.margins[ei],
+        );
+        self.report = report;
+        self.load = load;
+        self.out_arrival_min = out_arrival_min;
+        self.endpoint_required = endpoint_required;
+        self.required_out = required_out;
     }
 
     // --- internals ----------------------------------------------------------
@@ -626,77 +498,47 @@ impl IncrementalTimer {
         self.mark_bwd(id);
     }
 
-    /// Shared endpoint-check arithmetic (identical to the full pass).
-    /// Returns `(required_changed, hold_changed, old_slack, new_slack)`.
-    #[allow(clippy::too_many_arguments)]
-    fn recheck_endpoint_raw(
-        netlist: &Netlist,
-        constraints: &Constraints,
-        clock_arrival: &[f32],
-        margins: &[f32],
-        out_arrival_min: &[f32],
-        rep: &mut TimingReport,
-        endpoint_required: &mut [f32],
-        ei: usize,
-    ) -> (bool, bool, f32, f32) {
+    /// Re-checks one endpoint with the full pass's arithmetic and folds
+    /// the slack delta into WNS/TNS/NVE; marks the driver backward-dirty
+    /// when its required-time or hold contribution changed.
+    fn recheck_endpoint(&mut self, netlist: &Netlist, ei: usize) {
         let lib = netlist.library();
-        let late = constraints.derate_late;
-        let early = constraints.derate_early;
+        let late = self.constraints.derate_late;
+        let early = self.constraints.derate_early;
         let ep = &netlist.endpoints()[ei];
         let cell = ep.cell();
         let net = netlist.cell(cell).inputs[0];
         let drv = netlist.net(net).driver;
+        let rep = &mut self.report;
         let et = edge_timing(netlist, net, cell, rep.out_slew[drv.index()]);
         let arr = rep.out_arrival[drv.index()] + late * et.wire_delay;
-        let arr_min = out_arrival_min[drv.index()] + early * et.wire_delay;
-        // `analyze` folds the pin slew in with `max`; endpoint cells start
-        // at zero and are written nowhere else, so assignment is identical.
+        let arr_min = self.out_arrival_min[drv.index()] + early * et.wire_delay;
+        // The full pass folds the pin slew in with `max`; endpoint cells
+        // start at zero and are written nowhere else, so assignment is
+        // identical.
         rep.worst_in_slew[cell.index()] = et.pin_slew;
-        let old_required = endpoint_required[ei];
         let old_hold = rep.endpoint_hold_slack[ei];
         let required = match ep {
             Endpoint::FlopD(f) => {
                 let r = netlist.flop_index(*f).expect("register");
                 let lc = lib.cell(netlist.cell(*f).lib);
-                rep.endpoint_hold_slack[ei] = arr_min - (clock_arrival[r] + lc.hold);
-                constraints.period + clock_arrival[r]
+                rep.endpoint_hold_slack[ei] = arr_min - (self.clock_arrival[r] + lc.hold);
+                self.constraints.period + self.clock_arrival[r]
                     - lc.setup
-                    - constraints.uncertainty
-                    - margins[ei]
+                    - self.constraints.uncertainty
+                    - self.margins[ei]
             }
-            Endpoint::PrimaryOut(_) => constraints.period - constraints.output_delay - margins[ei],
+            Endpoint::PrimaryOut(_) => {
+                self.constraints.period - self.constraints.output_delay - self.margins[ei]
+            }
         };
         let old_slack = rep.endpoint_slack[ei];
+        let new_slack = required - arr;
+        let hold_changed = rep.endpoint_hold_slack[ei] != old_hold;
         rep.endpoint_arrival[ei] = arr;
-        endpoint_required[ei] = required;
-        rep.endpoint_slack[ei] = required - arr;
-        (
-            required != old_required,
-            rep.endpoint_hold_slack[ei] != old_hold,
-            old_slack,
-            rep.endpoint_slack[ei],
-        )
-    }
-
-    /// Re-checks one endpoint and folds the slack delta into WNS/TNS/NVE;
-    /// marks the driver backward-dirty when its required-time or hold
-    /// contribution changed.
-    fn recheck_endpoint(&mut self, netlist: &Netlist, ei: usize) {
-        let drv = {
-            let cell = netlist.endpoints()[ei].cell();
-            let net = netlist.cell(cell).inputs[0];
-            netlist.net(net).driver
-        };
-        let (req_changed, hold_changed, old_slack, new_slack) = Self::recheck_endpoint_raw(
-            netlist,
-            &self.constraints,
-            &self.clock_arrival,
-            &self.margins,
-            &self.out_arrival_min,
-            &mut self.report,
-            &mut self.endpoint_required,
-            ei,
-        );
+        rep.endpoint_slack[ei] = new_slack;
+        let req_changed = required != self.endpoint_required[ei];
+        self.endpoint_required[ei] = required;
         if new_slack != old_slack {
             self.note_slack_change(old_slack, new_slack);
         }
@@ -786,7 +628,6 @@ impl IncrementalTimer {
 mod tests {
     use super::*;
     use crate::analyze;
-    use crate::TimingGraph;
     use rl_ccd_netlist::{generate, DesignSpec, TechNode};
 
     fn assert_parity(timer: &IncrementalTimer, fresh: &TimingReport, what: &str) {
@@ -952,13 +793,9 @@ mod tests {
         let loc = d.netlist.cell(target).loc;
         d.netlist.insert_buffer(net, &moved, buf_lib, loc);
         timer.full_recompute(&d.netlist);
-        let fresh = analyze(
-            &d.netlist,
-            &TimingGraph::new(&d.netlist),
-            &cons,
-            &clocks,
-            &margins,
-        );
+        let graph = TimingGraph::new(&d.netlist);
+        assert_eq!(timer.graph().topo(), graph.topo(), "graph rebuilt");
+        let fresh = analyze(&d.netlist, &graph, &cons, &clocks, &margins);
         assert_parity(&timer, &fresh, "after buffer insertion + full_recompute");
     }
 }

@@ -1,7 +1,9 @@
 //! Parity property test for the incremental timer: after an arbitrary
 //! interleaving of clock moves, margin edits, and cell touches (resizes
 //! and pin swaps), the timer's report must match a from-scratch
-//! [`analyze`] on the mutated design to within 1e-4.
+//! [`analyze`] on the mutated design bit for bit. Only TNS, which the
+//! timer keeps by per-endpoint deltas, is compared within a relative
+//! tolerance.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,11 +14,9 @@ use rl_ccd_sta::{
     TimingReport,
 };
 
-const TOL: f32 = 1e-4;
-
-/// Equal, or within tolerance — also true for two equal infinities.
-fn close(a: f32, b: f32) -> bool {
-    a == b || (a - b).abs() < TOL
+/// The same bits (so `-0.0 != 0.0`, and two equal infinities agree).
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 fn assert_parity(
@@ -32,7 +32,7 @@ fn assert_parity(
     let inc = timer.report();
     assert_eq!(inc.nve(), full.nve(), "nve diverged at step {step}");
     assert!(
-        close(inc.wns(), full.wns()),
+        same(inc.wns(), full.wns()),
         "wns diverged at step {step}: {} vs {}",
         inc.wns(),
         full.wns()
@@ -48,40 +48,44 @@ fn assert_parity(
     );
     for ei in 0..netlist.endpoints().len() {
         assert!(
-            close(inc.endpoint_slack(ei), full.endpoint_slack(ei)),
+            same(inc.endpoint_slack(ei), full.endpoint_slack(ei)),
             "endpoint {ei} slack diverged at step {step}: {} vs {}",
             inc.endpoint_slack(ei),
             full.endpoint_slack(ei)
         );
         assert!(
-            close(inc.endpoint_arrival(ei), full.endpoint_arrival(ei)),
+            same(inc.endpoint_arrival(ei), full.endpoint_arrival(ei)),
             "endpoint {ei} arrival diverged at step {step}"
         );
         assert!(
-            close(inc.endpoint_hold_slack(ei), full.endpoint_hold_slack(ei)),
+            same(inc.endpoint_hold_slack(ei), full.endpoint_hold_slack(ei)),
             "endpoint {ei} hold diverged at step {step}"
         );
     }
     for c in netlist.cell_ids() {
         assert!(
-            close(inc.out_arrival(c), full.out_arrival(c)),
+            same(inc.out_arrival(c), full.out_arrival(c)),
             "cell {c:?} arrival diverged at step {step}: {} vs {}",
             inc.out_arrival(c),
             full.out_arrival(c)
         );
         assert!(
-            close(inc.out_slew(c), full.out_slew(c)),
+            same(inc.out_slew(c), full.out_slew(c)),
             "cell {c:?} slew diverged at step {step}"
         );
         assert!(
-            close(inc.cell_slack(c), full.cell_slack(c)),
+            same(inc.cell_slack(c), full.cell_slack(c)),
             "cell {c:?} slack diverged at step {step}: {} vs {}",
             inc.cell_slack(c),
             full.cell_slack(c)
         );
         assert!(
-            close(inc.downstream_hold_slack(c), full.downstream_hold_slack(c)),
+            same(inc.downstream_hold_slack(c), full.downstream_hold_slack(c)),
             "cell {c:?} downstream hold diverged at step {step}"
+        );
+        assert!(
+            same(inc.worst_in_slew(c), full.worst_in_slew(c)),
+            "cell {c:?} worst input slew diverged at step {step}"
         );
     }
 }

@@ -36,9 +36,9 @@
 //! # Transports and the reactor
 //!
 //! The [`transport`] module unifies how services hold a connection: the
-//! [`Transport`] trait (frame ops + deadline arming), the blocking
-//! [`FramedTcp`] implementation dialed from an [`Endpoint`], and the
-//! [`FramedListener`] that chaos-wraps accepted (server-side) sockets.
+//! blocking [`FramedTcp`] (frame ops + deadline arming) dialed from an
+//! [`Endpoint`], and the [`FramedListener`] that chaos-wraps accepted
+//! (server-side) sockets.
 //! Every listening port except the dist worker's is [`front`]: one
 //! accept/read/write/drain loop parameterised by a frame handler. It is
 //! built from the [`reactor`] module's epoll readiness loop ([`Poller`] +
@@ -66,7 +66,7 @@ pub use frames::{FramedConn, RecvBuf, SendBuf};
 pub use reactor::{Poller, Waker};
 pub use retry::RetryPolicy;
 pub use timer::{TimerId, TimerWheel};
-pub use transport::{connect_any, roundtrip, Endpoint, FramedListener, FramedTcp, Transport};
+pub use transport::{connect_any, roundtrip, Endpoint, FramedListener, FramedTcp};
 
 use std::io::{self, Read, Write};
 

@@ -1,8 +1,8 @@
-//! The unified [`Transport`] API: one place where chaos wrapping, retry
-//! reconnects, and deadline arming happen, instead of three hand-rolled
-//! stream stacks (`serve::client`, `dist::coordinator`, `dist::worker`).
+//! One place where chaos wrapping, retry reconnects, and deadline arming
+//! happen, instead of three hand-rolled stream stacks (`serve::client`,
+//! `dist::coordinator`, `dist::worker`).
 //!
-//! Two implementations stand behind the trait:
+//! Two connection types speak the same frames:
 //!
 //! * **Blocking**: [`FramedTcp`], a [`ChaosTransport`]-wrapped
 //!   `TcpStream` dialed from an [`Endpoint`] (resolved addresses + chaos
@@ -28,43 +28,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A blocking framed byte pipe with deadline arming: the least interface
-/// a protocol client needs, implemented identically for plain and
-/// chaos-wrapped connections.
-pub trait Transport {
-    /// Writes one length-prefixed frame under `max_len`.
-    ///
-    /// # Errors
-    /// `InvalidInput` for an oversized payload; transport errors
-    /// (including injected chaos faults).
-    fn write_frame_limited(&mut self, payload: &[u8], max_len: usize) -> io::Result<()>;
-
-    /// Reads one length-prefixed frame under `max_len`.
-    ///
-    /// # Errors
-    /// `InvalidData` for an oversized prefix; transport errors
-    /// (including injected chaos faults).
-    fn read_frame_limited(&mut self, max_len: usize) -> io::Result<Vec<u8>>;
-
-    /// Sets the read and write timeouts bounding every subsequent
-    /// blocking frame operation (`None` = block indefinitely).
-    ///
-    /// # Errors
-    /// The socket's timeout-setting failure.
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-
-    /// Arms the transport with a deadline budget: timeouts are clamped to
-    /// the budget's remaining time, with `fallback` as the cap when the
-    /// budget is unbounded.
-    ///
-    /// # Errors
-    /// `TimedOut` when the budget is already spent; otherwise the
-    /// timeout-setting failure.
-    fn arm(&self, budget: &DeadlineBudget, fallback: Option<Duration>) -> io::Result<()> {
-        self.set_io_timeout(budget.timeout_with(fallback)?)
-    }
-}
 
 /// Where a client dials and how chaos addresses the connection — the
 /// reusable part of a connection, kept across reconnects.
@@ -228,21 +191,45 @@ impl FramedTcp {
     pub fn stream(&self) -> &TcpStream {
         self.inner.get_ref()
     }
-}
 
-impl Transport for FramedTcp {
-    fn write_frame_limited(&mut self, payload: &[u8], max_len: usize) -> io::Result<()> {
+    /// Writes one length-prefixed frame under `max_len`.
+    ///
+    /// # Errors
+    /// `InvalidInput` for an oversized payload; transport errors
+    /// (including injected chaos faults).
+    pub fn write_frame_limited(&mut self, payload: &[u8], max_len: usize) -> io::Result<()> {
         self.inner.write_frame_limited(payload, max_len)
     }
 
-    fn read_frame_limited(&mut self, max_len: usize) -> io::Result<Vec<u8>> {
+    /// Reads one length-prefixed frame under `max_len`.
+    ///
+    /// # Errors
+    /// `InvalidData` for an oversized prefix; transport errors
+    /// (including injected chaos faults).
+    pub fn read_frame_limited(&mut self, max_len: usize) -> io::Result<Vec<u8>> {
         self.inner.read_frame_limited(max_len)
     }
 
-    fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    /// Sets the read and write timeouts bounding every subsequent
+    /// blocking frame operation (`None` = block indefinitely).
+    ///
+    /// # Errors
+    /// The socket's timeout-setting failure.
+    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         let stream = self.inner.get_ref();
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)
+    }
+
+    /// Arms the connection with a deadline budget: timeouts are clamped
+    /// to the budget's remaining time, with `fallback` as the cap when the
+    /// budget is unbounded.
+    ///
+    /// # Errors
+    /// `TimedOut` when the budget is already spent; otherwise the
+    /// timeout-setting failure.
+    pub fn arm(&self, budget: &DeadlineBudget, fallback: Option<Duration>) -> io::Result<()> {
+        self.set_io_timeout(budget.timeout_with(fallback)?)
     }
 }
 
@@ -250,8 +237,8 @@ impl Transport for FramedTcp {
 ///
 /// # Errors
 /// Whatever arming, the write, or the read reports.
-pub fn roundtrip<T: Transport + ?Sized>(
-    transport: &mut T,
+pub fn roundtrip(
+    transport: &mut FramedTcp,
     payload: &[u8],
     max_len: usize,
     budget: &DeadlineBudget,
@@ -345,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_dials_and_roundtrips_through_the_trait() {
+    fn endpoint_dials_and_roundtrips() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = echo_once(listener);

@@ -10,7 +10,9 @@ use rl_ccd_flow::{
     prioritization_margins, run_useful_skew, skew_histogram, FlowRecipe, MarginMode, UsefulSkewOpts,
 };
 use rl_ccd_netlist::{generate, DesignSpec, EndpointId, TechNode};
-use rl_ccd_sta::{analyze, full_report, Constraints, EndpointMargins, TimingGraph};
+use rl_ccd_sta::{
+    analyze, full_report, Constraints, EndpointMargins, IncrementalTimer, TimingGraph,
+};
 
 fn main() {
     let design = generate(&DesignSpec::new("explorer", 1000, TechNode::N12, 5));
@@ -26,12 +28,11 @@ fn main() {
     println!("{}", full_report(&design.netlist, &before, &clocks, 2));
 
     // Plain run.
+    let mut timer = IncrementalTimer::new(&design.netlist, &cons, &clocks, &zero);
     let out = run_useful_skew(
         &design.netlist,
-        &graph,
-        &cons,
         &mut clocks,
-        &zero,
+        &mut timer,
         &UsefulSkewOpts::default(),
     );
     println!(
@@ -68,12 +69,11 @@ fn main() {
         EndpointMargins::zero(&design.netlist),
     );
     let mut clocks2 = recipe.clock_schedule(&design.netlist, design.period_ps);
+    let mut timer = IncrementalTimer::new(&design.netlist, &cons, &clocks2, &margins);
     run_useful_skew(
         &design.netlist,
-        &graph,
-        &cons,
         &mut clocks2,
-        &margins,
+        &mut timer,
         &UsefulSkewOpts::default(),
     );
     let after2 = analyze(&design.netlist, &graph, &cons, &clocks2, &zero);

@@ -26,7 +26,7 @@
 //! rlccd daemon   --checkpoint DIR [--port P] [--admin-port P] [--tenants SPEC,SPEC]
 //!                [--rho R] [--admin-token T] [--audit-out FILE] [--usage-out FILE]
 //!                [--usage-flush-ms MS] [--exp-out FILE]
-//!                [--gate-samples N] [--gate-seed S] [--max-batch N] [--queue N]
+//!                [--gate-seed S] [--max-batch N] [--queue N]
 //! rlccd admin    <status|load|gate|promote|rollback|canary|tenant-add|tenant-del|
 //!                 tenant-list|retrain|drain> [--addr HOST:PORT] [--admin-token T] [options]
 //! rlccd exp-validate --in exp.jsonl
@@ -180,7 +180,7 @@ const USAGE_TABLE: &[(&str, &str)] = &[
         "daemon   --checkpoint DIR [--port P] [--admin-port P] [--tenants SPEC,SPEC]\n\
          \u{20}         [--rho R] [--admin-token T] [--audit-out FILE] [--usage-out FILE]\n\
          \u{20}         [--usage-flush-ms MS] [--exp-out FILE]\n\
-         \u{20}         [--gate-samples N] [--gate-seed S] [--max-batch N]\n\
+         \u{20}         [--gate-seed S] [--max-batch N]\n\
          \u{20}         [--queue N] [--serve-workers N] [--env-cache N] [--fanout-cap N]\n\
          \u{20}         [--trace-out FILE] (a tenant SPEC is id:token:rate:burst:quota)",
     ),
@@ -1012,10 +1012,7 @@ fn cmd_daemon(args: &[String]) -> Result<(), Error> {
         fanout_cap: arg(args, "--fanout-cap")?.unwrap_or_else(|| RlConfig::default().fanout_cap),
         ..ServeConfig::default()
     };
-    let mut gate = rl_ccd::GateSpec::quick(arg(args, "--gate-seed")?.unwrap_or(0xCCD));
-    if let Some(samples) = arg(args, "--gate-samples")? {
-        gate.samples = samples;
-    }
+    let gate = rl_ccd::GateSpec::quick(arg(args, "--gate-seed")?.unwrap_or(0xCCD));
     let config = DaemonConfig {
         serve,
         rho,

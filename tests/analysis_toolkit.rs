@@ -5,7 +5,8 @@
 use rl_ccd_flow::{run_useful_skew, FlowRecipe, UsefulSkewOpts};
 use rl_ccd_netlist::{generate, read_netlist, write_netlist, DesignSpec, TechNode};
 use rl_ccd_sta::{
-    analyze, qor_delta, worst_paths, Constraints, EndpointMargins, SlackHistogram, TimingGraph,
+    analyze, qor_delta, worst_paths, Constraints, EndpointMargins, IncrementalTimer,
+    SlackHistogram, TimingGraph,
 };
 
 #[test]
@@ -59,12 +60,11 @@ fn flow_then_useful_skew_then_delta() {
     let mut clocks = recipe.clock_schedule(&d.netlist, d.period_ps);
     let zero = EndpointMargins::zero(&d.netlist);
     let before = analyze(&d.netlist, &graph, &cons, &clocks, &zero);
+    let mut timer = IncrementalTimer::new(&d.netlist, &cons, &clocks, &zero);
     let out = run_useful_skew(
         &d.netlist,
-        &graph,
-        &cons,
         &mut clocks,
-        &zero,
+        &mut timer,
         &UsefulSkewOpts::default(),
     );
     // QoR delta machinery reports a consistent endpoint partition.

@@ -97,8 +97,6 @@ fn reference_selection(dir: &Path, rho: f32, key: &DesignKey, fanout_cap: usize)
 fn lax_gate() -> GateSpec {
     GateSpec {
         designs: vec![DesignSpec::new("gate_tiny", 200, TechNode::N7, 1)],
-        samples: 0,
-        seed: 1,
         fanout_cap: 24,
         tolerance: f64::INFINITY,
     }

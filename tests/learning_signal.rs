@@ -4,7 +4,7 @@
 
 use rl_ccd_flow::{prioritization_margins, FlowRecipe, MarginMode};
 use rl_ccd_netlist::{generate, ClusterClass, DesignSpec, EndpointId, TechNode};
-use rl_ccd_sta::{analyze, Constraints, EndpointMargins, TimingGraph};
+use rl_ccd_sta::{analyze, Constraints, EndpointMargins, IncrementalTimer, TimingGraph};
 
 fn class_selection(
     d: &rl_ccd_netlist::GeneratedDesign,
@@ -101,12 +101,11 @@ fn margins_overfix_selected_endpoints() {
         EndpointMargins::zero(&d.netlist),
     );
     let mut clocks = clocks0.clone();
+    let mut timer = IncrementalTimer::new(&d.netlist, &cons, &clocks, &margins);
     rl_ccd_flow::run_useful_skew(
         &d.netlist,
-        &graph,
-        &cons,
         &mut clocks,
-        &margins,
+        &mut timer,
         &rl_ccd_flow::UsefulSkewOpts::default(),
     );
     let after = analyze(&d.netlist, &graph, &cons, &clocks, &zero);

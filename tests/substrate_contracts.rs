@@ -2,26 +2,19 @@
 
 use rl_ccd_flow::{optimize_datapath, recover_power, DatapathOpts, FlowRecipe};
 use rl_ccd_netlist::{analyze_power, generate, ClusterClass, DesignSpec, TechNode};
-use rl_ccd_sta::{analyze, Constraints, EndpointMargins, TimingGraph};
+use rl_ccd_sta::{analyze, Constraints, EndpointMargins, IncrementalTimer, TimingGraph};
 
 #[test]
 fn datapath_mutations_keep_netlist_and_sta_consistent() {
     let d = generate(&DesignSpec::new("mut", 800, TechNode::N7, 17));
     let mut netlist = d.netlist.clone();
-    let mut graph = TimingGraph::new(&netlist);
     let recipe = FlowRecipe::default();
     let clocks = recipe.clock_schedule(&netlist, d.period_ps);
     let cons = Constraints::with_period(d.period_ps);
     let margins = EndpointMargins::zero(&netlist);
     let before_cells = netlist.cell_count();
-    let (stats, report) = optimize_datapath(
-        &mut netlist,
-        &mut graph,
-        &cons,
-        &clocks,
-        &margins,
-        &DatapathOpts::default(),
-    );
+    let mut timer = IncrementalTimer::new(&netlist, &cons, &clocks, &margins);
+    let (stats, report) = optimize_datapath(&mut netlist, &mut timer, &DatapathOpts::default());
     assert!(stats.total() > 0);
     // Structural invariants hold after all mutations.
     assert!(netlist.check().is_empty(), "{:?}", netlist.check());
@@ -33,7 +26,7 @@ fn datapath_mutations_keep_netlist_and_sta_consistent() {
         assert!(report.endpoint_slack(i).is_finite());
     }
     // Power recovery afterwards cannot break structure either.
-    let (_, rep2) = recover_power(&mut netlist, &graph, &cons, &clocks, &margins, 40.0);
+    let (_, rep2) = recover_power(&mut netlist, &mut timer, 40.0);
     assert!(netlist.check().is_empty());
     assert!(rep2.tns() <= 0.0);
 }
